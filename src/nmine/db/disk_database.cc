@@ -1,20 +1,55 @@
 #include "nmine/db/disk_database.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <vector>
 
 #include "nmine/db/scan_telemetry.h"
 
 namespace nmine {
 namespace {
 
-/// Buffered LEB128 reader over an std::ifstream.
+/// magic + version + the longest (10-byte) count varint.
+constexpr uint64_t kMaxHeaderBytes = sizeof(dbformat::kMagic) + 1 + 10;
+
+/// Closes a file descriptor on scope exit.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Buffered LEB128 reader over a file descriptor, positioned by Seek and
+/// never reading at or past its limit (bytes there read as EOF).
 class BufferedVarintReader {
  public:
-  explicit BufferedVarintReader(std::ifstream* in) : in_(in) {}
+  explicit BufferedVarintReader(int fd) : fd_(fd) {}
+
+  /// File offset of the next byte to be read.
+  uint64_t Tell() const { return base_ + pos_; }
+
+  /// Moves to `offset`, dropping buffered bytes.
+  void Seek(uint64_t offset) {
+    base_ = offset;
+    pos_ = 0;
+    len_ = 0;
+  }
+
+  /// Bytes at or past `limit` are never read.
+  void SetLimit(uint64_t limit) { limit_ = limit; }
 
   /// Reads `n` raw bytes into `out`. Returns false on EOF/short read.
   bool ReadRaw(char* out, size_t n) {
@@ -48,7 +83,7 @@ class BufferedVarintReader {
     return VarintResult::kOverflow;  // continuation past the 10th byte
   }
 
-  /// True when the underlying stream is exhausted and the buffer is empty.
+  /// True when no byte is left before EOF or the limit.
   bool AtEof() {
     if (pos_ < len_) return false;
     Refill();
@@ -66,17 +101,28 @@ class BufferedVarintReader {
     return static_cast<uint8_t>(buffer_[pos_++]);
   }
 
+  /// Reads the next chunk; a read error leaves the buffer empty, which the
+  /// caller reports as truncation (kUnavailable, retried).
   void Refill() {
-    if (!in_->good()) return;
-    in_->read(buffer_, kBufferSize);
-    len_ = static_cast<size_t>(in_->gcount());
+    base_ += len_;
     pos_ = 0;
+    len_ = 0;
+    if (base_ >= limit_) return;
+    const size_t want =
+        static_cast<size_t>(std::min<uint64_t>(kBufferSize, limit_ - base_));
+    ssize_t got;
+    do {
+      got = ::pread(fd_, buffer_, want, static_cast<off_t>(base_));
+    } while (got < 0 && errno == EINTR);
+    if (got > 0) len_ = static_cast<size_t>(got);
   }
 
-  std::ifstream* in_;
+  int fd_;
   char buffer_[kBufferSize];
+  uint64_t base_ = 0;  // file offset of buffer_[0]
   size_t pos_ = 0;
   size_t len_ = 0;
+  uint64_t limit_ = UINT64_MAX;
 };
 
 /// Truncation mid-stream is kUnavailable: a concurrent rewrite can shrink
@@ -107,16 +153,14 @@ std::unique_ptr<DiskSequenceDatabase> DiskSequenceDatabase::Open(
     const std::string& path, const Options& options, Status* error) {
   std::unique_ptr<DiskSequenceDatabase> db(
       new DiskSequenceDatabase(path, options));
-  size_t n = 0;
-  uint64_t total = 0;
+  FileLayout layout;
   Status r = RunScanWithRetry(
       options.retry, options.sleeper, /*can_replay=*/true, "disk open",
       [&](int) {
-        n = 0;
-        total = 0;
+        layout = FileLayout();
         ScanAttempt attempt;
         attempt.status =
-            db->StreamFile(/*visitor=*/nullptr, 0, SIZE_MAX, &n, &total,
+            db->StreamFile(/*visitor=*/nullptr, 0, SIZE_MAX, &layout,
                            &attempt.delivered_records);
         return attempt;
       });
@@ -124,8 +168,7 @@ std::unique_ptr<DiskSequenceDatabase> DiskSequenceDatabase::Open(
     if (error != nullptr) *error = r;
     return nullptr;
   }
-  db->num_sequences_ = n;
-  db->total_symbols_ = total;
+  db->layout_ = std::move(layout);
   if (error != nullptr) *error = Status::Ok();
   return db;
 }
@@ -138,10 +181,8 @@ Status DiskSequenceDatabase::Scan(const Visitor& visitor,
       options_.retry, options_.sleeper,
       /*can_replay=*/static_cast<bool>(restart), "disk scan", [&](int) {
         if (restart) restart();
-        size_t n = 0;
-        uint64_t total = 0;
         ScanAttempt attempt;
-        attempt.status = StreamFile(&visitor, 0, SIZE_MAX, &n, &total,
+        attempt.status = StreamFile(&visitor, 0, SIZE_MAX, /*layout=*/nullptr,
                                     &attempt.delivered_records);
         return attempt;
       },
@@ -151,15 +192,16 @@ Status DiskSequenceDatabase::Scan(const Visitor& visitor,
 Status DiskSequenceDatabase::ScanRange(size_t begin_record, size_t end_record,
                                        const Visitor& visitor,
                                        const RestartFn& restart) const {
+  end_record = std::min(end_record, layout_.num_sequences);
+  if (begin_record >= end_record) return Status::Ok();
   return RunScanWithRetry(
       options_.retry, options_.sleeper,
       /*can_replay=*/static_cast<bool>(restart), "disk range scan", [&](int) {
         if (restart) restart();
-        size_t n = 0;
-        uint64_t total = 0;
         ScanAttempt attempt;
-        attempt.status = StreamFile(&visitor, begin_record, end_record, &n,
-                                    &total, &attempt.delivered_records);
+        attempt.status = StreamFile(&visitor, begin_record, end_record,
+                                    /*layout=*/nullptr,
+                                    &attempt.delivered_records);
         return attempt;
       },
       options_.retry_budget);
@@ -167,20 +209,32 @@ Status DiskSequenceDatabase::ScanRange(size_t begin_record, size_t end_record,
 
 Status DiskSequenceDatabase::StreamFile(const Visitor* visitor,
                                         size_t begin_record,
-                                        size_t end_record,
-                                        size_t* num_sequences,
-                                        uint64_t* total_symbols,
+                                        size_t end_record, FileLayout* layout,
                                         bool* delivered_records) const {
   if (delivered_records != nullptr) *delivered_records = false;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!std::filesystem::exists(path_, ec)) {
+  const bool ranged = end_record != SIZE_MAX;
+  ScopedFd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) {
+    if (errno == ENOENT) {
       return Status::NotFound("no such database file: " + path_);
     }
     return Status::Unavailable("cannot open for reading: " + path_);
   }
-  BufferedVarintReader reader(&in);
+  // The index describes the image Open validated; seeking through it into
+  // any other image would misdecode, so a changed file is a transient
+  // failure like truncation by a concurrent rewrite.
+  auto changed = [&] {
+    return Status::Unavailable("database file changed since open: " + path_);
+  };
+  BufferedVarintReader reader(fd.get());
+  if (ranged) {
+    struct stat st;
+    if (::fstat(fd.get(), &st) != 0 ||
+        static_cast<uint64_t>(st.st_size) != layout_.file_bytes) {
+      return changed();
+    }
+    reader.SetLimit(kMaxHeaderBytes);
+  }
   char magic[sizeof(dbformat::kMagic)];
   if (!reader.ReadRaw(magic, sizeof(magic)) ||
       std::memcmp(magic, dbformat::kMagic, sizeof(magic)) != 0) {
@@ -196,8 +250,22 @@ Status DiskSequenceDatabase::StreamFile(const Visitor* visitor,
   if (vr != BufferedVarintReader::VarintResult::kOk) {
     return VarintError(vr, "sequence count");
   }
+  uint64_t first_record = 0;
+  if (ranged) {
+    if (count != layout_.num_sequences) return changed();
+    const size_t stride = begin_record / kIndexStride;
+    const size_t stop = (end_record + kIndexStride - 1) / kIndexStride;
+    first_record = static_cast<uint64_t>(stride) * kIndexStride;
+    reader.Seek(layout_.record_offsets[stride]);
+    reader.SetLimit(stop < layout_.record_offsets.size()
+                        ? layout_.record_offsets[stop]
+                        : layout_.file_bytes);
+  }
   SequenceRecord record;
-  for (uint64_t i = 0; i < count; ++i) {
+  for (uint64_t i = first_record; i < count; ++i) {
+    if (layout != nullptr && i % kIndexStride == 0) {
+      layout->record_offsets.push_back(reader.Tell());
+    }
     uint64_t id = 0;
     uint64_t len = 0;
     if ((vr = reader.ReadVarint64(&id)) !=
@@ -218,8 +286,10 @@ Status DiskSequenceDatabase::StreamFile(const Visitor* visitor,
       }
       record.symbols.push_back(static_cast<SymbolId>(sym));
     }
-    *total_symbols += record.symbols.size();
-    ++*num_sequences;
+    if (layout != nullptr) {
+      layout->total_symbols += record.symbols.size();
+      ++layout->num_sequences;
+    }
     if (visitor != nullptr && i >= begin_record && i < end_record) {
       if (delivered_records != nullptr) *delivered_records = true;
       db_telemetry::RecordSequenceVisited();
@@ -232,6 +302,7 @@ Status DiskSequenceDatabase::StreamFile(const Visitor* visitor,
   if (!reader.AtEof()) {
     return Status::DataLoss("trailing garbage after last record");
   }
+  if (layout != nullptr) layout->file_bytes = reader.Tell();
   return Status::Ok();
 }
 

@@ -1,12 +1,16 @@
 // Corruption corpus: a valid database image truncated at every byte offset
 // must produce a clean typed error from both the streaming disk reader and
 // the whole-image decoder — never a crash, hang, or silently partial read.
+// Range scans, which seek through the offset index Open built, get the
+// same treatment for a file that is cut, corrupted or replaced after Open.
 // Also pins down the LEB128 overflow rule: a 10-byte varint may only
 // contribute bit 63 with its final byte.
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,6 +165,200 @@ TEST(CorruptCorpusTest, TrailingGarbageRejected) {
   std::vector<SequenceRecord> records;
   IoResult r = dbformat::DecodeDatabase(bytes, &records);
   EXPECT_FALSE(r.ok);
+  std::remove(path.c_str());
+}
+
+// --- Range scans over a file that changed after Open. ---
+
+// Three index strides of irregular records (multi-byte varints).
+std::vector<SequenceRecord> MultiStrideRecords() {
+  std::vector<SequenceRecord> records(600);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].id = static_cast<SequenceId>(5 * i + 1);
+    for (size_t j = 0; j < i % 7; ++j) {
+      records[i].symbols.push_back(static_cast<SymbolId>((29 * i + j) % 200));
+    }
+  }
+  return records;
+}
+
+// Byte offset at which record `k` starts (k == size: end of the image).
+size_t RecordOffset(const std::vector<SequenceRecord>& records, size_t k) {
+  std::string bytes(sizeof(dbformat::kMagic) + 1, '\0');
+  dbformat::PutVarint64(records.size(), &bytes);
+  for (size_t i = 0; i < k; ++i) {
+    dbformat::PutVarint64(static_cast<uint64_t>(records[i].id), &bytes);
+    dbformat::PutVarint64(records[i].symbols.size(), &bytes);
+    for (SymbolId sym : records[i].symbols) {
+      dbformat::PutVarint64(static_cast<uint64_t>(sym), &bytes);
+    }
+  }
+  return bytes.size();
+}
+
+// Ranges inside and across the strides (0, 256, 512) of a 600-record file.
+const std::vector<std::pair<size_t, size_t>> kRanges = {
+    {0, 1},     {0, 256},   {1, 255},   {255, 257}, {256, 512},
+    {300, 301}, {257, 600}, {511, 513}, {599, 600}, {0, 600}};
+
+struct RangeOutcome {
+  Status status;
+  std::vector<SequenceRecord> seen;
+};
+
+RangeOutcome RunRange(const DiskSequenceDatabase& db,
+                      std::pair<size_t, size_t> range) {
+  RangeOutcome out;
+  out.status = db.ScanRange(
+      range.first, range.second,
+      [&](const SequenceRecord& r) { out.seen.push_back(r); }, {});
+  return out;
+}
+
+std::unique_ptr<DiskSequenceDatabase> OpenNoRetry(const std::string& path) {
+  Status error;
+  std::unique_ptr<DiskSequenceDatabase> db = DiskSequenceDatabase::Open(
+      path, {RetryPolicy::NoRetry(), nullptr}, &error);
+  EXPECT_NE(db, nullptr) << error.ToString();
+  return db;
+}
+
+TEST(CorruptCorpusTest, ScanRangeOnFileCutAfterOpenFailsAtEveryOffset) {
+  const std::vector<SequenceRecord> records = MultiStrideRecords();
+  const std::string bytes = dbformat::EncodeDatabase(records);
+  const std::string path = WriteBytes("range_cut.nmsq", bytes);
+  std::unique_ptr<DiskSequenceDatabase> db = OpenNoRetry(path);
+  ASSERT_NE(db, nullptr);
+  // The size no longer matches what Open indexed: every range is refused
+  // as kUnavailable before a single record is decoded.
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::filesystem::resize_file(path, cut);
+    for (const auto& range : kRanges) {
+      RangeOutcome out = RunRange(*db, range);
+      EXPECT_EQ(out.status.code(), StatusCode::kUnavailable)
+          << "cut " << cut << " range " << range.first << ".."
+          << range.second << ": " << out.status.ToString();
+      EXPECT_TRUE(out.seen.empty()) << "cut " << cut;
+    }
+    WriteBytes("range_cut.nmsq", bytes);
+  }
+  for (const auto& range : kRanges) {
+    EXPECT_TRUE(RunRange(*db, range).status.ok());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptCorpusTest, ScanRangeOnSameSizeCorruptionAtEveryOffset) {
+  // A rewrite that keeps size and count passes the identity check, so the
+  // decoder itself must catch it. From `cut` on, every byte is 0xff: any
+  // varint reaching there overflows (kDataLoss) or runs into the read
+  // limit (kUnavailable).
+  const std::vector<SequenceRecord> records = MultiStrideRecords();
+  const std::string bytes = dbformat::EncodeDatabase(records);
+  std::vector<size_t> offsets;
+  for (size_t k = 0; k <= records.size(); ++k) {
+    offsets.push_back(RecordOffset(records, k));
+  }
+  ASSERT_EQ(offsets.back(), bytes.size());
+  const std::string path = WriteBytes("range_corrupt.nmsq", bytes);
+  std::unique_ptr<DiskSequenceDatabase> db = OpenNoRetry(path);
+  ASSERT_NE(db, nullptr);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::string damaged = bytes;
+    std::fill(damaged.begin() + static_cast<std::ptrdiff_t>(cut),
+              damaged.end(), static_cast<char>(0xff));
+    WriteBytes("range_corrupt.nmsq", damaged);
+    for (const auto& range : kRanges) {
+      RangeOutcome out = RunRange(*db, range);
+      const std::string where = "cut " + std::to_string(cut) + " range " +
+                                std::to_string(range.first) + ".." +
+                                std::to_string(range.second);
+      if (offsets[range.second] <= cut) {
+        EXPECT_TRUE(out.status.ok()) << where << ": "
+                                     << out.status.ToString();
+        EXPECT_EQ(out.seen.size(), range.second - range.first) << where;
+      } else {
+        EXPECT_TRUE(out.status.code() == StatusCode::kUnavailable ||
+                    out.status.code() == StatusCode::kDataLoss)
+            << where << ": " << out.status.ToString();
+      }
+      // Whatever was delivered is a prefix of the true slice.
+      ASSERT_LE(out.seen.size(), range.second - range.first) << where;
+      for (size_t i = 0; i < out.seen.size(); ++i) {
+        EXPECT_EQ(out.seen[i].id, records[range.first + i].id) << where;
+        EXPECT_EQ(out.seen[i].symbols, records[range.first + i].symbols)
+            << where;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptCorpusTest, ScanRangeRefusesImageReplacedAfterOpen) {
+  const std::vector<SequenceRecord> records = MultiStrideRecords();
+  const std::string original = dbformat::EncodeDatabase(records);
+  // Same count, longer records (different size); one more record
+  // (different count and size).
+  std::vector<SequenceRecord> longer = records;
+  longer[0].symbols.push_back(1);
+  std::vector<SequenceRecord> more = records;
+  more.push_back(records.back());
+  for (const std::vector<SequenceRecord>& other : {longer, more}) {
+    const std::string path =
+        WriteBytes("range_replaced.nmsq", original);
+    std::unique_ptr<DiskSequenceDatabase> db = OpenNoRetry(path);
+    ASSERT_NE(db, nullptr);
+    WriteBytes("range_replaced.nmsq", dbformat::EncodeDatabase(other));
+    for (const auto& range : kRanges) {
+      RangeOutcome out = RunRange(*db, range);
+      EXPECT_EQ(out.status.code(), StatusCode::kUnavailable)
+          << out.status.ToString();
+      EXPECT_NE(out.status.message().find("changed since open"),
+                std::string::npos)
+          << out.status.ToString();
+      EXPECT_TRUE(out.seen.empty());
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// Puts the original image back on the first backoff, like a concurrent
+// rewrite that finishes while the scan waits.
+class RestoringSleeper : public Sleeper {
+ public:
+  RestoringSleeper(std::string name, std::string bytes)
+      : name_(std::move(name)), bytes_(std::move(bytes)) {}
+  void SleepMs(double) override {
+    ++sleeps_;
+    WriteBytes(name_, bytes_);
+  }
+  int sleeps() const { return sleeps_; }
+
+ private:
+  std::string name_;
+  std::string bytes_;
+  int sleeps_ = 0;
+};
+
+TEST(CorruptCorpusTest, ScanRangeRetriesAFileChangedSinceOpen) {
+  const std::vector<SequenceRecord> records = MultiStrideRecords();
+  const std::string original = dbformat::EncodeDatabase(records);
+  const std::string path = WriteBytes("range_retry.nmsq", original);
+  RestoringSleeper sleeper("range_retry.nmsq", original);
+  DiskSequenceDatabase::Options options;
+  options.sleeper = &sleeper;
+  Status error;
+  std::unique_ptr<DiskSequenceDatabase> db =
+      DiskSequenceDatabase::Open(path, options, &error);
+  ASSERT_NE(db, nullptr) << error.ToString();
+  WriteBytes("range_retry.nmsq", original.substr(0, original.size() / 2));
+  RangeOutcome out = RunRange(*db, {300, 520});
+  ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+  EXPECT_EQ(sleeper.sleeps(), 1);
+  ASSERT_EQ(out.seen.size(), 220u);
+  for (size_t i = 0; i < out.seen.size(); ++i) {
+    EXPECT_EQ(out.seen[i].id, records[300 + i].id);
+  }
   std::remove(path.c_str());
 }
 

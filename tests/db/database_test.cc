@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +115,58 @@ TEST(DiskDatabaseTest, EmptyDatabaseRoundTrips) {
       DiskSequenceDatabase::Open(path, &error);
   ASSERT_NE(disk, nullptr) << error.ToString();
   EXPECT_EQ(disk->NumSequences(), 0u);
+  std::remove(path.c_str());
+}
+
+// Records of varying length with multi-byte varint ids and symbols, so
+// record offsets are irregular and an index entry off by one record (or
+// one byte) decodes a different record or garbage.
+std::vector<SequenceRecord> IrregularRecords(size_t n) {
+  std::vector<SequenceRecord> records(n);
+  for (size_t i = 0; i < n; ++i) {
+    records[i].id = static_cast<SequenceId>(7 * i + 3);
+    for (size_t j = 0; j < i % 13; ++j) {
+      records[i].symbols.push_back(static_cast<SymbolId>((31 * i + j) % 300));
+    }
+  }
+  return records;
+}
+
+TEST(DiskDatabaseTest, ScanRangeEqualsFullScanSlice) {
+  const size_t n = 1000;
+  std::string path = TempPath("range.nmsq");
+  ASSERT_TRUE(dbformat::WriteDatabaseFile(path, IrregularRecords(n)).ok);
+  Status error;
+  std::unique_ptr<DiskSequenceDatabase> disk = DiskSequenceDatabase::Open(
+      path, {RetryPolicy::NoRetry(), nullptr}, &error);
+  ASSERT_NE(disk, nullptr) << error.ToString();
+  std::vector<SequenceRecord> full;
+  ASSERT_TRUE(
+      disk->Scan([&](const SequenceRecord& r) { full.push_back(r); }).ok());
+  ASSERT_EQ(full.size(), n);
+
+  // Crosses every stride boundary of a 1000-record file (strides start at
+  // 0, 256, 512, 768), plus end > n and begin >= n.
+  const std::vector<size_t> grid = {0,   1,   255, 256, 257, 511,  512, 767,
+                                    768, 769, n - 1, n, n + 1, n + 300};
+  for (size_t begin : grid) {
+    for (size_t end : grid) {
+      std::vector<SequenceRecord> seen;
+      Status s = disk->ScanRange(
+          begin, end, [&](const SequenceRecord& r) { seen.push_back(r); },
+          {});
+      ASSERT_TRUE(s.ok()) << begin << ".." << end << ": " << s.ToString();
+      const size_t lo = std::min(begin, n);
+      const size_t hi = std::max(lo, std::min(end, n));
+      ASSERT_EQ(seen.size(), hi - lo) << begin << ".." << end;
+      for (size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i].id, full[lo + i].id) << begin << ".." << end;
+        EXPECT_EQ(seen[i].symbols, full[lo + i].symbols)
+            << begin << ".." << end;
+      }
+    }
+  }
+  EXPECT_EQ(disk->scan_count(), 1);  // range scans are not charged
   std::remove(path.c_str());
 }
 
