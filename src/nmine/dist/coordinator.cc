@@ -1,16 +1,7 @@
 #include "nmine/dist/coordinator.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <utility>
@@ -19,7 +10,6 @@
 #include "nmine/core/matrix_io.h"
 #include "nmine/db/disk_database.h"
 #include "nmine/exec/policy.h"
-#include "nmine/exec/thread_pool.h"
 #include "nmine/gen/matrix_generator.h"
 #include "nmine/lattice/pattern_counter.h"
 #include "nmine/net/status_server.h"
@@ -53,16 +43,6 @@ int64_t NowSteadyUs() {
       .count();
 }
 
-void SendAll(int fd, const std::string& data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    ssize_t w =
-        ::send(fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
-    if (w <= 0) return;
-    done += static_cast<size_t>(w);
-  }
-}
-
 }  // namespace
 
 /// Database + matrix the coordinator holds for its own use: the hello
@@ -93,7 +73,13 @@ CoordinatorEnv* EnvFor(const Coordinator* c) {
 }
 }  // namespace
 
-Coordinator::~Coordinator() { Stop(); }
+Coordinator::~Coordinator() {
+  Stop();
+  // Not in Stop(): a Run() still unwinding from the cancel may be counting
+  // a shard locally against this environment until its caller joins it.
+  std::lock_guard<std::mutex> lock(EnvMutex());
+  EnvMap().erase(this);
+}
 
 bool Coordinator::Start(const Options& options, std::string* error) {
   if (running_.load(std::memory_order_acquire)) {
@@ -171,51 +157,6 @@ bool Coordinator::Start(const Options& options, std::string* error) {
       ((records_per_shard_ + exec_shard_size_ - 1) / exec_shard_size_) *
       exec_shard_size_;
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) *error = "socket(): " + std::string(strerror(errno));
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    if (error != nullptr) {
-      *error = "bad bind address '" + options_.bind_address + "'";
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error != nullptr) {
-      *error = "bind(" + options_.bind_address + ":" +
-               std::to_string(options_.port) +
-               "): " + std::string(strerror(errno));
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 64) != 0) {
-    if (error != nullptr) *error = "listen(): " + std::string(strerror(errno));
-    ::close(fd);
-    return false;
-  }
-  // Same non-blocking + poll() discipline as the mining server: a blocked
-  // accept() is not woken by close() on Linux.
-  int fd_flags = ::fcntl(fd, F_GETFL, 0);
-  if (fd_flags >= 0) ::fcntl(fd, F_SETFL, fd_flags | O_NONBLOCK);
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  } else {
-    port_ = options_.port;
-  }
-  listen_fd_ = fd;
-
   obs::TraceContext minted = obs::MintTraceContext();
   trace_hi_ = minted.trace_hi;
   trace_lo_ = minted.trace_lo;
@@ -223,10 +164,26 @@ bool Coordinator::Start(const Options& options, std::string* error) {
   run_control_.Reset();
   result_ready_ = false;
   result_ = serve::JobResult();
-  {
-    std::lock_guard<std::mutex> lock(accept_done_mutex_);
-    accept_done_ = false;
-  }
+
+  // Workers and clients may connect from here on: everything their
+  // handlers read is set above.
+  net::LineServer::Options transport;
+  transport.bind_address = options_.bind_address;
+  transport.port = options_.port;
+  transport.max_line_bytes = kMaxFrameBytes;
+  transport.oversized_reply =
+      serve::ErrorResponse("INVALID_ARGUMENT", "request line exceeds 8 MiB");
+  auto handle_line = [this](const std::string& line) {
+    std::string parse_error;
+    std::string parse_error_code;
+    std::optional<DistRequest> request =
+        ParseDistRequest(line, &parse_error, &parse_error_code);
+    return request.has_value()
+               ? HandleRequest(*request)
+               : serve::ErrorResponse(parse_error_code, parse_error);
+  };
+  if (!transport_.Start(transport, handle_line, error)) return false;
+
   running_.store(true, std::memory_order_release);
 
   {
@@ -246,14 +203,10 @@ bool Coordinator::Start(const Options& options, std::string* error) {
   }();
   (void)shardz_registered;
 
-  exec::ThreadPool& pool = exec::ThreadPool::Shared();
-  pool.ReserveWorker();
-  pool.Submit([this] { AcceptLoop(); });
-
   NMINE_LOG(kInfo, "dist")
       .Msg("coordinator listening")
       .Str("address", options_.bind_address)
-      .Num("port", static_cast<int64_t>(port_))
+      .Num("port", static_cast<int64_t>(port()))
       .Str("state_dir", options_.state_dir)
       .Num("records_per_shard", static_cast<int64_t>(records_per_shard_))
       .Num("replayed_epochs", static_cast<int64_t>(epochs_.size()))
@@ -298,98 +251,12 @@ void Coordinator::Stop() {
     scan_cv_.notify_all();
     result_cv_.notify_all();
   }
-  {
-    std::unique_lock<std::mutex> lock(accept_done_mutex_);
-    accept_done_cv_.wait(lock, [this] { return accept_done_; });
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (std::thread& t : connection_threads_) {
-      if (t.joinable()) t.join();
-    }
-    connection_threads_.clear();
-  }
+  transport_.Stop();
   {
     std::lock_guard<std::mutex> lock(ActiveCoordinatorMutex());
     if (ActiveCoordinator() == this) ActiveCoordinator() = nullptr;
   }
-  {
-    std::lock_guard<std::mutex> lock(EnvMutex());
-    EnvMap().erase(this);
-  }
   NMINE_LOG(kInfo, "dist").Msg("coordinator stopped");
-}
-
-void Coordinator::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
-          errno == ECONNABORTED) {
-        continue;
-      }
-      break;
-    }
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_threads_.emplace_back(
-        [this, client] { ConnectionLoop(client); });
-  }
-  std::lock_guard<std::mutex> lock(accept_done_mutex_);
-  accept_done_ = true;
-  accept_done_cv_.notify_all();
-}
-
-void Coordinator::ConnectionLoop(int fd) {
-  timeval timeout;
-  timeout.tv_sec = 0;
-  timeout.tv_usec = 100 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
-  std::string buffer;
-  char chunk[4096];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (r == 0) break;  // peer closed
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
-    }
-    buffer.append(chunk, static_cast<size_t>(r));
-    if (buffer.size() > (8u << 20)) {
-      // Progress frames carry whole partial arrays, so the cap is wider
-      // than the mining server's 1 MiB — but still a cap: a wedged peer
-      // cannot grow the buffer without bound.
-      SendAll(fd, serve::ErrorResponse("INVALID_ARGUMENT",
-                                       "request line exceeds 8 MiB"));
-      break;
-    }
-    size_t nl;
-    while ((nl = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (line.empty() || line == "\r") continue;
-      std::string parse_error;
-      std::string parse_error_code;
-      std::optional<DistRequest> request =
-          ParseDistRequest(line, &parse_error, &parse_error_code);
-      SendAll(fd, request.has_value()
-                      ? HandleRequest(*request)
-                      : serve::ErrorResponse(parse_error_code, parse_error));
-    }
-  }
-  ::close(fd);
 }
 
 std::string Coordinator::HandleRequest(const DistRequest& request) {

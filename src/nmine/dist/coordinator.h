@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "nmine/core/metric.h"
@@ -16,6 +15,7 @@
 #include "nmine/core/status.h"
 #include "nmine/dist/journal.h"
 #include "nmine/dist/wire.h"
+#include "nmine/net/transport.h"
 #include "nmine/runtime/run_control.h"
 #include "nmine/serve/job.h"
 
@@ -43,7 +43,7 @@ namespace dist {
 ///    pending pool; the next live worker resumes from the shard's last
 ///    journaled exec-shard checkpoint instead of restarting it.
 ///  - Zombie workers: every grant carries a per-shard epoch, bumped and
-///    journaled (fsync) BEFORE the grant response, so epochs never regress
+///    journaled (durably) BEFORE the grant response, so epochs never regress
 ///    — even across coordinator restarts. Progress carrying a stale epoch
 ///    is fenced: typed FAILED_PRECONDITION, dropped, counted in
 ///    dist.results.fenced. Partials are stored by replacement (cumulative
@@ -102,7 +102,7 @@ class Coordinator {
   /// Cancellation token of the governed run (signal handlers flip it).
   runtime::RunControl* run_control() { return &run_control_; }
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return transport_.port(); }
 
   /// The /shardz board: one JSON object per dist shard of the scan in
   /// flight plus run-level counters.
@@ -123,8 +123,6 @@ class Coordinator {
   Status CountBatch(Metric metric, const std::vector<Pattern>& probe,
                     std::vector<double>* values);
 
-  void AcceptLoop();
-  void ConnectionLoop(int fd);
   std::string HandleRequest(const DistRequest& request);
   std::string HandleHello(const DistRequest& request);
   std::string HandlePoll(const DistRequest& request);
@@ -159,23 +157,17 @@ class Coordinator {
   uint64_t exec_shard_size_ = 0;
   uint64_t records_per_shard_ = 0;
 
-  uint16_t port_ = 0;
-  int listen_fd_ = -1;
+  net::LineServer transport_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::mutex accept_done_mutex_;
-  std::condition_variable accept_done_cv_;
-  bool accept_done_ = true;
-  std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
 
   runtime::RunControl run_control_;
   uint64_t trace_hi_ = 0;
   uint64_t trace_lo_ = 0;
 
   // Scan + assignment state. One mutex: grants, progress, lease sweeps,
-  // and the merge all serialize here (journal fsyncs happen under it, so
-  // the journaled and in-memory orders agree).
+  // and the merge all serialize here (durable journal appends happen under
+  // it, so the journaled and in-memory orders agree).
   std::mutex state_mutex_;
   std::condition_variable scan_cv_;    // progress/completion of the scan
   std::condition_variable result_cv_;  // terminal JobResult published

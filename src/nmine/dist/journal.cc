@@ -1,19 +1,12 @@
 #include "nmine/dist/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
 #include "nmine/dist/wire.h"
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/json_util.h"
 #include "nmine/obs/logger.h"
-#include "nmine/runtime/checkpoint_io.h"
 
 namespace nmine {
 namespace dist {
@@ -83,9 +76,9 @@ void AppendScanEndLine(uint64_t scan, std::string* out) {
   out->append("}\n");
 }
 
-/// Applies one journal line to the state. Unparseable lines (the torn
-/// trailing write of a crash) are skipped — anything torn was by
-/// construction never acknowledged to a worker.
+/// Applies one journal line to the state. Unparseable lines are skipped
+/// rather than failing recovery (the log itself already drops the torn
+/// tail of a crash, which was never acknowledged to a worker).
 void Replay(const std::string& line, ReplayState* state) {
   std::optional<obs::JsonValue> value = obs::ParseJson(line);
   if (!value.has_value() || !value->is_object()) return;
@@ -171,55 +164,33 @@ void Replay(const std::string& line, ReplayState* state) {
 std::unique_ptr<DistJournal> DistJournal::Open(const std::string& state_dir,
                                                ReplayState* state,
                                                std::string* error) {
-  std::error_code ec;
-  std::filesystem::create_directories(state_dir, ec);
-  if (ec) {
-    if (error != nullptr) {
-      *error = "cannot create state dir '" + state_dir + "': " + ec.message();
-    }
-    return nullptr;
-  }
-  const std::string path =
-      (std::filesystem::path(state_dir) / "dist.journal").string();
-
-  // Replay line-wise: the unterminated final line of a crash parses as
-  // garbage and is skipped.
   *state = ReplayState();
   size_t replayed_lines = 0;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      Replay(line, state);
-      ++replayed_lines;
+  auto replay = [&](const std::string& line) {
+    Replay(line, state);
+    ++replayed_lines;
+  };
+  // Epochs plus the in-flight scan (if any) are all that the next life
+  // needs; everything else — dead scans, superseded progress — drops.
+  auto compact = [&] {
+    std::string compacted;
+    for (const auto& [shard, epoch] : state->epochs) {
+      AppendEpochLine(shard, epoch, &compacted);
     }
-  }
+    if (state->has_scan) {
+      AppendScanLine(state->scan, state->fingerprint, &compacted);
+      for (const auto& [shard, progress] : state->shards) {
+        AppendProgressLine(state->scan, shard, progress, &compacted);
+      }
+    }
+    return compacted;
+  };
 
-  // Compact: epochs plus the in-flight scan (if any) are all that the next
-  // life needs; everything else — dead scans, superseded progress — drops.
-  std::string compacted;
-  for (const auto& [shard, epoch] : state->epochs) {
-    AppendEpochLine(shard, epoch, &compacted);
-  }
-  if (state->has_scan) {
-    AppendScanLine(state->scan, state->fingerprint, &compacted);
-    for (const auto& [shard, progress] : state->shards) {
-      AppendProgressLine(state->scan, shard, progress, &compacted);
-    }
-  }
-  Status write_status = runtime::AtomicWriteFile(path, compacted);
-  if (!write_status.ok()) {
-    if (error != nullptr) *error = write_status.ToString();
-    return nullptr;
-  }
-
-  std::unique_ptr<DistJournal> journal(new DistJournal(path));
-  journal->fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-  if (journal->fd_ < 0) {
-    if (error != nullptr) {
-      *error = "cannot open dist journal '" + path +
-               "' for append: " + std::string(strerror(errno));
-    }
+  std::unique_ptr<runtime::AppendLog> log;
+  Status status = runtime::AppendLog::Open(state_dir, "dist.journal", replay,
+                                           compact, &log);
+  if (!status.ok()) {
+    if (error != nullptr) *error = status.ToString();
     return nullptr;
   }
   if (replayed_lines > 0) {
@@ -229,55 +200,32 @@ std::unique_ptr<DistJournal> DistJournal::Open(const std::string& state_dir,
         .Num("shard_epochs", static_cast<int64_t>(state->epochs.size()))
         .Num("inflight_scan", state->has_scan ? 1 : 0);
   }
-  return journal;
-}
-
-DistJournal::~DistJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status DistJournal::AppendLine(const std::string& line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t done = 0;
-  while (done < line.size()) {
-    ssize_t w = ::write(fd_, line.data() + done, line.size() - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable("dist journal write failed: " +
-                                 std::string(strerror(errno)));
-    }
-    done += static_cast<size_t>(w);
-  }
-  if (::fsync(fd_) != 0) {
-    return Status::Unavailable("dist journal fsync failed: " +
-                               std::string(strerror(errno)));
-  }
-  return Status::Ok();
+  return std::unique_ptr<DistJournal>(new DistJournal(std::move(log)));
 }
 
 Status DistJournal::AppendEpoch(uint64_t shard, uint64_t epoch) {
   std::string line;
   AppendEpochLine(shard, epoch, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 Status DistJournal::AppendScanBegin(uint64_t scan, uint64_t fingerprint) {
   std::string line;
   AppendScanLine(scan, fingerprint, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 Status DistJournal::AppendShardProgress(uint64_t scan, uint64_t shard,
                                         const ShardProgress& progress) {
   std::string line;
   AppendProgressLine(scan, shard, progress, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 Status DistJournal::AppendScanEnd(uint64_t scan) {
   std::string line;
   AppendScanEndLine(scan, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 uint64_t ScanFingerprint(const std::string& metric,

@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "nmine/core/pattern.h"
 #include "nmine/core/status.h"
+#include "nmine/runtime/append_log.h"
 
 namespace nmine {
 namespace dist {
@@ -40,11 +40,11 @@ struct ReplayState {
 };
 
 /// Write-ahead journal of the coordinator's assignment state, the
-/// crash-recovery spine of nmine_coordinator (the dist cousin of
-/// serve::JobJournal — same line-JSON WAL, torn-tail-tolerant replay,
-/// compaction on open).
+/// crash-recovery spine of nmine_coordinator. Like serve::JobJournal it
+/// encodes events onto one runtime::AppendLog (durable line appends,
+/// torn-tail-dropping replay, compaction on open).
 ///
-/// Events, each one fsync'd JSON line in `<state_dir>/dist.journal`:
+/// Events, each one durable JSON line in `<state_dir>/dist.journal`:
 ///
 ///   {"event": "epoch", "shard": H, "epoch": E}     BEFORE the grant response
 ///   {"event": "scan",  "scan": S, "fp": "hex16"}   scan begins
@@ -67,26 +67,19 @@ class DistJournal {
                                            ReplayState* state,
                                            std::string* error);
 
-  ~DistJournal();
-  DistJournal(const DistJournal&) = delete;
-  DistJournal& operator=(const DistJournal&) = delete;
-
   Status AppendEpoch(uint64_t shard, uint64_t epoch);
   Status AppendScanBegin(uint64_t scan, uint64_t fingerprint);
   Status AppendShardProgress(uint64_t scan, uint64_t shard,
                              const ShardProgress& progress);
   Status AppendScanEnd(uint64_t scan);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_->path(); }
 
  private:
-  explicit DistJournal(std::string path) : path_(std::move(path)) {}
+  explicit DistJournal(std::unique_ptr<runtime::AppendLog> log)
+      : log_(std::move(log)) {}
 
-  Status AppendLine(const std::string& line);
-
-  std::string path_;
-  std::mutex mutex_;
-  int fd_ = -1;
+  std::unique_ptr<runtime::AppendLog> log_;
 };
 
 /// FNV-1a over the metric wire name and the probe patterns. Identifies a

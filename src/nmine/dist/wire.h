@@ -1,6 +1,7 @@
 #ifndef NMINE_DIST_WIRE_H_
 #define NMINE_DIST_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -35,6 +36,11 @@ namespace dist {
 /// pattern: per-shard partial sums must survive the wire EXACTLY or the
 /// coordinator's merged totals drift from the serial CLI's.
 inline constexpr int kProtocolVersion = 1;
+
+/// Longest frame either side buffers. Progress frames carry whole partial
+/// arrays, so the cap is wider than the mining server's 1 MiB request cap
+/// — but still a cap: a wedged peer cannot grow a buffer without bound.
+inline constexpr size_t kMaxFrameBytes = 8u << 20;
 
 /// Renders `value`'s bit pattern as 16 lowercase hex digits.
 std::string EncodeDoubleBits(double value);

@@ -1,18 +1,12 @@
 #include "nmine/net/status_server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
-#include "nmine/exec/thread_pool.h"
+#include "nmine/net/transport.h"
 #include "nmine/obs/export/openmetrics.h"
 #include "nmine/obs/flight_recorder.h"
 #include "nmine/obs/logger.h"
@@ -78,7 +72,8 @@ const char* ReasonPhrase(int status) {
   }
 }
 
-void SendResponse(int fd, const Response& response) {
+/// The full HTTP/1.0 reply: status line, headers, body.
+std::string Render(const Response& response) {
   char header[256];
   int n = std::snprintf(header, sizeof(header),
                         "HTTP/1.0 %d %s\r\n"
@@ -87,15 +82,10 @@ void SendResponse(int fd, const Response& response) {
                         "Connection: close\r\n\r\n",
                         response.status, ReasonPhrase(response.status),
                         response.content_type, response.body.size());
-  if (n <= 0) return;
+  if (n <= 0) return std::string();
   std::string out(header, static_cast<size_t>(n));
   out.append(response.body);
-  size_t done = 0;
-  while (done < out.size()) {
-    ssize_t w = ::send(fd, out.data() + done, out.size() - done, MSG_NOSIGNAL);
-    if (w <= 0) return;
-    done += static_cast<size_t>(w);
-  }
+  return out;
 }
 
 Response Dispatch(const std::string& method, const std::string& path,
@@ -222,120 +212,25 @@ bool StatusServer::Start(const Options& options, std::string* error) {
     if (error != nullptr) *error = "status server already running";
     return false;
   }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) *error = "socket(): " + std::string(strerror(errno));
+  if (!listener_.Start(options.bind_address, options.port,
+                       [this](int fd) {
+                         HandleConnection(fd);
+                         ::close(fd);
+                       },
+                       error)) {
     return false;
   }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.port);
-  if (::inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    if (error != nullptr) {
-      *error = "bad bind address '" + options.bind_address + "'";
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error != nullptr) {
-      *error = "bind(" + options.bind_address + ":" +
-               std::to_string(options.port) +
-               "): " + std::string(strerror(errno));
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 16) != 0) {
-    if (error != nullptr) *error = "listen(): " + std::string(strerror(errno));
-    ::close(fd);
-    return false;
-  }
-  // Non-blocking listener + poll(): a blocked accept() is NOT woken by
-  // close()/shutdown() on Linux, so a blocking loop could never be shut
-  // down cleanly. The loop instead polls with a short timeout and checks
-  // the stop flag between polls.
-  int fd_flags = ::fcntl(fd, F_GETFL, 0);
-  if (fd_flags >= 0) ::fcntl(fd, F_SETFL, fd_flags | O_NONBLOCK);
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  } else {
-    port_ = options.port;
-  }
-
-  listen_fd_ = fd;
-  stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(done_mutex_);
-    loop_done_ = false;
-  }
-  // The accept loop parks one pool worker for the server's lifetime;
-  // reserve it so every later EnsureWorkers(n) still yields n workers
-  // free for scan shards (submitting into the un-grown pool would starve
-  // a sharded scan of one of the workers it sized itself for).
-  exec::ThreadPool& pool = exec::ThreadPool::Shared();
-  pool.ReserveWorker();
-  pool.Submit([this] { AcceptLoop(); });
-
   NMINE_LOG(kInfo, "net")
       .Msg("status server listening")
       .Str("address", options.bind_address)
-      .Num("port", static_cast<int64_t>(port_));
+      .Num("port", static_cast<int64_t>(port()));
   return true;
 }
 
 void StatusServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stop_.store(true, std::memory_order_release);
-  // The loop notices the flag at its next poll() timeout; only close the
-  // socket once it has drained, so the fd can never be reused by another
-  // open while the loop still touches it.
-  {
-    std::unique_lock<std::mutex> lock(done_mutex_);
-    done_cv_.wait(lock, [this] { return loop_done_; });
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-}
-
-void StatusServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener gone; nothing to serve anymore
-    }
-    if (ready == 0) continue;  // timeout: re-check the stop flag
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
-          errno == ECONNABORTED) {
-        continue;
-      }
-      break;
-    }
-    HandleConnection(client);
-    ::close(client);
-  }
-  {
-    std::lock_guard<std::mutex> lock(done_mutex_);
-    loop_done_ = true;
-    // Notify while holding the lock: Stop()'s waiter cannot observe
-    // loop_done_ and let the server be destroyed until the lock drops,
-    // so the condition variable is never destroyed mid-notify.
-    done_cv_.notify_all();
-  }
+  listener_.Stop();
 }
 
 void StatusServer::HandleConnection(int client_fd) {
@@ -385,7 +280,7 @@ void StatusServer::HandleConnection(int client_fd) {
   obs::MetricsRegistry::Global().GetCounter("net.statusz.requests")
       .Increment();
 
-  SendResponse(client_fd, Dispatch(method, path, query));
+  SendAll(client_fd, Render(Dispatch(method, path, query)));
 }
 
 }  // namespace net

@@ -2,12 +2,12 @@
 #define NMINE_NET_STATUS_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "nmine/net/transport.h"
 
 namespace nmine {
 namespace net {
@@ -35,11 +35,12 @@ namespace net {
 /// serving layer registers /jobsz this way); registered paths are served
 /// by every StatusServer in the process.
 ///
-/// The accept loop is blocking and runs as one task on the shared
-/// exec::ThreadPool; Start() grows the pool by one worker first, so the
-/// server never steals a scan worker from the miners. Requests are tiny
-/// and handled inline on that worker; the server only ever reads process
-/// state, so it needs no coordination with the run it is observing.
+/// The listener and its poll-driven accept loop are a net::TcpListener,
+/// which runs on a worker the shared exec::ThreadPool reserves for it, so
+/// the server never steals a scan worker from the miners. Each request is
+/// tiny, one-shot, and handled inline on that worker; the server only
+/// ever reads process state, so it needs no coordination with the run it
+/// is observing.
 class StatusServer {
  public:
   struct Options {
@@ -59,14 +60,14 @@ class StatusServer {
   /// pool. False with *error set when the socket cannot be set up.
   bool Start(const Options& options, std::string* error);
 
-  /// Closes the listener and waits for the accept loop to drain. Safe to
+  /// Stops the accept loop, waits for it, and closes the listener. Safe to
   /// call twice or without Start().
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// The port actually bound (resolves port 0 to the ephemeral choice).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// Requests served since Start (any endpoint, including 404s).
   uint64_t requests_served() const {
@@ -105,17 +106,11 @@ class StatusServer {
   static std::string HealthzBody();
 
  private:
-  void AcceptLoop();
   void HandleConnection(int client_fd);
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  TcpListener listener_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
   std::atomic<uint64_t> requests_{0};
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
-  bool loop_done_ = true;
 };
 
 }  // namespace net

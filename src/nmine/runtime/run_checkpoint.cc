@@ -7,7 +7,7 @@
 
 #include "nmine/obs/flight_recorder.h"
 #include "nmine/obs/trace.h"
-#include "nmine/runtime/checkpoint_io.h"
+#include "nmine/runtime/append_log.h"
 #include "nmine/runtime/run_status.h"
 
 namespace nmine {

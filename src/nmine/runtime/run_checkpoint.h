@@ -34,9 +34,7 @@ const char* ToString(RunStage stage);
 ///
 /// The guard fields tie a checkpoint to one (database, metric, threshold,
 /// sampling) configuration; Load refuses mismatches so stale state can
-/// never leak into a different mining run. The Phase-3-only checkpoint of
-/// the fault-tolerance layer (mining/phase3_checkpoint.h) is the
-/// kPhase3Progress stage of this same format.
+/// never leak into a different mining run.
 struct RunCheckpoint {
   RunStage stage = RunStage::kPhase3Progress;
 
@@ -84,7 +82,7 @@ struct RunCheckpoint {
 };
 
 /// Writes `cp` to `path` atomically (temp + fsync + rename via
-/// checkpoint_io), so a crash while checkpointing never destroys the
+/// AtomicWriteFile), so a crash while checkpointing never destroys the
 /// previous good checkpoint.
 Status WriteRunCheckpoint(const std::string& path, const RunCheckpoint& cp);
 

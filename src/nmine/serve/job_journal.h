@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "nmine/core/status.h"
+#include "nmine/runtime/append_log.h"
 #include "nmine/serve/job.h"
 
 namespace nmine {
@@ -16,8 +16,8 @@ namespace serve {
 /// Write-ahead journal of the server's job board, the crash-recovery spine
 /// of nmine_server.
 ///
-/// Every job transition is appended (and fsync'd) to
-/// `<state_dir>/jobs.journal` as one JSON line BEFORE the client sees a
+/// Every job transition is appended to `<state_dir>/jobs.journal` as one
+/// durable JSON line (runtime::AppendLog) BEFORE the client sees a
 /// response:
 ///
 ///   {"event": "submit", "id": N, "client": C, "tag": T,
@@ -31,8 +31,9 @@ namespace serve {
 /// never saw ok and safely resubmits (the idempotency tag dedups if the
 /// journal record did land).
 ///
-/// Recovery: Open() replays the journal, tolerating a torn trailing line
-/// (the one write that was in flight at SIGKILL). Jobs whose last state
+/// Recovery: Open() replays the journal's newline-terminated lines; the
+/// AppendLog torn-tail contract drops the one write that was in flight at
+/// SIGKILL. Jobs whose last state
 /// was running are rewound to queued — their RunCheckpoint carries the
 /// actual progress. Open() then compacts: the replayed board is rewritten
 /// atomically as a fresh journal (keeping at most `kMaxTerminalKept`
@@ -52,26 +53,19 @@ class JobJournal {
                                           uint64_t* next_id,
                                           std::string* error);
 
-  ~JobJournal();
-  JobJournal(const JobJournal&) = delete;
-  JobJournal& operator=(const JobJournal&) = delete;
-
-  /// Appends are serialized, written whole-line, and fsync'd before
-  /// returning, so an acknowledged append survives SIGKILL.
+  /// Each append is one whole line, durable before it returns (see
+  /// runtime::AppendLog), so an acknowledged append survives SIGKILL.
   Status AppendSubmit(const Job& job);
   Status AppendState(uint64_t id, JobState state);
   Status AppendResult(uint64_t id, const JobResult& result);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_->path(); }
 
  private:
-  explicit JobJournal(std::string path) : path_(std::move(path)) {}
+  explicit JobJournal(std::unique_ptr<runtime::AppendLog> log)
+      : log_(std::move(log)) {}
 
-  Status AppendLine(const std::string& line);
-
-  std::string path_;
-  std::mutex mutex_;
-  int fd_ = -1;
+  std::unique_ptr<runtime::AppendLog> log_;
 };
 
 }  // namespace serve

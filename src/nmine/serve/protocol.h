@@ -1,6 +1,7 @@
 #ifndef NMINE_SERVE_PROTOCOL_H_
 #define NMINE_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -41,6 +42,10 @@ namespace serve {
 /// typed FAILED_PRECONDITION — distinct from INVALID_ARGUMENT garbage, so
 /// clients can tell "upgrade me" from "you sent junk".
 inline constexpr int kProtocolVersion = 1;
+
+/// Longest request line the server buffers; a longer one is refused with
+/// INVALID_ARGUMENT and the connection closed.
+inline constexpr size_t kMaxRequestLineBytes = 1u << 20;
 
 struct Request {
   std::string op;

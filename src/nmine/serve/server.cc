@@ -1,17 +1,7 @@
 #include "nmine/serve/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
@@ -23,7 +13,7 @@
 #include "nmine/obs/metrics.h"
 #include "nmine/obs/trace.h"
 #include "nmine/obs/trace_context.h"
-#include "nmine/runtime/checkpoint_io.h"
+#include "nmine/runtime/append_log.h"
 
 namespace nmine {
 namespace serve {
@@ -46,16 +36,6 @@ int64_t NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
-}
-
-void SendAll(int fd, const std::string& data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    ssize_t w =
-        ::send(fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
-    if (w <= 0) return;
-    done += static_cast<size_t>(w);
-  }
 }
 
 bool IsTerminal(JobState state) {
@@ -157,55 +137,25 @@ bool MiningServer::Start(const Options& options, std::string* error) {
   reg.GetGauge("serve.queue.depth")
       .Set(static_cast<double>(queue_->size()));
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) *error = "socket(): " + std::string(strerror(errno));
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.port);
-  if (::inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    if (error != nullptr) {
-      *error = "bad bind address '" + options.bind_address + "'";
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error != nullptr) {
-      *error = "bind(" + options.bind_address + ":" +
-               std::to_string(options.port) +
-               "): " + std::string(strerror(errno));
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 64) != 0) {
-    if (error != nullptr) *error = "listen(): " + std::string(strerror(errno));
-    ::close(fd);
-    return false;
-  }
-  // Same non-blocking + poll() discipline as net::StatusServer: a blocked
-  // accept() is not woken by close() on Linux.
-  int fd_flags = ::fcntl(fd, F_GETFL, 0);
-  if (fd_flags >= 0) ::fcntl(fd, F_SETFL, fd_flags | O_NONBLOCK);
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  } else {
-    port_ = options.port;
-  }
-  listen_fd_ = fd;
+  // Read before the transport starts: from then on connection threads
+  // own the board under jobs_mutex_.
+  const size_t recovered_jobs = jobs_.size();
+  net::LineServer::Options transport;
+  transport.bind_address = options_.bind_address;
+  transport.port = options_.port;
+  transport.max_line_bytes = kMaxRequestLineBytes;
+  transport.oversized_reply =
+      ErrorResponse("INVALID_ARGUMENT", "request line exceeds 1 MiB");
+  auto handle_line = [this](const std::string& line) {
+    std::string parse_error;
+    std::string parse_error_code;
+    std::optional<Request> request =
+        ParseRequest(line, &parse_error, &parse_error_code);
+    return request.has_value() ? HandleRequest(*request)
+                               : ErrorResponse(parse_error_code, parse_error);
+  };
+  if (!transport_.Start(transport, handle_line, error)) return false;
 
-  {
-    std::lock_guard<std::mutex> lock(accept_done_mutex_);
-    accept_done_ = false;
-  }
   running_.store(true, std::memory_order_release);
 
   {
@@ -242,12 +192,10 @@ bool MiningServer::Start(const Options& options, std::string* error) {
   }();
   (void)jobsz_registered;
 
-  // One reserved pool worker for the accept loop, one per executor: a
-  // serving process must never let its service loops starve (or be
-  // starved by) the scan shards of the jobs it runs.
+  // One reserved pool worker per executor (the transport reserved one
+  // for its accept loop): a serving process must never let its service
+  // loops starve (or be starved by) the scan shards of the jobs it runs.
   exec::ThreadPool& pool = exec::ThreadPool::Shared();
-  pool.ReserveWorker();
-  pool.Submit([this] { AcceptLoop(); });
   executors_live_.store(static_cast<int>(options_.max_running),
                         std::memory_order_release);
   for (size_t i = 0; i < options_.max_running; ++i) {
@@ -258,9 +206,9 @@ bool MiningServer::Start(const Options& options, std::string* error) {
   NMINE_LOG(kInfo, "serve")
       .Msg("mining server listening")
       .Str("address", options_.bind_address)
-      .Num("port", static_cast<int64_t>(port_))
+      .Num("port", static_cast<int64_t>(port()))
       .Str("state_dir", options_.state_dir)
-      .Num("recovered_jobs", static_cast<int64_t>(jobs_.size()))
+      .Num("recovered_jobs", static_cast<int64_t>(recovered_jobs))
       .Num("recovered_queued", static_cast<int64_t>(recovered_queued));
   return true;
 }
@@ -298,19 +246,7 @@ void MiningServer::Shutdown(bool graceful) {
       return executors_live_.load(std::memory_order_acquire) == 0;
     });
   }
-  {
-    std::unique_lock<std::mutex> lock(accept_done_mutex_);
-    accept_done_cv_.wait(lock, [this] { return accept_done_; });
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (std::thread& t : connection_threads_) {
-      if (t.joinable()) t.join();
-    }
-    connection_threads_.clear();
-  }
+  transport_.Stop();
   {
     std::lock_guard<std::mutex> lock(ActiveServerMutex());
     if (ActiveServer() == this) ActiveServer() = nullptr;
@@ -318,76 +254,6 @@ void MiningServer::Shutdown(bool graceful) {
   NMINE_LOG(kInfo, "serve")
       .Msg(graceful ? "mining server drained" : "mining server stopped")
       .Num("jobs_tracked", static_cast<int64_t>(jobs_.size()));
-}
-
-void MiningServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
-          errno == ECONNABORTED) {
-        continue;
-      }
-      break;
-    }
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_threads_.emplace_back(
-        [this, client] { ConnectionLoop(client); });
-  }
-  std::lock_guard<std::mutex> lock(accept_done_mutex_);
-  accept_done_ = true;
-  accept_done_cv_.notify_all();
-}
-
-void MiningServer::ConnectionLoop(int fd) {
-  // Short receive timeout so the loop can observe the stopping flag; a
-  // connection idles in 100ms poll steps, it is never parked in a
-  // blocking recv the shutdown cannot reach.
-  timeval timeout;
-  timeout.tv_sec = 0;
-  timeout.tv_usec = 100 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
-  std::string buffer;
-  char chunk[4096];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (r == 0) break;  // peer closed
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
-    }
-    buffer.append(chunk, static_cast<size_t>(r));
-    if (buffer.size() > (1u << 20)) {
-      SendAll(fd, ErrorResponse("INVALID_ARGUMENT",
-                                "request line exceeds 1 MiB"));
-      break;
-    }
-    size_t nl;
-    while ((nl = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (line.empty() || line == "\r") continue;
-      std::string parse_error;
-      std::string parse_error_code;
-      std::optional<Request> request =
-          ParseRequest(line, &parse_error, &parse_error_code);
-      SendAll(fd, request.has_value()
-                      ? HandleRequest(*request)
-                      : ErrorResponse(parse_error_code, parse_error));
-    }
-  }
-  ::close(fd);
 }
 
 std::string MiningServer::HandleRequest(const Request& request) {

@@ -53,7 +53,10 @@ TEST(CompareStatsTest, FlagsImprovementSymmetrically) {
 class CompareFilesTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path(::testing::TempDir()) / "bench_compare_test";
+    // One directory per test: ctest runs the cases concurrently.
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           (std::string("bench_compare_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     old_dir_ = (dir_ / "old").string();
     new_dir_ = (dir_ / "new").string();
     std::filesystem::remove_all(dir_);

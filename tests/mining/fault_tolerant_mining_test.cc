@@ -20,10 +20,9 @@
 #include "nmine/mining/depth_first_miner.h"
 #include "nmine/mining/levelwise_miner.h"
 #include "nmine/mining/max_miner.h"
-#include "nmine/mining/phase3_checkpoint.h"
 #include "nmine/mining/toivonen_miner.h"
 #include "nmine/obs/metrics.h"
-#include "test_util.h"
+#include "nmine/runtime/run_checkpoint.h"
 
 namespace nmine {
 namespace {
@@ -178,9 +177,9 @@ TEST_F(FaultTolerantMiningTest, CheckpointResumeMatchesCleanRun) {
 
   const std::string ckpt =
       std::string(::testing::TempDir()) + "/phase3_resume.ckpt";
-  RemovePhase3Checkpoint(ckpt);
+  runtime::RemoveRunCheckpoint(ckpt);
   MinerOptions options = Options();
-  options.phase3_checkpoint_path = ckpt;
+  options.run_checkpoint_path = ckpt;
   BorderCollapseMiner miner(Metric::kMatch, options);
 
   // Run 1: permanent fault on the last probe scan. Fails closed, leaving
@@ -208,66 +207,6 @@ TEST_F(FaultTolerantMiningTest, CheckpointResumeMatchesCleanRun) {
   EXPECT_EQ(reg.CounterValue("phase3.resumes") - resumes_before, 1);
   // Success removes the checkpoint.
   EXPECT_FALSE(std::ifstream(ckpt).good());
-}
-
-TEST_F(FaultTolerantMiningTest, CheckpointRoundTripAndGuards) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/cp_roundtrip.ckpt";
-  Phase3Checkpoint cp;
-  cp.metric = Metric::kMatch;
-  cp.min_threshold = 0.25;
-  cp.num_sequences = 80;
-  cp.total_symbols = 2400;
-  cp.scans_completed = 3;
-  cp.ambiguous_after_sample = 12;
-  cp.ambiguous_with_unit_spread = 9;
-  cp.accepted_from_sample = 4;
-  cp.truncated = true;
-  cp.symbol_match = {0.5, 0.25, 0.125};
-  cp.resolved_frequent.emplace_back(testutil::P({0, 1}), 0.75);
-  cp.resolved_frequent.emplace_back(testutil::P({0, -1, 2}), 0.5);
-  cp.unresolved.emplace_back(testutil::P({1, 2}), 0.3);
-  ASSERT_TRUE(WritePhase3Checkpoint(path, cp).ok());
-
-  Phase3Checkpoint expected;
-  expected.metric = Metric::kMatch;
-  expected.min_threshold = 0.25;
-  expected.num_sequences = 80;
-  expected.total_symbols = 2400;
-  Phase3Checkpoint loaded;
-  ASSERT_TRUE(LoadPhase3Checkpoint(path, expected, &loaded).ok());
-  EXPECT_EQ(loaded.scans_completed, 3);
-  EXPECT_EQ(loaded.ambiguous_after_sample, 12u);
-  EXPECT_EQ(loaded.ambiguous_with_unit_spread, 9u);
-  EXPECT_EQ(loaded.accepted_from_sample, 4u);
-  EXPECT_TRUE(loaded.truncated);
-  EXPECT_EQ(loaded.symbol_match, cp.symbol_match);
-  ASSERT_EQ(loaded.resolved_frequent.size(), 2u);
-  EXPECT_EQ(loaded.resolved_frequent[0].first, cp.resolved_frequent[0].first);
-  EXPECT_DOUBLE_EQ(loaded.resolved_frequent[1].second, 0.5);
-  ASSERT_EQ(loaded.unresolved.size(), 1u);
-  EXPECT_EQ(loaded.unresolved[0].first, testutil::P({1, 2}));
-
-  // Guard mismatch: a different threshold must refuse the checkpoint.
-  Phase3Checkpoint other = expected;
-  other.min_threshold = 0.5;
-  Phase3Checkpoint ignored;
-  EXPECT_EQ(LoadPhase3Checkpoint(path, other, &ignored).code(),
-            StatusCode::kFailedPrecondition);
-
-  // Missing file: fresh run.
-  EXPECT_EQ(
-      LoadPhase3Checkpoint(path + ".missing", expected, &ignored).code(),
-      StatusCode::kNotFound);
-
-  // Malformed file: data loss, never a crash.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "nmine-phase3-checkpoint v1\nmetric match\ngarbage here\n";
-  }
-  EXPECT_EQ(LoadPhase3Checkpoint(path, expected, &ignored).code(),
-            StatusCode::kDataLoss);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Corrupt-checkpoint corpus: the whole-run checkpoint loader (and its
-// Phase-3 adapter) must survive truncation at every byte offset, bad
-// magic, garbage sections, and guard mismatches — returning kDataLoss /
-// kFailedPrecondition, never crashing and never silently accepting a
-// damaged file as complete.
+// Corrupt-checkpoint corpus: the whole-run checkpoint loader must survive
+// truncation at every byte offset, bad magic, garbage sections, and guard
+// mismatches — returning kDataLoss / kFailedPrecondition, never crashing
+// and never silently accepting a damaged file as complete.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -11,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "nmine/core/status.h"
-#include "nmine/mining/phase3_checkpoint.h"
 #include "nmine/runtime/run_checkpoint.h"
 #include "test_util.h"
 
@@ -100,6 +98,11 @@ TEST_F(RunCheckpointCorruptTest, RoundTripEveryStage) {
     EXPECT_TRUE(SameContents(cp, loaded)) << ToString(stage);
     EXPECT_EQ(loaded.effective_sample_size, 25u);
     EXPECT_DOUBLE_EQ(loaded.final_epsilon, 0.19238793);
+    // Diagnostics a resumed run reports as if it had never stopped.
+    EXPECT_EQ(loaded.ambiguous_after_sample, 12u);
+    EXPECT_EQ(loaded.ambiguous_with_unit_spread, 9u);
+    EXPECT_EQ(loaded.accepted_from_sample, 4u);
+    EXPECT_TRUE(loaded.truncated);
   }
   std::remove(path.c_str());
 }
@@ -140,6 +143,7 @@ TEST_F(RunCheckpointCorruptTest, BadMagicAndGarbageSections) {
       "",                                         // empty file
       "\n",                                       // blank line
       "nmine-phase3-checkpoint v1\n",             // legacy/foreign magic
+      "nmine-phase3-checkpoint v1\nmetric match\ngarbage here\n",
       "nmine-run-checkpoint v2\nstage phase3\n",  // future version
       "nmine-run-checkpoint v1\n",                // header only
       "nmine-run-checkpoint v1\nstage phase9\n",  // unknown stage
@@ -187,52 +191,6 @@ TEST_F(RunCheckpointCorruptTest, MissingFileIsNotFound) {
   Status s = runtime::LoadRunCheckpoint(Path("does_not_exist.ckpt"), Guard(),
                                         &ignored);
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
-}
-
-TEST_F(RunCheckpointCorruptTest, Phase3AdapterSurvivesTheSameCorpus) {
-  const std::string path = Path("adapter.ckpt");
-  // Write via the adapter, truncate at every offset, load via the adapter.
-  Phase3Checkpoint cp;
-  cp.metric = Metric::kMatch;
-  cp.min_threshold = 0.25;
-  cp.num_sequences = 80;
-  cp.total_symbols = 2400;
-  cp.scans_completed = 3;
-  cp.symbol_match = {0.5, 0.25};
-  cp.resolved_frequent.emplace_back(testutil::P({0, 1}), 0.75);
-  cp.unresolved.emplace_back(testutil::P({1}), 0.3);
-  ASSERT_TRUE(WritePhase3Checkpoint(path, cp).ok());
-
-  Phase3Checkpoint expected;
-  expected.metric = Metric::kMatch;
-  expected.min_threshold = 0.25;
-  expected.num_sequences = 80;
-  expected.total_symbols = 2400;
-
-  const std::string bytes = ReadBytes(path);
-  const std::string victim = Path("adapter_cut.ckpt");
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    WriteBytes(victim, bytes.substr(0, cut));
-    Phase3Checkpoint loaded;
-    Status s = LoadPhase3Checkpoint(victim, expected, &loaded);
-    if (s.ok()) {
-      EXPECT_EQ(loaded.resolved_frequent, cp.resolved_frequent)
-          << "cut at byte " << cut;
-      EXPECT_EQ(loaded.unresolved, cp.unresolved) << "cut at byte " << cut;
-    } else {
-      EXPECT_TRUE(s.code() == StatusCode::kDataLoss ||
-                  s.code() == StatusCode::kFailedPrecondition)
-          << "cut at byte " << cut << ": " << s.ToString();
-    }
-  }
-  // Guard mismatch through the adapter.
-  Phase3Checkpoint other = expected;
-  other.num_sequences = 79;
-  Phase3Checkpoint ignored;
-  EXPECT_EQ(LoadPhase3Checkpoint(path, other, &ignored).code(),
-            StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
-  std::remove(victim.c_str());
 }
 
 TEST_F(RunCheckpointCorruptTest, SigtermMidWriteNeverTearsTheCheckpoint) {

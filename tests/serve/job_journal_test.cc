@@ -128,11 +128,12 @@ TEST_F(JobJournalTest, ToleratesTornTrailingLineAtEveryCut) {
   ASSERT_GT(full.size(), 0u);
   // The last journaled event is job 2's submit. Truncating anywhere
   // inside it must at worst lose job 2 (whose client never saw an ack),
-  // never corrupt job 1's terminal record or crash recovery. Losing only
-  // the trailing newline keeps job 2: its JSON was fully durable.
+  // never corrupt job 1's terminal record or crash recovery. Job 2
+  // survives only with its newline: a line is committed when its
+  // terminator lands, so even its complete JSON without one is dropped.
   const size_t last_line_start = full.rfind('\n', full.size() - 2) + 1;
   for (size_t cut = last_line_start; cut <= full.size(); ++cut) {
-    const bool json_complete = cut + 1 >= full.size();
+    const bool line_complete = cut == full.size();
     {
       std::ofstream out(JournalPath(),
                         std::ios::binary | std::ios::trunc);
@@ -146,7 +147,7 @@ TEST_F(JobJournalTest, ToleratesTornTrailingLineAtEveryCut) {
     ASSERT_GE(board.size(), 1u) << "cut at byte " << cut;
     EXPECT_EQ(board[1].state, JobState::kFailed) << "cut at byte " << cut;
     EXPECT_EQ(board[1].result.error_code, "DATA_LOSS");
-    EXPECT_EQ(board.count(2), json_complete ? 1u : 0u)
+    EXPECT_EQ(board.count(2), line_complete ? 1u : 0u)
         << "cut at byte " << cut;
   }
 }

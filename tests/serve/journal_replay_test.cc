@@ -1,9 +1,9 @@
 // Crash-recovery coverage for the job journal beyond the happy replay the
 // server test exercises: a torn trailing line (SIGKILL mid-write) must be
-// skipped and compacted away, a leftover .tmp from an interrupted
-// compaction must not poison the next Open, running jobs rewind to
-// queued, the terminal-job cap bounds the journal, and an idempotent
-// resubmit lands on the SAME recovered job across a real server restart.
+// skipped and compacted away, running jobs rewind to queued, the
+// terminal-job cap bounds the journal, and an idempotent resubmit lands on
+// the SAME recovered job across a real server restart. (A leftover
+// compaction .tmp is the shared log's case: runtime/append_log_test.cc.)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -152,32 +152,6 @@ TEST_F(JournalReplayTest, TornTailIsSkippedAndCompactedAway) {
   // Compaction rewrote the journal: the torn fragment is gone for good,
   // so the NEXT restart replays a clean file.
   EXPECT_EQ(JournalContents(path).find("zebra"), std::string::npos);
-}
-
-TEST_F(JournalReplayTest, LeftoverCompactionTmpDoesNotPoisonOpen) {
-  std::map<uint64_t, Job> recovered;
-  uint64_t next_id = 0;
-  std::unique_ptr<JobJournal> journal = Open(&recovered, &next_id);
-  ASSERT_NE(journal, nullptr);
-  const std::string path = journal->path();
-  ASSERT_TRUE(SubmitJob(journal.get(), 1, "t1").ok());
-  journal.reset();
-
-  // A crash between compaction's tmp write and its rename leaves this
-  // behind. Open must ignore it and trust only the real journal.
-  {
-    std::ofstream out(path + ".tmp");
-    out << "{\"event\": \"submit\", \"id\": 99, \"client\": \"ghost\", "
-           "\"tag\": \"g\", \"spec\": {\"db\": \"/g.nmsq\"}}\n";
-  }
-
-  journal = Open(&recovered, &next_id);
-  ASSERT_NE(journal, nullptr);
-  ASSERT_EQ(recovered.size(), 1u);
-  EXPECT_EQ(recovered.count(99), 0u);
-  EXPECT_EQ(next_id, 2u);
-  // The next compaction reclaimed the tmp path (rename over it).
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST_F(JournalReplayTest, ResultLineMakesAJobTerminalOnReplay) {

@@ -7,12 +7,15 @@
 // this across real processes with SIGKILL.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -85,6 +88,31 @@ std::string SubmitLine(const std::string& client, const std::string& tag,
   spec.AppendJson(&line);
   line.append("}\n");
   return line;
+}
+
+/// Bytes of this process mapped as thread stacks: read-write mappings of
+/// exactly the default pthread stack size (0 when unknown). This is the
+/// part of VmSize a leaked thread keeps; VmSize itself also jumps by
+/// 64 MiB whenever malloc reserves a new arena, which is not per thread.
+int64_t ThreadStackBytes() {
+  pthread_attr_t attr;
+  if (pthread_getattr_default_np(&attr) != 0) return 0;
+  size_t stack = 0;
+  pthread_attr_getstacksize(&attr, &stack);
+  pthread_attr_destroy(&attr);
+  std::ifstream in("/proc/self/maps");
+  int64_t total = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    unsigned long lo = 0;
+    unsigned long hi = 0;
+    char perms[5] = {};
+    if (std::sscanf(line.c_str(), "%lx-%lx %4s", &lo, &hi, perms) == 3 &&
+        hi - lo == stack && perms[0] == 'r' && perms[1] == 'w') {
+      total += static_cast<int64_t>(hi - lo);
+    }
+  }
+  return total;
 }
 
 class MiningServerTest : public ::testing::Test {
@@ -271,6 +299,30 @@ TEST_F(MiningServerTest, JobFaultsAreIsolatedAndTyped) {
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->Get("state")->string_value, "done");
   server.Drain();
+}
+
+TEST_F(MiningServerTest, FinishedConnectionsReleaseTheirThreads) {
+  // Every connection runs on its own thread. A long-lived server that
+  // scripts poll must release each finished connection's thread — and its
+  // stack mapping — when the connection ends, not at shutdown.
+  MiningServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(ServerOptions(), &error)) << error;
+  auto ping = [&] {
+    std::optional<obs::JsonValue> pong =
+        Ask(server.port(), "{\"op\": \"ping\"}\n");
+    return pong.has_value() && pong->Get("ok") != nullptr &&
+           pong->Get("ok")->bool_value;
+  };
+  const int64_t before = ThreadStackBytes();
+  if (before == 0) GTEST_SKIP() << "no thread stacks visible in /proc";
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(ping()) << "cycle " << i;
+  // Live connections plus the C library's small cache of freed stacks
+  // stay mapped; a leaked thread per connection would add ~2.4 GiB.
+  const int64_t growth = ThreadStackBytes() - before;
+  EXPECT_LT(growth, int64_t{64} << 20)
+      << "thread stacks grew " << growth << " bytes";
+  server.Stop();
 }
 
 TEST_F(MiningServerTest, UnknownJobIsNotFound) {

@@ -42,13 +42,9 @@
 // Exit status: 0 success; 1 usage/connection failure (timeout included);
 // 2 the job failed with a typed runtime error; 3 the job was cancelled or
 // hit its deadline.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -59,8 +55,10 @@
 #include <string>
 #include <thread>
 
+#include "nmine/dist/wire.h"
 #include "nmine/eval/table.h"
 #include "nmine/net/retry.h"
+#include "nmine/net/transport.h"
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/json_util.h"
 #include "nmine/obs/trace_context.h"
@@ -125,7 +123,7 @@ class Connection {
   std::optional<std::string> RoundTrip(const std::string& line) {
     while (true) {
       if (fd_ < 0 && !Reconnect()) return std::nullopt;
-      if (SendAll(line) ) {
+      if (net::SendAll(fd_, line)) {
         std::optional<std::string> response = ReadLine();
         if (response.has_value()) return response;
       }
@@ -148,69 +146,41 @@ class Connection {
   void Drop() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
+    buffer_.clear();
   }
 
   bool Reconnect() {
     while (Clock::now() < deadline_) {
-      int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd >= 0) {
-        sockaddr_in addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port_);
-        if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) == 1 &&
-            ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) == 0) {
-          timeval timeout;
-          timeout.tv_sec = 0;
-          timeout.tv_usec = 200 * 1000;
-          ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                       sizeof(timeout));
-          fd_ = fd;
-          return true;
-        }
-        ::close(fd);
+      if (net::Dial(host_, port_, &fd_).ok()) {
+        return true;
       }
       if (!BackoffOrGiveUp()) return false;
     }
     return false;
   }
 
-  bool SendAll(const std::string& data) {
-    size_t done = 0;
-    while (done < data.size()) {
-      ssize_t w = ::send(fd_, data.data() + done, data.size() - done,
-                         MSG_NOSIGNAL);
-      if (w <= 0) return false;
-      done += static_cast<size_t>(w);
-    }
-    return true;
-  }
-
+  /// One response line, bounded by the coordinator's frame cap (the
+  /// larger of the two protocols this client speaks); the receive tick
+  /// re-checks the deadline.
   std::optional<std::string> ReadLine() {
-    std::string buffer;
-    char chunk[4096];
-    while (Clock::now() < deadline_) {
-      size_t nl = buffer.find('\n');
-      if (nl != std::string::npos) return buffer.substr(0, nl);
-      ssize_t r = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (r > 0) {
-        buffer.append(chunk, static_cast<size_t>(r));
-        continue;
-      }
-      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
-                    errno == EINTR)) {
-        continue;  // receive timeout tick: re-check the deadline
-      }
-      return std::nullopt;  // peer closed or hard error
-    }
-    return std::nullopt;
+    std::string line;
+    Status read = net::ReadLine(
+        fd_, &buffer_, dist::kMaxFrameBytes,
+        [this] {
+          return Clock::now() < deadline_
+                     ? Status::Ok()
+                     : Status::DeadlineExceeded("client --timeout passed");
+        },
+        &line);
+    if (!read.ok()) return std::nullopt;
+    return line;
   }
 
   std::string host_;
   uint16_t port_;
   Clock::time_point deadline_;
   int fd_ = -1;
+  std::string buffer_;  // bytes past the last response line
   net::ReconnectBackoff backoff_;
 };
 

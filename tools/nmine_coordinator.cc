@@ -51,7 +51,7 @@
 #include "nmine/eval/table.h"
 #include "nmine/net/status_server.h"
 #include "nmine/obs/logger.h"
-#include "nmine/runtime/checkpoint_io.h"
+#include "nmine/runtime/append_log.h"
 
 namespace nmine {
 namespace {

@@ -60,7 +60,7 @@
 #include "nmine/core/match_kernel.h"
 #include "nmine/net/status_server.h"
 #include "nmine/obs/logger.h"
-#include "nmine/runtime/checkpoint_io.h"
+#include "nmine/runtime/append_log.h"
 #include "nmine/runtime/run_status.h"
 #include "nmine/serve/server.h"
 
