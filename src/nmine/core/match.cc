@@ -30,14 +30,11 @@ double SequenceMatch(const CompatibilityMatrix& c, const Pattern& p,
                      const Sequence& seq) {
   if (seq.size() < p.length()) return 0.0;
   // Single-pattern entry to the process-wide match kernel (scalar or SIMD,
-  // chosen by --simd / runtime dispatch). Prepared-set and scratch buffers
+  // chosen by --simd / runtime dispatch). The prepared pattern's buffers
   // are reused per thread so steady-state calls allocate nothing.
-  thread_local PreparedPatternSet prep;
-  thread_local MatchScratch scratch;
+  thread_local PreparedPattern prep;
   prep.Prepare(c, p);
-  double best = 0.0;
-  ActiveMatchKernel().BestMatches(prep, seq, &scratch, &best);
-  return best;
+  return ActiveMatchKernel().BestMatch(prep, seq);
 }
 
 double SequenceSupport(const Pattern& p, const Sequence& seq) {

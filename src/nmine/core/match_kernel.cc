@@ -101,154 +101,78 @@ CpuFeatures DetectCpuFeatures() {
   return f;
 }
 
-void PreparedPatternSet::Prepare(const CompatibilityMatrix& c,
-                                 const std::vector<Pattern>& patterns) {
+void PreparedPattern::Prepare(const CompatibilityMatrix& c,
+                              const Pattern& pattern) {
   matrix_ = &c;
   log_ = c.LogRows();
-  plane_symbols_.clear();
-  row_of_symbol_.assign(c.size(), -1);
-  term_rows_.clear();
+  length_ = pattern.length();
   term_offsets_.clear();
   term_syms_.clear();
-  symbols_.clear();
-  plans_.clear();
-  plans_.reserve(patterns.size());
-  for (const Pattern& p : patterns) AddPattern(p);
-}
-
-void PreparedPatternSet::Prepare(const CompatibilityMatrix& c,
-                                 const Pattern& pattern) {
-  matrix_ = &c;
-  log_ = c.LogRows();
-  plane_symbols_.clear();
-  row_of_symbol_.assign(c.size(), -1);
-  term_rows_.clear();
-  term_offsets_.clear();
-  term_syms_.clear();
-  symbols_.clear();
-  plans_.clear();
-  AddPattern(pattern);
-}
-
-void PreparedPatternSet::AddPattern(const Pattern& p) {
-  Plan plan;
-  plan.first_term = static_cast<uint32_t>(term_rows_.size());
-  plan.first_symbol = static_cast<uint32_t>(symbols_.size());
-  plan.length = static_cast<uint32_t>(p.length());
-  for (size_t i = 0; i < p.length(); ++i) {
-    SymbolId sym = p[i];
-    symbols_.push_back(sym);
-    if (IsWildcard(sym)) continue;
-    int32_t row = row_of_symbol_[static_cast<size_t>(sym)];
-    if (row < 0) {
-      row = static_cast<int32_t>(plane_symbols_.size());
-      plane_symbols_.push_back(sym);
-      row_of_symbol_[static_cast<size_t>(sym)] = row;
-    }
-    term_rows_.push_back(row);
+  for (size_t i = 0; i < pattern.length(); ++i) {
+    if (IsWildcard(pattern[i])) continue;
     term_offsets_.push_back(static_cast<int32_t>(i));
-    term_syms_.push_back(sym);
+    term_syms_.push_back(pattern[i]);
   }
-  plan.num_terms = static_cast<uint32_t>(term_rows_.size()) - plan.first_term;
   // Guard band: |float screen - log(exact double product)| is bounded by
   // k(k+1) * max|log| * 2^-24 (per-term conversion + summation + the
   // log(best) conversion); (k+2)^2 at 2^-23 leaves a 2x margin. See
   // DESIGN.md section 16 for the derivation.
-  float k = static_cast<float>(plan.num_terms) + 2.0f;
-  plan.guard = k * k * log_.max_abs_log * 0x1p-23f + 1e-12f;
-  plans_.push_back(plan);
+  float k = static_cast<float>(term_syms_.size()) + 2.0f;
+  guard_ = k * k * log_.max_abs_log * 0x1p-23f + 1e-12f;
 }
 
 namespace {
 
-using PlaneRowFn = void (*)(float* dst, const float* lrow,
-                            const SymbolId* seq, size_t n);
+using BestWindowsFn = double (*)(const detail::WindowPlan&, size_t);
 
-void PlaneRowScalar(float* dst, const float* lrow, const SymbolId* seq,
-                    size_t n) {
-  for (size_t j = 0; j < n; ++j) {
-    dst[j] = lrow[static_cast<size_t>(seq[j])];
-  }
-}
-
-/// Fills one plane row per distinct pattern symbol: row r holds
-/// log C(plane_symbols[r], seq[j]) for every position j — the SoA layout
-/// the vector window loops advance over with plain unaligned loads.
-void BuildLogPlane(const PreparedPatternSet& prep, const Sequence& seq,
-                   PlaneRowFn fill_row, std::vector<float>* plane) {
-  const CompatibilityMatrix::LogView log = prep.log_view();
-  const std::vector<SymbolId>& rows = prep.plane_symbols();
-  const size_t n = seq.size();
-  if (plane->size() < rows.size() * n) plane->resize(rows.size() * n);
-  float* dst = plane->data();
-  for (size_t r = 0; r < rows.size(); ++r, dst += n) {
-    fill_row(dst, log.rows + static_cast<size_t>(rows[r]) * log.m,
-             seq.data(), n);
-  }
-}
-
-detail::WindowPlan MakeWindowPlan(const PreparedPatternSet& prep,
-                                  const PreparedPatternSet::Plan& plan,
-                                  const MatchScratch& scratch, size_t n) {
+/// Shared body of every kernel's BestMatch: wire the prepared pattern and
+/// the sequence into a WindowPlan and run the kernel's window loop.
+double RunBestMatch(const PreparedPattern& prep, const Sequence& seq,
+                    BestWindowsFn best_windows) {
+  if (seq.size() < prep.length()) return 0.0;
   const CompatibilityMatrix::LogView log = prep.log_view();
   detail::WindowPlan p;
-  p.plane = scratch.plane.data();
-  p.plane_stride = n;
-  p.term_rows = prep.term_rows().data() + plan.first_term;
-  p.term_offsets = prep.term_offsets().data() + plan.first_term;
-  p.term_syms = prep.term_syms().data() + plan.first_term;
-  p.num_terms = plan.num_terms;
-  p.guard = plan.guard;
-  p.pattern_length = plan.length;
+  p.term_offsets = prep.term_offsets().data();
+  p.term_syms = prep.term_syms().data();
+  p.num_terms = prep.term_syms().size();
+  p.guard = prep.guard();
+  p.seq = seq.data();
   p.cols_base = prep.matrix().Column(0);
   p.log_rows = log.rows;
   p.m = log.m;
-  return p;
-}
-
-using BestWindowsFn = double (*)(const detail::WindowPlan&, size_t);
-
-/// Shared body of every kernel's BestMatches: build the log plane when
-/// the chosen window loop wants one, then run the per-pattern loop. The
-/// sequence pointer is wired into each WindowPlan so both the screening
-/// gathers and the exact re-derivation resolve columns lazily.
-void RunBestMatches(const PreparedPatternSet& prep, const Sequence& seq,
-                    MatchScratch* scratch, BestWindowsFn best_windows,
-                    PlaneRowFn fill_row, double* best) {
-  if (fill_row != nullptr) {
-    BuildLogPlane(prep, seq, fill_row, &scratch->plane);
-  }
-  const size_t n = seq.size();
-  const std::vector<PreparedPatternSet::Plan>& plans = prep.plans();
-  for (size_t i = 0; i < plans.size(); ++i) {
-    if (n < plans[i].length) {
-      best[i] = 0.0;
-      continue;
-    }
-    detail::WindowPlan p = MakeWindowPlan(prep, plans[i], *scratch, n);
-    p.seq = seq.data();
-    best[i] = best_windows(p, n - plans[i].length + 1);
-  }
+  return best_windows(p, seq.size() - prep.length() + 1);
 }
 
 class ScalarMatchKernel final : public MatchKernel {
  public:
   SimdLevel level() const override { return SimdLevel::kScalar; }
 
-  void BestMatches(const PreparedPatternSet& prep, const Sequence& seq,
-                   MatchScratch* scratch, double* best) const override {
-    RunBestMatches(prep, seq, scratch, &detail::BestWindowsScalar,
-                   /*fill_row=*/nullptr, best);
+  double BestMatch(const PreparedPattern& prep,
+                   const Sequence& seq) const override {
+    return RunBestMatch(prep, seq, &detail::BestWindowsScalar);
   }
 
-  void LeafRunMax(const double* col, double product, const SymbolId* syms,
-                  const int32_t* idx, size_t count,
-                  double* best) const override {
-    for (size_t j = 0; j < count; ++j) {
-      double v = product * col[static_cast<size_t>(syms[j])];
-      double& slot = best[static_cast<size_t>(idx[j])];
-      if (v > slot) slot = v;
+  double ProductMax(const double* a, const double* b, size_t n,
+                    double* out) const override {
+    // Two independent max chains, pairable by the compiler; a max of the
+    // same values is the same in any order.
+    double best0 = 0.0;
+    double best1 = 0.0;
+    size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      const double v0 = a[i] * b[i];
+      const double v1 = a[i + 1] * b[i + 1];
+      out[i] = v0;
+      out[i + 1] = v1;
+      best0 = v0 > best0 ? v0 : best0;
+      best1 = v1 > best1 ? v1 : best1;
     }
+    double best = best1 > best0 ? best1 : best0;
+    if (i < n) {
+      out[i] = a[i] * b[i];
+      if (out[i] > best) best = out[i];
+    }
+    return best;
   }
 };
 
@@ -257,25 +181,14 @@ class Avx2MatchKernel final : public MatchKernel {
  public:
   SimdLevel level() const override { return SimdLevel::kAvx2; }
 
-  void BestMatches(const PreparedPatternSet& prep, const Sequence& seq,
-                   MatchScratch* scratch, double* best) const override {
-    // Single-pattern calls gather screening terms straight from the log
-    // table: a plane would cost one table pass per row — as much work as
-    // the match itself. Batches amortise the plane across patterns (its
-    // row count is capped by the alphabet), so there it wins.
-    if (prep.plans().size() == 1) {
-      RunBestMatches(prep, seq, scratch, &detail::BestWindowsFusedAvx2,
-                     /*fill_row=*/nullptr, best);
-    } else {
-      RunBestMatches(prep, seq, scratch, &detail::BestWindowsAvx2,
-                     &detail::PlaneRowAvx2, best);
-    }
+  double BestMatch(const PreparedPattern& prep,
+                   const Sequence& seq) const override {
+    return RunBestMatch(prep, seq, &detail::BestWindowsFusedAvx2);
   }
 
-  void LeafRunMax(const double* col, double product, const SymbolId* syms,
-                  const int32_t* idx, size_t count,
-                  double* best) const override {
-    detail::LeafRunMaxAvx2(col, product, syms, idx, count, best);
+  double ProductMax(const double* a, const double* b, size_t n,
+                    double* out) const override {
+    return detail::ProductMaxAvx2(a, b, n, out);
   }
 };
 #endif  // NMINE_HAVE_AVX2
@@ -285,21 +198,14 @@ class NeonMatchKernel final : public MatchKernel {
  public:
   SimdLevel level() const override { return SimdLevel::kNeon; }
 
-  void BestMatches(const PreparedPatternSet& prep, const Sequence& seq,
-                   MatchScratch* scratch, double* best) const override {
-    RunBestMatches(prep, seq, scratch, &detail::BestWindowsNeon,
-                   &PlaneRowScalar, best);
+  double BestMatch(const PreparedPattern& prep,
+                   const Sequence& seq) const override {
+    return RunBestMatch(prep, seq, &detail::BestWindowsNeon);
   }
 
-  void LeafRunMax(const double* col, double product, const SymbolId* syms,
-                  const int32_t* idx, size_t count,
-                  double* best) const override {
-    // No gather on NEON; the scalar loop is already bit-identical.
-    for (size_t j = 0; j < count; ++j) {
-      double v = product * col[static_cast<size_t>(syms[j])];
-      double& slot = best[static_cast<size_t>(idx[j])];
-      if (v > slot) slot = v;
-    }
+  double ProductMax(const double* a, const double* b, size_t n,
+                    double* out) const override {
+    return detail::ProductMaxNeon(a, b, n, out);
   }
 };
 #endif  // NMINE_HAVE_NEON

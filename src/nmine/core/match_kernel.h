@@ -1,11 +1,11 @@
 #ifndef NMINE_CORE_MATCH_KERNEL_H_
 #define NMINE_CORE_MATCH_KERNEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "nmine/core/column_index.h"
 #include "nmine/core/compatibility_matrix.h"
 #include "nmine/core/pattern.h"
 #include "nmine/core/sequence.h"
@@ -15,8 +15,8 @@ namespace nmine {
 
 /// The instruction-set tiers a match kernel can be built for. kScalar is
 /// always available and is the semantics reference: every wider kernel
-/// must produce bit-identical match values (it screens windows in log
-/// space and re-derives survivors with the exact scalar product).
+/// must produce bit-identical match values (single-pattern screens work in
+/// log space and re-derive survivors with the exact scalar product).
 enum class SimdLevel {
   kScalar = 0,
   kAvx2 = 1,
@@ -50,72 +50,39 @@ bool KernelCompiled(SimdLevel level);
 bool ResolveSimdLevel(const std::string& flag, const CpuFeatures& features,
                       SimdLevel* out, std::string* error);
 
-/// A batch of patterns prepared for kernel evaluation against one
-/// compatibility matrix: per-pattern log-probability rows are resolved to
-/// rows of a shared SoA "log plane" (one row per distinct pattern symbol,
-/// filled per sequence), and each pattern gets a screening guard band
-/// derived from the matrix's largest |log| entry. Preparation does no
-/// logarithm math — the float log table is cached inside the matrix.
+/// One pattern prepared for single-pattern kernel evaluation
+/// (SequenceMatch) against one compatibility matrix: its non-wildcard
+/// positions as (offset, symbol) terms plus a screening guard band derived
+/// from the matrix's largest |log| entry. Preparation does no logarithm
+/// math — the float log table is cached inside the matrix.
 ///
-/// The prepared set borrows the matrix; it must outlive the set and must
-/// not be Set() while kernels are running (same contract as the sparse
-/// column index).
-class PreparedPatternSet {
+/// The prepared pattern borrows the matrix; it must outlive the pattern
+/// and must not be Set() while kernels are running.
+class PreparedPattern {
  public:
-  PreparedPatternSet() = default;
+  PreparedPattern() = default;
 
-  /// Rebuilds the set in place (buffers are reused across calls).
-  void Prepare(const CompatibilityMatrix& c,
-               const std::vector<Pattern>& patterns);
-  /// Single-pattern variant for SequenceMatch-style call sites.
+  /// Rebuilds in place (buffers are reused across calls).
   void Prepare(const CompatibilityMatrix& c, const Pattern& pattern);
 
-  size_t num_patterns() const { return plans_.size(); }
   const CompatibilityMatrix& matrix() const { return *matrix_; }
   CompatibilityMatrix::LogView log_view() const { return log_; }
-
-  struct Plan {
-    uint32_t first_term = 0;    // into term_rows()/term_offsets()
-    uint32_t num_terms = 0;     // non-wildcard positions
-    uint32_t first_symbol = 0;  // into symbols()
-    uint32_t length = 0;        // full pattern length incl. wildcards
-    float guard = 0.0f;         // log-space screening guard band
-  };
-  const std::vector<Plan>& plans() const { return plans_; }
-
-  /// Distinct non-wildcard symbols across the batch, in first-seen order;
-  /// row r of a per-sequence log plane belongs to plane_symbols()[r].
-  const std::vector<SymbolId>& plane_symbols() const {
-    return plane_symbols_;
-  }
-  const std::vector<int32_t>& term_rows() const { return term_rows_; }
+  /// Full pattern length incl. wildcards.
+  size_t length() const { return length_; }
+  /// Log-space screening guard band (DESIGN.md section 16).
+  float guard() const { return guard_; }
+  /// Window offset and true symbol of each non-wildcard position, in
+  /// ascending offset order (the exact product's factor order).
   const std::vector<int32_t>& term_offsets() const { return term_offsets_; }
-  /// True symbol per term — the fused screening loop and the exact
-  /// re-derivation index matrix rows/columns with these directly.
   const std::vector<SymbolId>& term_syms() const { return term_syms_; }
-  /// Concatenated full pattern bodies (wildcards included), indexed by
-  /// Plan::first_symbol — the exact re-evaluation path walks these.
-  const std::vector<SymbolId>& symbols() const { return symbols_; }
 
  private:
-  void AddPattern(const Pattern& p);
-
   const CompatibilityMatrix* matrix_ = nullptr;
   CompatibilityMatrix::LogView log_;
-  std::vector<SymbolId> plane_symbols_;
-  std::vector<int32_t> row_of_symbol_;  // symbol id -> plane row, -1 unset
-  std::vector<int32_t> term_rows_;
+  size_t length_ = 0;
+  float guard_ = 0.0f;
   std::vector<int32_t> term_offsets_;
   std::vector<SymbolId> term_syms_;
-  std::vector<SymbolId> symbols_;
-  std::vector<Plan> plans_;
-};
-
-/// Per-worker mutable state for kernel evaluation. Reused across
-/// sequences so the only steady-state allocations are capacity growth.
-struct MatchScratch {
-  ColumnIndex cols;          // exact re-evaluation path
-  std::vector<float> plane;  // SoA log plane (vector kernels only)
 };
 
 /// A match-evaluation strategy selected once per process (runtime ISA
@@ -129,19 +96,16 @@ class MatchKernel {
   virtual SimdLevel level() const = 0;
   const char* name() const { return SimdLevelName(level()); }
 
-  /// best[i] = match of prepared pattern i in `seq` (max over sliding
-  /// windows; 0 when the sequence is shorter than the pattern). Every
-  /// entry of `best` (size prep.num_patterns()) is overwritten.
-  virtual void BestMatches(const PreparedPatternSet& prep,
-                           const Sequence& seq, MatchScratch* scratch,
-                           double* best) const = 0;
+  /// Match of the prepared pattern in `seq`: max over sliding windows,
+  /// 0 when the sequence is shorter than the pattern.
+  virtual double BestMatch(const PreparedPattern& prep,
+                           const Sequence& seq) const = 0;
 
-  /// Trie leaf runs: for j < count, best[idx[j]] gets
-  /// max(best[idx[j]], product * col[syms[j]]). `syms` must be wildcard
-  /// free (leaf edges are final pattern positions, which cannot be `*`).
-  virtual void LeafRunMax(const double* col, double product,
-                          const SymbolId* syms, const int32_t* idx,
-                          size_t count, double* best) const = 0;
+  /// The window-trie step (lattice/pattern_counter.h): out[i] = a[i] *
+  /// b[i] for i < n, returning the max of 0 and every out[i]. One IEEE
+  /// multiply per element, so every kernel writes bit-identical rows.
+  virtual double ProductMax(const double* a, const double* b, size_t n,
+                            double* out) const = 0;
 };
 
 /// The kernel for `level`, or nullptr when this build lacks it.

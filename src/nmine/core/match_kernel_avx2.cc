@@ -1,7 +1,8 @@
-// AVX2 window loop and trie leaf-run kernel. This translation unit is
-// compiled with -mavx2 (see src/CMakeLists.txt) and must therefore define
-// ONLY these free functions — no inline library instantiations that the
-// linker could pick for the portable build (see match_kernel_detail.h).
+// AVX2 single-pattern window screen and window-trie product step. This
+// translation unit is compiled with -mavx2 (see src/CMakeLists.txt) and
+// must therefore define ONLY these free functions — no inline library
+// instantiations that the linker could pick for the portable build (see
+// match_kernel_detail.h).
 #if defined(NMINE_HAVE_AVX2)
 
 #include <immintrin.h>
@@ -15,73 +16,17 @@ namespace nmine {
 namespace detail {
 namespace {
 
-// Full-mask gathers with a zeroed source. The plain _mm256_i32gather_*
-// intrinsics route through _mm256_undefined_*, which GCC flags with a
+// Full-mask gather with a zeroed source. The plain _mm256_i32gather_ps
+// intrinsic routes through _mm256_undefined_*, which GCC flags with a
 // maybe-uninitialized warning on every build; the masked forms encode to
-// the same vgatherd instruction.
+// the same vgatherdps instruction.
 inline __m256 GatherPs(const float* base, __m256i idx) {
   return _mm256_mask_i32gather_ps(
       _mm256_setzero_ps(), base, idx,
       _mm256_castsi256_ps(_mm256_set1_epi32(-1)), 4);
 }
 
-inline __m256d GatherPd(const double* base, __m128i idx) {
-  return _mm256_mask_i32gather_pd(
-      _mm256_setzero_pd(), base, idx,
-      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), sizeof(double));
-}
-
 }  // namespace
-
-double BestWindowsAvx2(const WindowPlan& p, size_t windows) {
-  double best = 0.0;
-  float thr = ScreenThreshold(best, p.guard);
-  size_t wb = 0;
-  for (; wb + 8 <= windows; wb += 8) {
-    // Screening sums for 8 consecutive windows: each term is one
-    // unaligned load from a plane row (consecutive windows read
-    // consecutive plane positions — the SoA payoff, no gathers).
-    const __m256 thrv = _mm256_set1_ps(thr);
-    __m256 sum = _mm256_setzero_ps();
-    bool alive = true;
-    for (size_t t = 0; t < p.num_terms; ++t) {
-      const float* row =
-          p.plane + static_cast<size_t>(p.term_rows[t]) * p.plane_stride;
-      sum = _mm256_add_ps(
-          sum, _mm256_loadu_ps(row + wb +
-                               static_cast<size_t>(p.term_offsets[t])));
-      // Early abandon: matrix entries are probabilities <= 1, so every
-      // plane value is <= 0 and the sums are monotone non-increasing —
-      // once all 8 lanes sit at or below the screen threshold the block
-      // is dead. Test every 4th term to amortise the movemask.
-      if ((t & 3u) == 3u &&
-          _mm256_movemask_ps(_mm256_cmp_ps(sum, thrv, _CMP_GT_OQ)) == 0) {
-        alive = false;
-        break;
-      }
-    }
-    if (!alive) continue;
-    int mask = _mm256_movemask_ps(_mm256_cmp_ps(sum, thrv, _CMP_GT_OQ));
-    // Survivors re-derive through the exact scalar product, in ascending
-    // window order so the running-best trajectory (and therefore every
-    // screening decision) matches the scalar kernel exactly.
-    while (mask != 0) {
-      int lane = __builtin_ctz(static_cast<unsigned>(mask));
-      mask &= mask - 1;
-      double match = ExactWindowProduct(p, wb + static_cast<size_t>(lane));
-      if (match > best) {
-        best = match;
-        thr = ScreenThreshold(best, p.guard);
-      }
-    }
-  }
-  // Tail windows (< 8 remaining): exact scalar evaluation.
-  for (; wb < windows; ++wb) {
-    double match = ExactWindowProduct(p, wb);
-    if (match > best) best = match;
-  }
-  return best;
-}
 
 double BestWindowsFusedAvx2(const WindowPlan& p, size_t windows) {
   static_assert(sizeof(SymbolId) == sizeof(int32_t),
@@ -130,45 +75,42 @@ double BestWindowsFusedAvx2(const WindowPlan& p, size_t windows) {
   return best;
 }
 
-void PlaneRowAvx2(float* dst, const float* lrow, const SymbolId* seq,
-                  size_t n) {
-  static_assert(sizeof(SymbolId) == sizeof(int32_t),
-                "plane-row gathers assume 32-bit symbol ids");
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256i vsym = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(seq + j));
-    _mm256_storeu_ps(dst + j, GatherPs(lrow, vsym));
+double ProductMaxAvx2(const double* a, const double* b, size_t n,
+                      double* out) {
+  // Two independent max chains keep the multiply and max ports busy; the
+  // reduction order of a max never changes its value.
+  __m256d best0 = _mm256_setzero_pd();
+  __m256d best1 = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d v0 =
+        _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+    const __m256d v1 =
+        _mm256_mul_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4));
+    _mm256_storeu_pd(out + i, v0);
+    _mm256_storeu_pd(out + i + 4, v1);
+    best0 = _mm256_max_pd(best0, v0);
+    best1 = _mm256_max_pd(best1, v1);
   }
-  for (; j < n; ++j) {
-    dst[j] = lrow[static_cast<size_t>(seq[j])];
-  }
-}
-
-void LeafRunMaxAvx2(const double* col, double product, const SymbolId* syms,
-                    const int32_t* idx, size_t count, double* best) {
-  static_assert(sizeof(SymbolId) == sizeof(int32_t),
-                "leaf-run gather assumes 32-bit symbol ids");
-  const __m256d prod = _mm256_set1_pd(product);
-  alignas(32) double vals[4];
-  size_t j = 0;
-  for (; j + 4 <= count; j += 4) {
-    const __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-        reinterpret_cast<const int32_t*>(syms) + j));
-    // One IEEE multiply per lane — bit-identical to the scalar loop.
+  if (i + 4 <= n) {
     const __m256d v =
-        _mm256_mul_pd(GatherPd(col, s), prod);
-    _mm256_store_pd(vals, v);
-    for (size_t k = 0; k < 4; ++k) {
-      double& slot = best[static_cast<size_t>(idx[j + k])];
-      if (vals[k] > slot) slot = vals[k];
-    }
+        _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+    _mm256_storeu_pd(out + i, v);
+    best0 = _mm256_max_pd(best0, v);
+    i += 4;
   }
-  for (; j < count; ++j) {
-    double v = product * col[static_cast<size_t>(syms[j])];
-    double& slot = best[static_cast<size_t>(idx[j])];
-    if (v > slot) slot = v;
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, _mm256_max_pd(best0, best1));
+  double best = lanes[0];
+  for (size_t k = 1; k < 4; ++k) {
+    if (lanes[k] > best) best = lanes[k];
   }
+  for (; i < n; ++i) {
+    const double v = a[i] * b[i];
+    out[i] = v;
+    if (v > best) best = v;
+  }
+  return best;
 }
 
 }  // namespace detail

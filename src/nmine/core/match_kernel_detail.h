@@ -22,24 +22,18 @@ namespace detail {
 /// One pattern's sliding-window evaluation, prepared against one sequence.
 ///
 /// Log-space screen: window w's screening score is
-///   sum_t plane[term_rows[t] * plane_stride + w + term_offsets[t]]
-/// (float adds of precomputed log-compatibility rows; -inf marks a zero
-/// factor), or the same sum gathered straight from the log table when no
-/// plane was built. Any window whose exact double product can exceed the
-/// running best scores above ScreenThreshold(best, guard) — see the
-/// guard-band derivation in DESIGN.md section 16 — so survivors are
-/// re-derived with ExactWindowProduct and results stay bit-identical to
-/// the scalar oracle.
+///   sum_t log_rows[term_syms[t] * m + seq[w + term_offsets[t]]]
+/// (float adds of cached log-compatibility entries; -inf marks a zero
+/// factor). Any window whose exact double product can exceed the running
+/// best scores above ScreenThreshold(best, guard) — see the guard-band
+/// derivation in DESIGN.md section 16 — so survivors are re-derived with
+/// ExactWindowProduct and results stay bit-identical to the scalar oracle.
 struct WindowPlan {
-  const float* plane = nullptr;          // SoA rows, one per plane symbol
-  size_t plane_stride = 0;               // row length == sequence length
-  const int32_t* term_rows = nullptr;    // plane row per non-wildcard pos
-  const int32_t* term_offsets = nullptr; // window offset per such position
+  const int32_t* term_offsets = nullptr; // window offset per non-wildcard
   const SymbolId* term_syms = nullptr;   // true symbol per such position
   size_t num_terms = 0;
   float guard = 0.0f;                    // screening guard band (log space)
   const SymbolId* seq = nullptr;         // the sequence (observed symbols)
-  size_t pattern_length = 0;             // full length incl. wildcards
   // Column bases: column s of the double matrix is cols_base + s*m, row s
   // of the float log table is log_rows + s*m. Columns resolve lazily from
   // `seq` — screening leaves so few exact re-derivations that hoisting a
@@ -63,26 +57,20 @@ float ScreenThreshold(double best, float guard);
 double BestWindowsScalar(const WindowPlan& p, size_t windows);
 
 /// Per-ISA window loops: 8 (AVX2) / 4 (NEON) windows advance per step
-/// with a per-lane early-abandon test; candidates re-derive through
-/// ExactWindowProduct. The Fused variant skips the plane and gathers
-/// screening terms straight from the log table — the win for single
-/// patterns, where a plane would cost as much as the match itself.
+/// with a per-lane early-abandon test, screening terms read straight from
+/// the log table; candidates re-derive through ExactWindowProduct.
 /// Defined only in their translation units — the dispatcher gates on
 /// NMINE_HAVE_AVX2 / NMINE_HAVE_NEON.
-double BestWindowsAvx2(const WindowPlan& p, size_t windows);
 double BestWindowsFusedAvx2(const WindowPlan& p, size_t windows);
 double BestWindowsNeon(const WindowPlan& p, size_t windows);
 
-/// Gather-accelerated plane row fill: dst[j] = lrow[seq[j]] for j < n.
-void PlaneRowAvx2(float* dst, const float* lrow, const SymbolId* seq,
-                  size_t n);
-
-/// Trie leaf runs: for j < count, best[idx[j]] gets
-/// max(best[idx[j]], product * col[syms[j]]). One vector multiply per 4
-/// children on AVX2; lane products are single IEEE multiplies, so results
-/// are bit-identical to the scalar loop.
-void LeafRunMaxAvx2(const double* col, double product, const SymbolId* syms,
-                    const int32_t* idx, size_t count, double* best);
+/// MatchKernel::ProductMax: out[i] = a[i] * b[i], returning max(0, out).
+/// Lane products are single IEEE multiplies and max only selects, so
+/// results are bit-identical to the scalar loop.
+double ProductMaxAvx2(const double* a, const double* b, size_t n,
+                      double* out);
+double ProductMaxNeon(const double* a, const double* b, size_t n,
+                      double* out);
 
 }  // namespace detail
 }  // namespace nmine

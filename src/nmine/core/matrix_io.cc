@@ -102,7 +102,7 @@ std::string FormatCompatibilityMatrix(const CompatibilityMatrix& c) {
   char buf[32];
   for (size_t i = 0; i < c.size(); ++i) {
     for (size_t j = 0; j < c.size(); ++j) {
-      std::snprintf(buf, sizeof(buf), "%.6g",
+      std::snprintf(buf, sizeof(buf), "%.17g",
                     c(static_cast<SymbolId>(i), static_cast<SymbolId>(j)));
       if (j > 0) out += ' ';
       out += buf;

@@ -44,7 +44,9 @@ std::optional<CompatibilityMatrix> ParseCompatibilityMatrix(
 std::optional<CompatibilityMatrix> ReadCompatibilityMatrixFile(
     const std::string& path, MatrixIoResult* error);
 
-/// Serializes `c` in the text format (6 significant digits).
+/// Serializes `c` in the text format with 17 significant digits, so every
+/// entry reads back bit for bit and a written matrix always passes the
+/// column-sum check on load.
 std::string FormatCompatibilityMatrix(const CompatibilityMatrix& c);
 
 /// Writes `c` to `path` (overwrites).

@@ -39,25 +39,14 @@ ThreadPool& ThreadPool::Shared() {
 
 void ThreadPool::EnsureWorkers(size_t n) {
   std::lock_guard<std::mutex> lock(mutex_);
-  while (workers_.size() < n + reserved_) {
+  while (workers_.size() < n) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-}
-
-void ThreadPool::ReserveWorker() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++reserved_;
-  workers_.emplace_back([this] { WorkerLoop(); });
 }
 
 size_t ThreadPool::num_workers() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return workers_.size();
-}
-
-size_t ThreadPool::reserved_workers() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return reserved_;
 }
 
 void ThreadPool::Submit(std::function<void()> task) {

@@ -39,19 +39,12 @@ class ThreadPool {
   /// workers are spawned on first use via EnsureWorkers.
   static ThreadPool& Shared();
 
-  /// Grows the pool to at least n worker threads AVAILABLE FOR TASKS
-  /// (reserved service workers are on top). Never shrinks.
+  /// Grows the pool to at least n worker threads. Never shrinks.
+  /// Long-lived service loops (accept loops, server executors) run on
+  /// threads their owners start and join, never on pool workers.
   void EnsureWorkers(size_t n);
 
-  /// Permanently dedicates one additional worker to a long-lived service
-  /// task (e.g. the status server's accept loop) and spawns it. Every
-  /// later EnsureWorkers(n) is raised by the reservation count, so a
-  /// parked service never eats into the parallelism a scan asked for.
-  /// Call ReserveWorker() BEFORE Submit()ing the service task.
-  void ReserveWorker();
-
   size_t num_workers() const;
-  size_t reserved_workers() const;
 
   /// Enqueues a task for execution on some worker thread. Tasks must not
   /// block on other queued tasks (workers are a finite resource).
@@ -69,7 +62,6 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  size_t reserved_ = 0;
   bool stop_ = false;
 };
 

@@ -2,219 +2,182 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
+#include <numeric>
 
 #include "nmine/core/check.h"
+#include "nmine/core/match_kernel.h"
 #include "nmine/exec/sharded_reduce.h"
 #include "nmine/obs/profiler.h"
 #include "nmine/runtime/run_control.h"
 
 namespace nmine {
 
-PatternTrie::PatternTrie(const std::vector<Pattern>& patterns)
-    : num_patterns_(patterns.size()) {
-  nodes_.emplace_back();  // root
-  for (size_t pi = 0; pi < patterns.size(); ++pi) {
-    const Pattern& p = patterns[pi];
-    int32_t node = 0;
-    for (size_t i = 0; i < p.length(); ++i) {
-      SymbolId s = p[i];
-      auto& children = nodes_[static_cast<size_t>(node)].children;
-      auto it = std::lower_bound(
-          children.begin(), children.end(), s,
-          [](const std::pair<SymbolId, int32_t>& e, SymbolId key) {
-            return e.first < key;
-          });
-      if (it != children.end() && it->first == s) {
-        node = it->second;
-      } else {
-        int32_t child = static_cast<int32_t>(nodes_.size());
-        // Insert before growing nodes_: `it` is invalidated by emplace_back
-        // only through `children`, which emplace_back may also move; compute
-        // the index first.
-        size_t insert_at = static_cast<size_t>(it - children.begin());
-        nodes_.emplace_back();
-        auto& fresh_children = nodes_[static_cast<size_t>(node)].children;
-        fresh_children.insert(
-            fresh_children.begin() + static_cast<long>(insert_at),
-            {s, child});
-        node = child;
+PatternTrie::PatternTrie(const std::vector<Pattern>& patterns,
+                         const CompatibilityMatrix* c)
+    : c_(c), num_patterns_(patterns.size()) {
+  // Lexicographic order (the wildcard, -1, sorts first) lists the trie in
+  // DFS preorder: each pattern adds nodes for the positions past its
+  // common prefix with the previous one, and duplicates are adjacent, so
+  // the patterns ending at one node form one contiguous run.
+  std::vector<uint32_t> order(patterns.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return patterns[a].body() < patterns[b].body();
+  });
+  std::vector<int32_t> row_of_symbol;
+  std::vector<uint32_t> path;  // path[d] = open node at depth d + 1
+  const std::vector<SymbolId>* prev = nullptr;
+  for (uint32_t pi : order) {
+    const std::vector<SymbolId>& body = patterns[pi].body();
+    NMINE_CHECK(!body.empty(), "PatternTrie needs non-empty patterns");
+    size_t common = 0;
+    if (prev != nullptr) {
+      while (common < body.size() && common < prev->size() &&
+             body[common] == (*prev)[common]) {
+        ++common;
       }
     }
-    nodes_[static_cast<size_t>(node)].pattern_indices.push_back(
-        static_cast<int32_t>(pi));
+    for (; path.size() > common; path.pop_back()) {
+      nodes_[path.back()].end = static_cast<uint32_t>(nodes_.size());
+    }
+    for (size_t d = common; d < body.size(); ++d) {
+      Node node;
+      node.depth = static_cast<uint32_t>(d + 1);
+      const SymbolId sym = body[d];
+      if (!IsWildcard(sym)) {
+        const size_t s = static_cast<size_t>(sym);
+        if (s >= row_of_symbol.size()) row_of_symbol.resize(s + 1, -1);
+        if (row_of_symbol[s] < 0) {
+          row_of_symbol[s] = static_cast<int32_t>(row_syms_.size());
+          row_syms_.push_back(sym);
+        }
+        node.row = row_of_symbol[s];
+      }
+      path.push_back(static_cast<uint32_t>(nodes_.size()));
+      nodes_.push_back(node);
+    }
+    Node& last = nodes_[path.back()];
+    if (last.num_patterns == 0) {
+      last.first_pattern = static_cast<uint32_t>(pattern_ids_.size());
+    }
+    pattern_ids_.push_back(pi);
+    ++last.num_patterns;
+    max_depth_ = std::max(max_depth_, body.size());
+    prev = &body;
   }
-  // Pack leaf runs: a child that is childless, ends exactly one pattern,
-  // and sits on a non-wildcard edge needs no recursion — its whole
-  // contribution is best[pi] = max(best[pi], product * col[sym]), which
-  // the match kernel finishes for the entire run at once (patterns never
-  // end in a wildcard, so every final-position edge is eligible). Children
-  // ending several duplicate patterns, or with subtrees, keep walking.
-  for (Node& n : nodes_) {
-    n.leaf_first = static_cast<uint32_t>(leaf_syms_.size());
-    size_t keep = 0;
-    for (const auto& [sym, child] : n.children) {
-      const Node& cn = nodes_[static_cast<size_t>(child)];
-      if (!IsWildcard(sym) && cn.children.empty() &&
-          cn.pattern_indices.size() == 1) {
-        leaf_syms_.push_back(sym);
-        leaf_pattern_idx_.push_back(cn.pattern_indices[0]);
-      } else {
-        n.children[keep++] = {sym, child};
+  for (uint32_t open : path) {
+    nodes_[open].end = static_cast<uint32_t>(nodes_.size());
+  }
+  ones_.assign(kTileWindows, 1.0);
+}
+
+PatternTrie::Scratch PatternTrie::MakeScratch() const {
+  Scratch scratch;
+  scratch.factors.resize(row_syms_.size() * (kTileWindows + max_depth_));
+  scratch.rows.resize(max_depth_ * kTileWindows);
+  scratch.path_rows.resize(max_depth_ + 1);
+  return scratch;
+}
+
+void PatternTrie::FillFactors(const SymbolId* seq, size_t len,
+                              double* factors) const {
+  const size_t stride = kTileWindows + max_depth_;
+  if (c_ == nullptr) {
+    for (size_t r = 0; r < row_syms_.size(); ++r) {
+      double* row = factors + r * stride;
+      for (size_t j = 0; j < len; ++j) {
+        row[j] = seq[j] == row_syms_[r] ? 1.0 : 0.0;
       }
     }
-    n.children.resize(keep);
-    n.leaf_count =
-        static_cast<uint32_t>(leaf_syms_.size()) - n.leaf_first;
+    return;
+  }
+  // Position-major: one matrix column per observed symbol, read once.
+  for (size_t j = 0; j < len; ++j) {
+    const double* col = c_->Column(seq[j]);
+    for (size_t r = 0; r < row_syms_.size(); ++r) {
+      factors[r * stride + j] = col[static_cast<size_t>(row_syms_[r])];
+    }
   }
 }
 
-void PatternTrie::BestMatches(const CompatibilityMatrix& c,
-                              const Sequence& seq,
-                              std::vector<double>* best) const {
-  best->assign(num_patterns_, 0.0);
-  ColumnIndex cols;
-  BestMatchesInto(c, seq, &cols, best->data());
-}
-
-void PatternTrie::BestMatchesInto(const CompatibilityMatrix& c,
-                                  const Sequence& seq, ColumnIndex* cols,
-                                  double* best) const {
-  // Hoist the per-position column lookup once per sequence: every trie
-  // walk that crosses position j reads factors from the same column
-  // C(., seq[j]), so the walk's inner loop is a single indexed load.
-  cols->Build(c, seq);
+void PatternTrie::Best(const Sequence& seq, Scratch* scratch,
+                       double* best) const {
+  std::fill(best, best + num_patterns_, 0.0);
   const MatchKernel& kernel = ActiveMatchKernel();
-  for (size_t offset = 0; offset < seq.size(); ++offset) {
-    WalkMatch(kernel, cols->cols(), seq, offset, 0, 1.0, best);
-  }
-}
-
-void PatternTrie::WalkMatch(const MatchKernel& kernel,
-                            const double* const* cols, const Sequence& seq,
-                            size_t offset, size_t node, double product,
-                            double* best) const {
-  const Node& n = nodes_[node];
-  for (int32_t pi : n.pattern_indices) {
-    double& slot = best[static_cast<size_t>(pi)];
-    if (product > slot) slot = product;
-  }
-  if (offset >= seq.size()) return;  // window exhausted; deeper needs symbols
-  const double* col = cols[offset];
-  if (n.leaf_count > 0) {
-    kernel.LeafRunMax(col, product, leaf_syms_.data() + n.leaf_first,
-                      leaf_pattern_idx_.data() + n.leaf_first, n.leaf_count,
-                      best);
-  }
-  for (const auto& [sym, child] : n.children) {
-    double factor = IsWildcard(sym) ? 1.0 : col[static_cast<size_t>(sym)];
-    if (factor == 0.0) continue;
-    WalkMatch(kernel, cols, seq, offset + 1, static_cast<size_t>(child),
-              product * factor, best);
-  }
-}
-
-void PatternTrie::BestSupports(const Sequence& seq,
-                               std::vector<double>* best) const {
-  best->assign(num_patterns_, 0.0);
-  BestSupportsInto(seq, best->data());
-}
-
-void PatternTrie::BestSupportsInto(const Sequence& seq, double* best) const {
-  for (size_t offset = 0; offset < seq.size(); ++offset) {
-    WalkSupport(seq, offset, 0, best);
-  }
-}
-
-void PatternTrie::WalkSupport(const Sequence& seq, size_t offset, size_t node,
-                              double* best) const {
-  const Node& n = nodes_[node];
-  for (int32_t pi : n.pattern_indices) {
-    best[static_cast<size_t>(pi)] = 1.0;
-  }
-  if (offset >= seq.size()) return;
-  SymbolId observed = seq[offset];
-  for (uint32_t r = 0; r < n.leaf_count; ++r) {
-    if (leaf_syms_[n.leaf_first + r] == observed) {
-      best[static_cast<size_t>(leaf_pattern_idx_[n.leaf_first + r])] = 1.0;
+  const size_t n = seq.size();
+  const size_t stride = kTileWindows + max_depth_;
+  // rows[d] is the depth-d row of the current root path; a wildcard edge
+  // aliases its parent's row, so a write never hits a row still read.
+  const double** rows = scratch->path_rows.data();
+  rows[0] = ones_.data();
+  for (size_t t0 = 0; t0 < n; t0 += kTileWindows) {
+    // A depth-d window starting at t0 + w reads positions up to
+    // t0 + w + d - 1, so the tile needs kTileWindows + max_depth_ - 1
+    // positions at most.
+    FillFactors(seq.data() + t0, std::min(stride - 1, n - t0),
+                scratch->factors.data());
+    for (size_t i = 0; i < nodes_.size();) {
+      const Node& node = nodes_[i];
+      const size_t d = node.depth;
+      if (t0 + d > n) {  // no window of this depth starts in the tile
+        i = node.end;
+        continue;
+      }
+      if (node.row < 0) {
+        // Patterns never end on `*`, so nothing is recorded here.
+        rows[d] = rows[d - 1];
+        ++i;
+        continue;
+      }
+      double* out = scratch->rows.data() + (d - 1) * kTileWindows;
+      const double peak = kernel.ProductMax(
+          rows[d - 1],
+          scratch->factors.data() + static_cast<size_t>(node.row) * stride +
+              d - 1,
+          std::min(kTileWindows, n - d + 1 - t0), out);
+      if (peak == 0.0) {  // every window is dead: skip the subtree
+        i = node.end;
+        continue;
+      }
+      rows[d] = out;
+      for (uint32_t k = 0; k < node.num_patterns; ++k) {
+        double& slot = best[pattern_ids_[node.first_pattern + k]];
+        if (peak > slot) slot = peak;
+      }
+      ++i;
     }
   }
-  for (const auto& [sym, child] : n.children) {
-    if (IsWildcard(sym) || sym == observed) {
-      WalkSupport(seq, offset + 1, static_cast<size_t>(child), best);
-    }
-  }
+}
+
+std::vector<double> PatternTrie::Best(const Sequence& seq) const {
+  std::vector<double> best(num_patterns_);
+  Scratch scratch = MakeScratch();
+  Best(seq, &scratch, best.data());
+  return best;
 }
 
 namespace {
 
-/// Strategy selection: the trie wins when zero entries prune whole
-/// subtrees (sparse matrices; exact-match supports behave like an
-/// identity matrix), while on dense matrices nothing prunes and the flat
-/// per-pattern sliding-window loop is faster (no recursion, better
-/// locality). The 0.5 cut-off is empirical; see bench_micro.
-bool UseTrieForMatrix(const CompatibilityMatrix& c) {
-  return c.Sparsity() >= 0.5;
-}
-
-/// Per-sequence evaluator: either the trie or the flat per-pattern batch,
-/// which now runs through the process-wide match kernel (scalar or SIMD).
-/// The evaluator itself is immutable after construction and shared across
-/// scan workers; all mutable state lives in a per-shard Scratch whose
-/// buffers are sized once — the per-record loop does no allocation (the
-/// trie path zero-fills, the kernel path overwrites unconditionally).
-class BatchEvaluator {
- public:
-  struct Scratch {
-    explicit Scratch(size_t num_patterns) : best(num_patterns, 0.0) {}
-    std::vector<double> best;
-    MatchScratch kernel;  // column index + SoA log plane, grow-only
-  };
-
-  BatchEvaluator(const std::vector<Pattern>& patterns,
-                 const CompatibilityMatrix* c)
-      : c_(c) {
-    if (c == nullptr || UseTrieForMatrix(*c)) {
-      trie_.emplace(patterns);
-    } else {
-      prep_.Prepare(*c, patterns);
-    }
-  }
-
-  void Best(const Sequence& seq, Scratch* scratch) const {
-    if (trie_.has_value()) {
-      std::fill(scratch->best.begin(), scratch->best.end(), 0.0);
-      if (c_ != nullptr) {
-        trie_->BestMatchesInto(*c_, seq, &scratch->kernel.cols,
-                               scratch->best.data());
-      } else {
-        trie_->BestSupportsInto(seq, scratch->best.data());
-      }
-      return;
-    }
-    ActiveMatchKernel().BestMatches(prep_, seq, &scratch->kernel,
-                                    scratch->best.data());
-  }
-
- private:
-  const CompatibilityMatrix* c_;
-  std::optional<PatternTrie> trie_;
-  PreparedPatternSet prep_;  // flat path only
-};
-
-/// Per-shard kernel over a shared evaluator. The window-sliding section
-/// is recorded from whichever thread runs the shard (Section recording is
-/// atomic), so profiler totals stay truthful under concurrency.
+/// Per-shard kernel over a shared trie: the trie is immutable and shared
+/// across scan workers, all mutable state lives in the shard's scratch.
+/// The window-sliding section is recorded from whichever thread runs the
+/// shard (Section recording is atomic), so profiler totals stay truthful
+/// under concurrency.
 exec::RecordFnFactory MakeCountKernelFactory(
-    const BatchEvaluator& evaluator, obs::Profiler::Section* window_section,
-    size_t num_patterns) {
-  return [&evaluator, window_section, num_patterns]() -> exec::RecordFn {
-    auto scratch = std::make_shared<BatchEvaluator::Scratch>(num_patterns);
-    return [&evaluator, window_section, num_patterns,
-            scratch](const SequenceRecord& r, std::vector<double>* partial) {
+    const PatternTrie& trie, obs::Profiler::Section* window_section) {
+  return [&trie, window_section]() -> exec::RecordFn {
+    struct ShardScratch {
+      PatternTrie::Scratch trie;
+      std::vector<double> best;
+    };
+    auto scratch = std::make_shared<ShardScratch>(
+        ShardScratch{trie.MakeScratch(),
+                     std::vector<double>(trie.num_patterns())});
+    return [&trie, window_section, scratch](const SequenceRecord& r,
+                                            std::vector<double>* partial) {
       obs::SectionTimer timer(window_section);
-      evaluator.Best(r.symbols, scratch.get());
-      for (size_t i = 0; i < num_patterns; ++i) {
+      trie.Best(r.symbols, &scratch->trie, scratch->best.data());
+      for (size_t i = 0; i < scratch->best.size(); ++i) {
         (*partial)[i] += scratch->best[i];
       }
     };
@@ -234,10 +197,9 @@ Status AverageOverDb(const SequenceDatabase& db,
   // cost at all while the profiler is disabled).
   obs::Profiler::Section* window_section =
       obs::ResolveSection("count.window_slide");
-  BatchEvaluator evaluator(patterns, c);
+  PatternTrie trie(patterns, c);
   exec::ShardedScanReducer reducer(
-      patterns.size(), exec,
-      MakeCountKernelFactory(evaluator, window_section, patterns.size()));
+      patterns.size(), exec, MakeCountKernelFactory(trie, window_section));
   Status s = db.Scan(
       [&reducer](const SequenceRecord& r) { reducer.Consume(r); },
       /*restart=*/[&reducer] { reducer.Restart(); });
@@ -262,10 +224,10 @@ std::vector<double> AverageOverRecords(
   NMINE_PROFILE_SCOPE("count.records_batch");
   obs::Profiler::Section* window_section =
       obs::ResolveSection("count.window_slide");
-  BatchEvaluator evaluator(patterns, c);
+  PatternTrie trie(patterns, c);
   std::vector<double> totals = exec::ReduceRecords(
       records, patterns.size(), exec,
-      MakeCountKernelFactory(evaluator, window_section, patterns.size()));
+      MakeCountKernelFactory(trie, window_section));
   const double n = static_cast<double>(records.size());
   if (n > 0) {
     for (double& t : totals) t /= n;
@@ -277,13 +239,11 @@ std::vector<double> AverageOverRecords(
 
 struct BatchCountKernel::Impl {
   Impl(const std::vector<Pattern>& patterns, const CompatibilityMatrix* c)
-      : evaluator(patterns, c),
-        window_section(obs::ResolveSection("count.window_slide")),
-        num_patterns(patterns.size()) {}
+      : trie(patterns, c),
+        window_section(obs::ResolveSection("count.window_slide")) {}
 
-  BatchEvaluator evaluator;
+  PatternTrie trie;
   obs::Profiler::Section* window_section;
-  size_t num_patterns;
 };
 
 BatchCountKernel::BatchCountKernel(const std::vector<Pattern>& patterns,
@@ -294,8 +254,7 @@ BatchCountKernel::BatchCountKernel(const std::vector<Pattern>& patterns,
 BatchCountKernel::~BatchCountKernel() = default;
 
 exec::RecordFn BatchCountKernel::MakeRecordFn() const {
-  return MakeCountKernelFactory(impl_->evaluator, impl_->window_section,
-                                impl_->num_patterns)();
+  return MakeCountKernelFactory(impl_->trie, impl_->window_section)();
 }
 
 Status TryCountMatches(const SequenceDatabase& db,

@@ -2,13 +2,12 @@
 #define NMINE_LATTICE_PATTERN_COUNTER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "nmine/core/column_index.h"
 #include "nmine/core/compatibility_matrix.h"
 #include "nmine/core/match.h"
-#include "nmine/core/match_kernel.h"
 #include "nmine/core/pattern.h"
 #include "nmine/db/sequence_database.h"
 #include "nmine/exec/policy.h"
@@ -16,61 +15,72 @@
 
 namespace nmine {
 
-/// Prefix-sharing counter for batches of candidate patterns.
+/// Window-vectorized, prefix-sharing counter for batches of candidate
+/// patterns: Definition 3.6 for every pattern of a batch (one Apriori
+/// level, or one border-collapsing probe set) in one pass per sequence.
 ///
-/// A batch of candidates (one Apriori level, or one border-collapsing probe
-/// set) is arranged in a trie keyed by pattern positions (the eternal
-/// symbol is an ordinary edge label). For every window offset of a
-/// sequence, one depth-first walk evaluates all candidates at once,
-/// multiplying compatibility factors and short-circuiting on zero, so
-/// candidates sharing a prefix share the work. Semantics are identical to
+/// The batch is a trie keyed by pattern positions (the eternal symbol is
+/// an ordinary edge label), flattened in DFS preorder. Per sequence the
+/// windows are processed in tiles of kTileWindows. For each batch symbol s
+/// a factor row holds C(s, seq[j]) (0/1 for exact supports); each node's
+/// row then holds the partial product of every window of the tile,
+///   row[w] = parent_row[w] * C(sym, seq[w + depth - 1]),
+/// which is SegmentMatch's factor order, so values are bit-identical to
 /// calling SequenceMatch per pattern (the naive oracle used in tests).
+/// Wildcard edges reuse the parent row; the patterns ending at a node
+/// take the max over its row, and a node whose row is all zero skips its
+/// subtree for the tile. The one per-ISA step is MatchKernel::ProductMax.
 class PatternTrie {
  public:
-  /// Builds a trie over `patterns`. Duplicates are allowed (they share a
-  /// node and both receive results).
-  explicit PatternTrie(const std::vector<Pattern>& patterns);
+  /// Windows per tile: node rows and factor rows stay cache-resident
+  /// however long the sequence is.
+  static constexpr size_t kTileWindows = 128;
+
+  /// Builds the trie over `patterns` (non-empty; duplicates allowed —
+  /// they share a node and all receive results). `c` == nullptr counts
+  /// binary supports, otherwise matches under `c`, which must outlive the
+  /// trie.
+  PatternTrie(const std::vector<Pattern>& patterns,
+              const CompatibilityMatrix* c);
 
   size_t num_patterns() const { return num_patterns_; }
 
-  /// Sets (*best)[i] to the match of pattern i in `seq` (Definition 3.6).
-  /// `best` is resized to the number of patterns.
-  void BestMatches(const CompatibilityMatrix& c, const Sequence& seq,
-                   std::vector<double>* best) const;
+  /// Per-worker buffers, sized once from the trie by MakeScratch();
+  /// evaluation allocates nothing.
+  class Scratch {
+   private:
+    friend class PatternTrie;
+    std::vector<double> factors;  // batch symbol x tile position
+    std::vector<double> rows;     // depth x tile window
+    std::vector<const double*> path_rows;  // row per depth of the path
+  };
+  Scratch MakeScratch() const;
 
-  /// Binary support variant: (*best)[i] is 1.0 if pattern i occurs exactly
-  /// in `seq`, else 0.0.
-  void BestSupports(const Sequence& seq, std::vector<double>* best) const;
+  /// Sets best[i] (num_patterns() entries, all overwritten) to the match —
+  /// or, for a support trie, the 0/1 support — of pattern i in `seq`.
+  void Best(const Sequence& seq, Scratch* scratch, double* best) const;
 
-  /// Scan-loop variants: `best` must hold num_patterns() zeros (the caller
-  /// hoists the resize/zero and the column index out of the per-record
-  /// loop), and leaf runs go through the process-wide match kernel.
-  void BestMatchesInto(const CompatibilityMatrix& c, const Sequence& seq,
-                       ColumnIndex* cols, double* best) const;
-  void BestSupportsInto(const Sequence& seq, double* best) const;
+  /// Allocating convenience for tests and one-off calls.
+  std::vector<double> Best(const Sequence& seq) const;
 
  private:
+  /// One trie node in DFS preorder: its subtree is [self, end).
   struct Node {
-    // Sorted by symbol for deterministic traversal; small linear scans beat
-    // hashing at the fan-outs seen in mining workloads.
-    std::vector<std::pair<SymbolId, int32_t>> children;
-    std::vector<int32_t> pattern_indices;  // patterns ending at this node
-    // Leaf run: this node's childless single-pattern non-wildcard children,
-    // packed into leaf_syms_/leaf_pattern_idx_ so the match kernel can
-    // finish them as one vector multiply instead of |run| recursive calls.
-    uint32_t leaf_first = 0;
-    uint32_t leaf_count = 0;
+    uint32_t depth = 0;          // pattern positions on the root path
+    int32_t row = -1;            // factor row of the edge symbol; -1 = `*`
+    uint32_t end = 0;            // one past the last node of the subtree
+    uint32_t first_pattern = 0;  // into pattern_ids_
+    uint32_t num_patterns = 0;   // patterns ending at this node
   };
 
-  void WalkMatch(const MatchKernel& kernel, const double* const* cols,
-                 const Sequence& seq, size_t offset, size_t node,
-                 double product, double* best) const;
-  void WalkSupport(const Sequence& seq, size_t offset, size_t node,
-                   double* best) const;
+  void FillFactors(const SymbolId* seq, size_t len, double* factors) const;
 
+  const CompatibilityMatrix* c_;
   std::vector<Node> nodes_;
-  std::vector<SymbolId> leaf_syms_;
-  std::vector<int32_t> leaf_pattern_idx_;
+  std::vector<uint32_t> pattern_ids_;  // grouped by ending node
+  std::vector<SymbolId> row_syms_;     // batch symbol of each factor row
+  std::vector<double> ones_;           // the root row
+  size_t max_depth_ = 0;
   size_t num_patterns_ = 0;
 };
 
@@ -117,11 +127,10 @@ std::vector<double> CountSupports(const SequenceDatabase& db,
 
 /// The per-record counting kernel behind TryCountMatches/TryCountSupports,
 /// exported for out-of-process scan sharding (distributed workers). A
-/// kernel is built once per candidate batch (it owns the trie-vs-flat
-/// strategy choice and the prepared pattern set) and hands out fresh
-/// per-shard RecordFns — fold one exec shard's records, in order, into a
-/// zeroed partial of num_patterns() doubles, exactly as ShardedScanReducer
-/// does. A worker that merges those partials in ascending shard order
+/// kernel is built once per candidate batch (it owns the batch's
+/// PatternTrie) and hands out fresh per-shard RecordFns — fold one exec
+/// shard's records, in order, into a zeroed partial of num_patterns()
+/// doubles, exactly as ShardedScanReducer does. A worker that merges those partials in ascending shard order
 /// reproduces the serial counters bit for bit.
 class BatchCountKernel {
  public:

@@ -36,11 +36,10 @@ namespace net {
 /// by every StatusServer in the process.
 ///
 /// The listener and its poll-driven accept loop are a net::TcpListener,
-/// which runs on a worker the shared exec::ThreadPool reserves for it, so
-/// the server never steals a scan worker from the miners. Each request is
-/// tiny, one-shot, and handled inline on that worker; the server only
-/// ever reads process state, so it needs no coordination with the run it
-/// is observing.
+/// which runs on a thread it owns, so the server never steals a scan
+/// worker from the miners. Each request is tiny, one-shot, and handled
+/// inline on that thread; the server only ever reads process state, so it
+/// needs no coordination with the run it is observing.
 class StatusServer {
  public:
   struct Options {

@@ -13,8 +13,6 @@
 #include <system_error>
 #include <thread>
 
-#include "nmine/exec/thread_pool.h"
-
 namespace nmine {
 namespace net {
 namespace {
@@ -119,6 +117,7 @@ bool TcpListener::Start(const std::string& bind_address, uint16_t port,
     if (fd >= 0) ::close(fd);
     return false;
   };
+  if (fd_ >= 0) return fail("listener already started", -1);
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return fail(Errno("socket()"), -1);
   int one = 1;
@@ -142,29 +141,23 @@ bool TcpListener::Start(const std::string& bind_address, uint16_t port,
               ? ntohs(addr.sin_port)
               : port;
 
-  fd_ = fd;
   on_accept_ = std::move(on_accept);
   stop_.store(false, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(done_mutex_);
-    loop_done_ = false;
+  fd_ = fd;
+  try {
+    thread_ = std::thread([this] { AcceptLoop(); });
+  } catch (const std::system_error& e) {
+    fd_ = -1;
+    return fail(std::string("cannot start the accept thread: ") + e.what(),
+                fd);
   }
-  // The accept loop parks one pool worker for the listener's lifetime;
-  // reserve it so every later EnsureWorkers(n) still yields n workers
-  // free for scan shards.
-  exec::ThreadPool& pool = exec::ThreadPool::Shared();
-  pool.ReserveWorker();
-  pool.Submit([this] { AcceptLoop(); });
   return true;
 }
 
 void TcpListener::Stop() {
   if (fd_ < 0) return;
   stop_.store(true, std::memory_order_release);
-  {
-    std::unique_lock<std::mutex> lock(done_mutex_);
-    done_cv_.wait(lock, [this] { return loop_done_; });
-  }
+  thread_.join();
   ::close(fd_);
   fd_ = -1;
 }
@@ -188,12 +181,6 @@ void TcpListener::AcceptLoop() {
     }
     on_accept_(client);
   }
-  std::lock_guard<std::mutex> lock(done_mutex_);
-  loop_done_ = true;
-  // Notify while holding the lock: Stop()'s waiter cannot observe
-  // loop_done_ and let the listener be destroyed until the lock drops,
-  // so the condition variable is never destroyed mid-notify.
-  done_cv_.notify_all();
 }
 
 bool LineServer::Start(const Options& options, LineHandler handler,

@@ -2,12 +2,10 @@
 #define NMINE_NET_TRANSPORT_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <mutex>
 #include <string>
 #include <thread>
 
@@ -43,9 +41,9 @@ Status Dial(const std::string& host, uint16_t port, int* fd);
 Status ReadLine(int fd, std::string* buffer, size_t max_line_bytes,
                 const std::function<Status()>& check, std::string* line);
 
-/// A listening IPv4 TCP socket served by one poll/accept loop, which runs
-/// on a worker the shared exec::ThreadPool reserves for it (so a service
-/// never steals a scan worker from the miners). The listener is
+/// A listening IPv4 TCP socket served by one poll/accept loop on a thread
+/// the listener owns and joins in Stop(), so a service never holds a scan
+/// worker and a stopped listener leaves no thread behind. The listener is
 /// non-blocking: a blocked accept() is not woken by close() on Linux, so
 /// the loop polls with a short timeout and re-checks its stop flag.
 class TcpListener {
@@ -60,11 +58,12 @@ class TcpListener {
 
   /// socket, SO_REUSEADDR, bind, listen, non-blocking, getsockname (port
   /// 0 resolves to the ephemeral choice), then starts the accept loop.
-  /// False with *error set when the socket cannot be set up.
+  /// False with *error set when the socket cannot be set up or the
+  /// listener is already started.
   bool Start(const std::string& bind_address, uint16_t port,
              AcceptFn on_accept, std::string* error);
 
-  /// Stops the accept loop, waits for it to exit, and only then closes the
+  /// Stops the accept loop, joins its thread, and only then closes the
   /// listener, so the fd is never reused while the loop still polls it.
   /// Safe to call twice or without Start().
   void Stop();
@@ -78,9 +77,7 @@ class TcpListener {
   int fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
-  bool loop_done_ = true;
+  std::thread thread_;
 };
 
 /// Line-framed request/response server. Every accepted connection gets

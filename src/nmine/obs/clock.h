@@ -20,8 +20,13 @@ int64_t MonotonicNowNs();
 /// any caller asked for it. Stable for the life of the process.
 int64_t ProcessEpochNs();
 
-/// Monotonic nanoseconds elapsed since the process epoch (>= 0).
-inline int64_t SinceEpochNs() { return MonotonicNowNs() - ProcessEpochNs(); }
+/// Monotonic nanoseconds elapsed since the process epoch (>= 0). The
+/// epoch is fixed before the clock is read: on the very first call the
+/// other order would subtract a later epoch and go negative.
+inline int64_t SinceEpochNs() {
+  const int64_t epoch = ProcessEpochNs();
+  return MonotonicNowNs() - epoch;
+}
 
 /// Microsecond rendering of SinceEpochNs() — the unit trace events and
 /// telemetry rows carry.

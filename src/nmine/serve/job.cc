@@ -195,6 +195,8 @@ std::optional<JobResult> JobResult::FromJson(const obs::JsonValue& value) {
     result.message = v->string_value;
   }
   if ((v = value.Get("rows")) != nullptr && v->is_array()) {
+    // Exact capacity: boards and clients keep every result they decode.
+    result.rows.reserve(v->array.size());
     for (const obs::JsonValue& row : v->array) {
       if (!row.is_array() || row.array.size() != 2 ||
           !row.array[0].is_string() || !row.array[1].is_string()) {
@@ -353,7 +355,10 @@ JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
   r.scans = result.scans;
   r.truncated = result.truncated;
   r.resumed_from_checkpoint = had_checkpoint;
-  for (const Pattern& p : result.border.ToSortedVector()) {
+  const std::vector<Pattern> border = result.border.ToSortedVector();
+  // Exact capacity: the server board keeps one result per finished job.
+  r.rows.reserve(border.size());
+  for (const Pattern& p : border) {
     auto it = result.values.find(p);
     r.rows.emplace_back(
         p.ToString(),

@@ -47,10 +47,12 @@ void AppendResultLine(uint64_t id, const JobResult& result, std::string* out) {
   out->append("}\n");
 }
 
-/// Applies one journal line to the board. Unparseable lines are skipped:
-/// the log never replays a torn tail, so a malformed line is foreign
-/// damage, and dropping it loses at most an event that line described.
-void Replay(const std::string& line, std::map<uint64_t, Job>* board) {
+/// Applies one journal line to the board, appending the id of every
+/// applied result line to `results`. Unparseable lines are skipped: the
+/// log never replays a torn tail, so a malformed line is foreign damage,
+/// and dropping it loses at most an event that line described.
+void Replay(const std::string& line, std::map<uint64_t, Job>* board,
+            std::vector<uint64_t>* results) {
   std::optional<obs::JsonValue> value = obs::ParseJson(line);
   if (!value.has_value() || !value->is_object()) return;
   const obs::JsonValue* event = value->Get("event");
@@ -106,6 +108,7 @@ void Replay(const std::string& line, std::map<uint64_t, Job>* board) {
     it->second.result = std::move(*result);
     it->second.state =
         it->second.result.ok ? JobState::kDone : JobState::kFailed;
+    results->push_back(id);
   }
 }
 
@@ -118,8 +121,10 @@ std::unique_ptr<JobJournal> JobJournal::Open(const std::string& state_dir,
   recovered->clear();
   size_t replayed_lines = 0;
   size_t rewound = 0;
+  std::vector<uint64_t> results;  // ids of the replayed result lines
+  std::vector<uint64_t> finished;  // kept terminal jobs, oldest finish first
   auto replay = [&](const std::string& line) {
-    Replay(line, recovered);
+    Replay(line, recovered, &results);
     ++replayed_lines;
   };
   auto compact = [&] {
@@ -137,29 +142,44 @@ std::unique_ptr<JobJournal> JobJournal::Open(const std::string& state_dir,
     }
     *next_id = max_id + 1;
 
-    // Rewrite the replayed board as a fresh journal, dropping the oldest
-    // terminal jobs beyond the cap.
-    std::vector<const Job*> terminal;
+    // Rewrite the replayed board as a fresh journal, dropping the terminal
+    // jobs that finished first beyond the cap. Finish order is the order
+    // of the result lines (a terminal job without one counts as oldest),
+    // and the rewrite lists terminal jobs in that order, so it survives
+    // the next compaction too.
+    std::map<uint64_t, size_t> finish_rank;
+    for (size_t i = 0; i < results.size(); ++i) finish_rank[results[i]] = i + 1;
+    auto is_terminal = [](const Job& job) {
+      return job.state == JobState::kDone || job.state == JobState::kFailed;
+    };
     for (const auto& [id, job] : *recovered) {
-      if (job.state == JobState::kDone || job.state == JobState::kFailed) {
-        terminal.push_back(&job);
-      }
+      if (is_terminal(job)) finished.push_back(id);
     }
-    if (terminal.size() > kMaxTerminalKept) {
-      std::sort(terminal.begin(), terminal.end(),
-                [](const Job* a, const Job* b) { return a->id < b->id; });
-      const size_t drop = terminal.size() - kMaxTerminalKept;
-      for (size_t i = 0; i < drop; ++i) recovered->erase(terminal[i]->id);
+    auto rank = [&](uint64_t id) -> size_t {
+      auto it = finish_rank.find(id);
+      return it == finish_rank.end() ? 0 : it->second;
+    };
+    std::stable_sort(
+        finished.begin(), finished.end(),
+        [&](uint64_t a, uint64_t b) { return rank(a) < rank(b); });
+    if (finished.size() > kMaxTerminalKept) {
+      const size_t drop = finished.size() - kMaxTerminalKept;
+      for (size_t i = 0; i < drop; ++i) recovered->erase(finished[i]);
+      finished.erase(finished.begin(), finished.begin() + drop);
     }
     std::string compacted;
     for (const auto& [id, job] : *recovered) {
+      if (is_terminal(job)) continue;
       AppendSubmitLine(job, &compacted);
       if (job.state != JobState::kQueued) {
         AppendStateLine(id, job.state, &compacted);
       }
-      if (job.state == JobState::kDone || job.state == JobState::kFailed) {
-        AppendResultLine(id, job.result, &compacted);
-      }
+    }
+    for (uint64_t id : finished) {
+      const Job& job = recovered->at(id);
+      AppendSubmitLine(job, &compacted);
+      AppendStateLine(id, job.state, &compacted);
+      AppendResultLine(id, job.result, &compacted);
     }
     return compacted;
   };
@@ -178,7 +198,8 @@ std::unique_ptr<JobJournal> JobJournal::Open(const std::string& state_dir,
         .Num("jobs", static_cast<int64_t>(recovered->size()))
         .Num("rewound_to_queued", static_cast<int64_t>(rewound));
   }
-  return std::unique_ptr<JobJournal>(new JobJournal(std::move(log)));
+  return std::unique_ptr<JobJournal>(
+      new JobJournal(std::move(log), std::move(finished)));
 }
 
 Status JobJournal::AppendSubmit(const Job& job) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "nmine/core/status.h"
 #include "nmine/runtime/append_log.h"
@@ -36,12 +37,13 @@ namespace serve {
 /// SIGKILL. Jobs whose last state
 /// was running are rewound to queued — their RunCheckpoint carries the
 /// actual progress. Open() then compacts: the replayed board is rewritten
-/// atomically as a fresh journal (keeping at most `kMaxTerminalKept`
-/// finished jobs), so the journal stays bounded across restarts.
+/// atomically as a fresh journal (keeping the `kMaxTerminalKept` jobs that
+/// finished last, in finish order), so the journal stays bounded across
+/// restarts.
 class JobJournal {
  public:
-  /// Oldest terminal (done/failed) jobs beyond this count are dropped at
-  /// compaction; queued/running jobs are always kept.
+  /// The earliest-finished terminal (done/failed) jobs beyond this count
+  /// are dropped at compaction; queued/running jobs are always kept.
   static constexpr size_t kMaxTerminalKept = 512;
 
   /// Opens (creating state_dir if needed), replays, and compacts the
@@ -61,11 +63,17 @@ class JobJournal {
 
   const std::string& path() const { return log_->path(); }
 
+  /// Ids of the terminal jobs Open() kept, in the order they finished
+  /// (their result lines' order), oldest first.
+  const std::vector<uint64_t>& finished_order() const { return finished_; }
+
  private:
-  explicit JobJournal(std::unique_ptr<runtime::AppendLog> log)
-      : log_(std::move(log)) {}
+  JobJournal(std::unique_ptr<runtime::AppendLog> log,
+             std::vector<uint64_t> finished)
+      : log_(std::move(log)), finished_(std::move(finished)) {}
 
   std::unique_ptr<runtime::AppendLog> log_;
+  std::vector<uint64_t> finished_;
 };
 
 }  // namespace serve

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "nmine/exec/thread_pool.h"
 #include "nmine/net/status_server.h"
 #include "nmine/obs/clock.h"
 #include "nmine/obs/json_util.h"
@@ -99,6 +98,8 @@ bool MiningServer::Start(const Options& options, std::string* error) {
   dedup_.clear();
   journal_ = JobJournal::Open(options_.state_dir, &jobs_, &next_id_, error);
   if (journal_ == nullptr) return false;
+  finished_ids_.assign(journal_->finished_order().begin(),
+                       journal_->finished_order().end());
 
   if (options_.tracing) {
     if (options_.trace_buffer > 0) {
@@ -192,15 +193,12 @@ bool MiningServer::Start(const Options& options, std::string* error) {
   }();
   (void)jobsz_registered;
 
-  // One reserved pool worker per executor (the transport reserved one
-  // for its accept loop): a serving process must never let its service
-  // loops starve (or be starved by) the scan shards of the jobs it runs.
-  exec::ThreadPool& pool = exec::ThreadPool::Shared();
-  executors_live_.store(static_cast<int>(options_.max_running),
-                        std::memory_order_release);
+  // One owned thread per executor, joined at shutdown: a serving process
+  // must never let its executors starve (or be starved by) the scan
+  // shards of the jobs it runs on the shared pool, and a stopped server
+  // leaves no thread behind.
   for (size_t i = 0; i < options_.max_running; ++i) {
-    pool.ReserveWorker();
-    pool.Submit([this] { ExecutorLoop(); });
+    executors_.emplace_back([this] { ExecutorLoop(); });
   }
 
   NMINE_LOG(kInfo, "serve")
@@ -240,12 +238,8 @@ void MiningServer::Shutdown(bool graceful) {
   }
 
   queue_->Stop();
-  {
-    std::unique_lock<std::mutex> lock(exec_done_mutex_);
-    exec_done_cv_.wait(lock, [this] {
-      return executors_live_.load(std::memory_order_acquire) == 0;
-    });
-  }
+  for (std::thread& executor : executors_) executor.join();
+  executors_.clear();
   transport_.Stop();
   {
     std::lock_guard<std::mutex> lock(ActiveServerMutex());
@@ -391,7 +385,9 @@ std::string MiningServer::HandleSubmit(const Request& request) {
     job.submit_tus = obs::SinceEpochUs();
     job.checkpoint_path = CheckpointPathFor(id);
     if (!request.tag.empty()) dedup_[{request.client, request.tag}] = id;
-    new_job = &job;  // map nodes are address-stable; only submits erase
+    // Map nodes are address-stable; only a failed submit and the
+    // eviction of finished jobs erase, and this job is neither.
+    new_job = &job;
   }
 
   // Journal BEFORE enqueue and BEFORE the ok goes out. A crash right here
@@ -422,10 +418,6 @@ void MiningServer::ExecutorLoop() {
     reg.GetGauge("serve.queue.depth").Set(static_cast<double>(queue_->size()));
     if (stopping_.load(std::memory_order_acquire)) continue;
     RunOne(id);
-  }
-  if (executors_live_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(exec_done_mutex_);
-    exec_done_cv_.notify_all();
   }
 }
 
@@ -505,6 +497,7 @@ void MiningServer::RunOne(uint64_t id) {
 
   // Terminal. Journal first, then publish: a waiter only ever sees a
   // result that survives a crash.
+  std::lock_guard<std::mutex> finish_lock(finish_mutex_);
   journal_->AppendResult(id, result);
   reg.GetCounter(result.ok ? "serve.jobs.completed" : "serve.jobs.failed")
       .Increment();
@@ -527,8 +520,22 @@ void MiningServer::RunOne(uint64_t id) {
                         job.start_tus, finish_tus - job.start_tus);
       EmitLifecycleSpan("job", job, job.root_span_id, 0, job.submit_tus,
                         finish_tus - job.submit_tus);
+      RetireLocked(id);
     }
     jobs_cv_.notify_all();
+  }
+}
+
+void MiningServer::RetireLocked(uint64_t id) {
+  finished_ids_.push_back(id);
+  while (finished_ids_.size() > JobJournal::kMaxTerminalKept) {
+    auto it = jobs_.find(finished_ids_.front());
+    finished_ids_.pop_front();
+    if (it == jobs_.end()) continue;
+    const Job& job = it->second;
+    auto dup = dedup_.find({job.client, job.tag});
+    if (dup != dedup_.end() && dup->second == job.id) dedup_.erase(dup);
+    jobs_.erase(it);
   }
 }
 

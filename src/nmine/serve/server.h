@@ -4,10 +4,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,9 +27,9 @@ class HistogramMetric;
 namespace serve {
 
 /// nmine_server's core: accepts line-JSON mining jobs over TCP,
-/// multiplexes them onto executor workers from the shared thread pool,
-/// and keeps every admitted job durable in a write-ahead journal so a
-/// SIGKILL loses nothing a client was ever acknowledged for.
+/// runs them on executor threads it owns, and keeps every admitted job
+/// durable in a write-ahead journal so a SIGKILL loses nothing a client
+/// was ever acknowledged for.
 ///
 /// Robustness spine:
 ///   - bounded admission (BoundedFairQueue): full queue => typed
@@ -137,6 +139,13 @@ class MiningServer {
   std::string StatusResponseLocked(const Job& job) const;
   std::string CheckpointPathFor(uint64_t id) const;
   void Shutdown(bool graceful);
+  /// Records `id` as the newest finished job and evicts the earliest
+  /// finished jobs (and their dedup entries) beyond
+  /// JobJournal::kMaxTerminalKept. Finish order is the journal's
+  /// result-line order, which is what compaction keeps, so the live board
+  /// holds what a restart would recover; `id` itself is never evicted.
+  /// Caller holds finish_mutex_ and jobs_mutex_.
+  void RetireLocked(uint64_t id);
   /// Oldest-queued-job age on the trace clock, 0 when nothing is queued.
   /// Caller holds jobs_mutex_.
   int64_t OldestQueuedAgeMsLocked() const;
@@ -160,17 +169,21 @@ class MiningServer {
   /// its submit record is durable.
   std::mutex submit_mutex_;
 
+  /// Serializes an executor's journal-result -> publish sequence, so jobs
+  /// retire on the board in the order of their journal result lines.
+  /// Taken before jobs_mutex_.
+  std::mutex finish_mutex_;
+
   /// Board state: jobs_, dedup index, id counter. The cv signals job
   /// completion (wait op) and shutdown.
   std::mutex jobs_mutex_;
   std::condition_variable jobs_cv_;
   std::map<uint64_t, Job> jobs_;
   std::map<std::pair<std::string, std::string>, uint64_t> dedup_;
+  std::deque<uint64_t> finished_ids_;  // board's finished jobs, oldest first
   uint64_t next_id_ = 1;
 
-  std::atomic<int> executors_live_{0};
-  std::mutex exec_done_mutex_;
-  std::condition_variable exec_done_cv_;
+  std::vector<std::thread> executors_;
 };
 
 }  // namespace serve

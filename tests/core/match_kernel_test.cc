@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
 
-#include "nmine/core/column_index.h"
 #include "nmine/core/match.h"
 #include "nmine/gen/matrix_generator.h"
 #include "nmine/lattice/pattern_counter.h"
@@ -85,7 +85,8 @@ Pattern RandomPattern(Rng& rng, size_t length, size_t m,
 
 /// Runs every compiled-and-supported kernel over random (patterns,
 /// sequences) drawn for `c` and checks all of them bitwise against the
-/// scalar kernel, and the scalar kernel against the naive oracle.
+/// scalar kernel, and the scalar kernel against the naive oracle. The
+/// window-trie step (ProductMax) is checked on the same rounds.
 void CheckCorpus(const CompatibilityMatrix& c, double wildcard_prob,
                  uint64_t seed) {
   Rng rng(seed);
@@ -101,34 +102,50 @@ void CheckCorpus(const CompatibilityMatrix& c, double wildcard_prob,
       patterns.push_back(RandomPattern(rng, 1 + rng.UniformInt(12), m,
                                        wildcard_prob));
     }
-    PreparedPatternSet prep;
-    prep.Prepare(c, patterns);
-
     // Lengths straddle the vector block width (8 on AVX2) so full blocks,
     // tails, and sequences shorter than every pattern are all exercised.
     const size_t seq_len = rng.UniformInt(70);
     Sequence seq = RandomSequence(rng, seq_len, m);
 
-    std::vector<double> scalar_best(patterns.size());
-    MatchScratch scalar_scratch;
-    kernels[0]->BestMatches(prep, seq, &scalar_scratch, scalar_best.data());
     for (size_t i = 0; i < patterns.size(); ++i) {
-      EXPECT_EQ(scalar_best[i], NaiveBest(c, patterns[i], seq))
+      PreparedPattern prep;
+      prep.Prepare(c, patterns[i]);
+      const double scalar_best = kernels[0]->BestMatch(prep, seq);
+      EXPECT_EQ(scalar_best, NaiveBest(c, patterns[i], seq))
           << "scalar kernel diverges from the naive oracle (pattern " << i
           << ", round " << round << ")";
-    }
-
-    for (size_t ki = 1; ki < kernels.size(); ++ki) {
-      std::vector<double> best(patterns.size());
-      MatchScratch scratch;
-      kernels[ki]->BestMatches(prep, seq, &scratch, best.data());
-      for (size_t i = 0; i < patterns.size(); ++i) {
+      for (size_t ki = 1; ki < kernels.size(); ++ki) {
         // Bit-identity, not tolerance: the SIMD screen must re-derive
         // every surviving window with the exact scalar product.
-        EXPECT_EQ(best[i], scalar_best[i])
+        EXPECT_EQ(kernels[ki]->BestMatch(prep, seq), scalar_best)
             << kernels[ki]->name() << " diverges from scalar (pattern " << i
             << ", round " << round << ", seq_len " << seq.size() << ")";
       }
+    }
+
+    // ProductMax over matrix entries: every kernel writes the same row
+    // and returns the same max, also for lengths off the vector width.
+    std::vector<double> a(seq_len), b(seq_len);
+    for (size_t j = 0; j < seq_len; ++j) {
+      a[j] = c.Column(seq[j])[rng.UniformInt(m)];
+      b[j] = c.Column(seq[seq_len - 1 - j])[rng.UniformInt(m)];
+    }
+    std::vector<double> scalar_out(seq_len);
+    const double scalar_peak =
+        kernels[0]->ProductMax(a.data(), b.data(), seq_len, scalar_out.data());
+    double expected_peak = 0.0;
+    for (size_t j = 0; j < seq_len; ++j) {
+      EXPECT_EQ(scalar_out[j], a[j] * b[j]);
+      expected_peak = std::max(expected_peak, a[j] * b[j]);
+    }
+    EXPECT_EQ(scalar_peak, expected_peak);
+    for (size_t ki = 1; ki < kernels.size(); ++ki) {
+      std::vector<double> out(seq_len);
+      EXPECT_EQ(kernels[ki]->ProductMax(a.data(), b.data(), seq_len,
+                                        out.data()),
+                scalar_peak)
+          << kernels[ki]->name();
+      EXPECT_EQ(out, scalar_out) << kernels[ki]->name();
     }
   }
 }
@@ -173,15 +190,14 @@ TEST(MatchKernelTest, WildcardHeavyCorpusBitIdentical) {
 
 TEST(MatchKernelTest, SequenceShorterThanPatternIsZeroOnEveryKernel) {
   CompatibilityMatrix c = Figure2Matrix();
-  PreparedPatternSet prep;
-  prep.Prepare(c, std::vector<Pattern>{P({0, 1, 2}), P({0, -1, -1, 1})});
+  PreparedPattern prep0;
+  prep0.Prepare(c, P({0, 1, 2}));
+  PreparedPattern prep1;
+  prep1.Prepare(c, P({0, -1, -1, 1}));
   Sequence seq = {0, 1};
   for (const MatchKernel* k : CompiledKernels()) {
-    std::vector<double> best(2, 99.0);
-    MatchScratch scratch;
-    k->BestMatches(prep, seq, &scratch, best.data());
-    EXPECT_EQ(best[0], 0.0) << k->name();
-    EXPECT_EQ(best[1], 0.0) << k->name();
+    EXPECT_EQ(k->BestMatch(prep0, seq), 0.0) << k->name();
+    EXPECT_EQ(k->BestMatch(prep1, seq), 0.0) << k->name();
   }
 }
 
@@ -205,18 +221,18 @@ TEST(MatchKernelTest, ThresholdAcceptRejectAgreesAcrossKernels) {
   // which requires the match values themselves to be bitwise equal.
   CompatibilityMatrix c = Figure2Matrix();
   Sequence s = {0, 1, 1, 2, 3, 0};
-  PreparedPatternSet prep;
-  prep.Prepare(c, std::vector<Pattern>{P({0, 1}), P({0, 1, 1})});
-  std::vector<double> scalar_best(2);
-  MatchScratch scalar_scratch;
-  GetMatchKernel(SimdLevel::kScalar)
-      ->BestMatches(prep, s, &scalar_scratch, scalar_best.data());
+  PreparedPattern prep0;
+  prep0.Prepare(c, P({0, 1}));
+  PreparedPattern prep1;
+  prep1.Prepare(c, P({0, 1, 1}));
+  const MatchKernel* scalar = GetMatchKernel(SimdLevel::kScalar);
+  std::vector<double> scalar_best = {scalar->BestMatch(prep0, s),
+                                     scalar->BestMatch(prep1, s)};
   EXPECT_DOUBLE_EQ(scalar_best[0], 0.72);
   const double tau = scalar_best[0];  // threshold exactly at the best match
   for (const MatchKernel* k : CompiledKernels()) {
-    std::vector<double> best(2);
-    MatchScratch scratch;
-    k->BestMatches(prep, s, &scratch, best.data());
+    std::vector<double> best = {k->BestMatch(prep0, s),
+                                k->BestMatch(prep1, s)};
     EXPECT_TRUE(best[0] >= tau) << k->name();
     EXPECT_EQ(best[0], scalar_best[0]) << k->name();
     EXPECT_EQ(best[1], scalar_best[1]) << k->name();
@@ -293,30 +309,6 @@ TEST(MatchKernelDispatchTest, SetActiveRejectsUnavailableKernel) {
   EXPECT_STREQ(ActiveMatchKernelName(), "scalar");
 }
 
-TEST(ColumnIndexTest, StackAndHeapPathsResolveColumns) {
-  CompatibilityMatrix c = Figure2Matrix();
-  ColumnIndex index;
-  // Short sequence: stays on the internal stack buffer.
-  Sequence short_seq = {0, 1, 4};
-  index.Build(c, short_seq);
-  ASSERT_EQ(index.size(), 3u);
-  for (size_t j = 0; j < short_seq.size(); ++j) {
-    EXPECT_EQ(index.cols()[j], c.Column(short_seq[j]));
-  }
-  // Long sequence (> 512): spills to the heap; rebuild must still be
-  // correct after the switch, and switching back reuses the stack.
-  Rng rng(5);
-  Sequence long_seq = RandomSequence(rng, 600, c.size());
-  index.Build(c, long_seq);
-  ASSERT_EQ(index.size(), 600u);
-  for (size_t j = 0; j < long_seq.size(); ++j) {
-    EXPECT_EQ(index.cols()[j], c.Column(long_seq[j]));
-  }
-  index.Build(c, short_seq);
-  ASSERT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.cols()[2], c.Column(4));
-}
-
 std::vector<SequenceRecord> RandomRecords(Rng& rng, size_t count,
                                           size_t max_len, size_t m) {
   std::vector<SequenceRecord> records;
@@ -329,7 +321,8 @@ std::vector<SequenceRecord> RandomRecords(Rng& rng, size_t count,
 
 TEST(MatchKernelBatchTest, FlatBatchCountsBitIdenticalAcrossKernels) {
   KernelGuard guard;
-  // Dense matrix -> the batch counter takes the flat (kernel) path.
+  // Dense matrix: nothing prunes, every node row runs through
+  // MatchKernel::ProductMax on every tile.
   CompatibilityMatrix c = UniformNoiseMatrix(12, 0.25);
   ASSERT_LT(c.Sparsity(), 0.5);
   Rng rng(17);
@@ -348,10 +341,10 @@ TEST(MatchKernelBatchTest, FlatBatchCountsBitIdenticalAcrossKernels) {
   }
 }
 
-TEST(MatchKernelBatchTest, TrieLeafRunsBitIdenticalAcrossKernels) {
+TEST(MatchKernelBatchTest, SparseTrieBatchBitIdenticalAcrossKernels) {
   KernelGuard guard;
-  // Sparse matrix -> the trie path, whose leaf runs go through
-  // MatchKernel::LeafRunMax.
+  // Sparse matrix: all-zero node rows skip their subtrees, the rest run
+  // through MatchKernel::ProductMax.
   CompatibilityMatrix c(10);
   for (size_t j = 0; j < 10; ++j) {
     c.Set(static_cast<SymbolId>(j), static_cast<SymbolId>(j), 0.7);
@@ -360,8 +353,8 @@ TEST(MatchKernelBatchTest, TrieLeafRunsBitIdenticalAcrossKernels) {
   ASSERT_GE(c.Sparsity(), 0.5);
   Rng rng(23);
   std::vector<SequenceRecord> records = RandomRecords(rng, 40, 50, 10);
-  // Many patterns sharing prefixes -> plenty of single-pattern leaf
-  // children for the runs.
+  // Many patterns sharing prefixes -> plenty of shared interior rows and
+  // single-pattern leaves.
   std::vector<Pattern> patterns;
   for (int i = 0; i < 40; ++i) {
     patterns.push_back(RandomPattern(rng, 1 + rng.UniformInt(4), 10, 0.15));
@@ -369,24 +362,19 @@ TEST(MatchKernelBatchTest, TrieLeafRunsBitIdenticalAcrossKernels) {
   ASSERT_TRUE(SetActiveMatchKernel(SimdLevel::kScalar, nullptr));
   std::vector<double> scalar = CountMatchesInRecords(records, c, patterns);
   EXPECT_EQ(scalar, testutil::NaiveMatches(records, c, patterns));
-  std::vector<double> supports_scalar;
-  {
-    PatternTrie trie(patterns);
-    supports_scalar.assign(patterns.size(), 0.0);
-    trie.BestSupportsInto(records[0].symbols, supports_scalar.data());
-  }
+  const PatternTrie support_trie(patterns, nullptr);
+  const std::vector<double> supports_scalar =
+      support_trie.Best(records[0].symbols);
   for (const MatchKernel* k : CompiledKernels()) {
     ASSERT_TRUE(SetActiveMatchKernel(k->level(), nullptr));
     EXPECT_EQ(CountMatchesInRecords(records, c, patterns), scalar)
         << k->name();
+    // The kernel must not change exact-support semantics either.
+    EXPECT_EQ(support_trie.Best(records[0].symbols), supports_scalar)
+        << k->name();
   }
-  // Leaf runs must not change exact-support semantics either.
-  PatternTrie trie(patterns);
-  std::vector<double> supports;
-  trie.BestSupports(records[0].symbols, &supports);
-  EXPECT_EQ(supports, supports_scalar);
   for (size_t i = 0; i < patterns.size(); ++i) {
-    EXPECT_EQ(supports[i],
+    EXPECT_EQ(supports_scalar[i],
               SequenceSupport(patterns[i], records[0].symbols));
   }
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nmine/bio/blosum.h"
 #include "test_util.h"
 
 namespace nmine {
@@ -77,6 +78,23 @@ TEST(MatrixIoTest, FileRoundTrip) {
   ASSERT_TRUE(parsed.has_value()) << error.message;
   EXPECT_NEAR((*parsed)(1, 3), 0.1, 1e-9);
   std::remove(path.c_str());
+}
+
+TEST(MatrixIoTest, BlosumMatrixRoundTripsExactly) {
+  // Twenty entries per column: rounded output could miss the column-sum
+  // tolerance on load. The written file must load and match bit for bit.
+  const CompatibilityMatrix c = BlosumCompatibilityMatrix(1.0);
+  MatrixIoResult error;
+  std::optional<CompatibilityMatrix> parsed =
+      ParseCompatibilityMatrix(FormatCompatibilityMatrix(c), &error);
+  ASSERT_TRUE(parsed.has_value()) << error.message;
+  ASSERT_EQ(parsed->size(), c.size());
+  for (size_t i = 0; i < c.size(); ++i) {
+    for (size_t j = 0; j < c.size(); ++j) {
+      EXPECT_EQ((*parsed)(static_cast<SymbolId>(i), static_cast<SymbolId>(j)),
+                c(static_cast<SymbolId>(i), static_cast<SymbolId>(j)));
+    }
+  }
 }
 
 TEST(MatrixIoTest, MissingFileFails) {

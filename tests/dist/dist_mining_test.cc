@@ -25,10 +25,12 @@
 #include "nmine/db/format.h"
 #include "nmine/dist/coordinator.h"
 #include "nmine/dist/worker.h"
+#include "nmine/exec/thread_pool.h"
 #include "nmine/gen/workload.h"
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/metrics.h"
 #include "nmine/serve/job.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace dist {
@@ -207,6 +209,32 @@ TEST_F(DistMiningTest, BitIdenticalToSoloAtOneTwoAndFourWorkers) {
   }
 }
 
+TEST_F(DistMiningTest, StartStopLeavesNoThreadBehind) {
+  // A coordinator's transport runs on threads it owns and joins, so
+  // twenty start/stop cycles leave neither a process thread nor a
+  // shared-pool worker behind.
+  auto cycle = [this](int i) {
+    Coordinator coordinator;
+    std::string error;
+    ASSERT_TRUE(coordinator.Start(
+        CoordinatorOptions("state" + std::to_string(i), /*lease_ms=*/2000,
+                           /*records_per_task=*/256),
+        &error))
+        << error;
+    coordinator.Stop();
+  };
+  // The baseline follows one warm-up cycle, which may start process-wide
+  // helpers that outlive it (such as a sanitizer's background thread).
+  const int threads_at_start = testutil::ProcessThreadCount();
+  ASSERT_GT(threads_at_start, 0);
+  cycle(0);
+  const int threads_before = testutil::SettledThreadCount(threads_at_start);
+  const size_t pool_before = exec::ThreadPool::Shared().num_workers();
+  for (int i = 1; i <= 20; ++i) cycle(i);
+  EXPECT_EQ(exec::ThreadPool::Shared().num_workers(), pool_before);
+  EXPECT_EQ(testutil::SettledThreadCount(threads_before), threads_before);
+}
+
 TEST_F(DistMiningTest, DeadWorkersShardIsReassignedAndResumed) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   const int64_t reassigned_before = reg.CounterValue("dist.shards.reassigned");
@@ -374,20 +402,23 @@ TEST_F(DistMiningTest, CoordinatorRestartAdoptsTheJournaledScan) {
   {
     Coordinator coordinator;
     std::string error;
-    // Tight lease so the workerless coordinator starts counting locally
-    // (through the journaled grant/progress path) almost immediately.
+    // One worker that pauses 10 s after each task, and a lease long
+    // enough that the coordinator does not count the rest itself in the
+    // meantime: the scan stays in flight after its first progress line.
     ASSERT_TRUE(coordinator.Start(
-        CoordinatorOptions(state_subdir, /*lease_ms=*/100,
+        CoordinatorOptions(state_subdir, /*lease_ms=*/5000,
                            /*records_per_task=*/256),
         &error))
         << error;
+    WorkerHarness slow_worker;
+    slow_worker.Start(coordinator.port(), "slow", /*throttle_ms=*/10000);
     std::thread run_thread([&] { first_result = coordinator.Run(); });
     // Kill the first life mid-scan, right after the FIRST task's progress
     // hits the journal (the file is the durable, race-free signal — the
     // live shardz view exposes mid-scan state only for instants). The job
     // has exactly one distributed scan (phase 3 verifies all candidates
     // in a single batch) of three single-exec-shard tasks, so when the
-    // first progress line lands, two full task counts still separate the
+    // first progress line lands, the worker's pause still separates the
     // scan from its scan_end — ample room for Stop() to cancel mid-scan
     // and strand an in-flight scan WITH journaled shard progress.
     const std::string journal_path = dir_ + "/" + state_subdir +

@@ -1,10 +1,8 @@
 // Unit tests for the exec layer: ParallelFor index coverage and the
 // deterministic sharded reduction primitives.
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,49 +31,6 @@ TEST(ThreadPoolTest, SharedPoolGrowsAndNeverShrinks) {
   EXPECT_GE(after_two, 2u);
   pool.EnsureWorkers(1);  // no-op: never shrinks
   EXPECT_EQ(pool.num_workers(), after_two);
-}
-
-TEST(ThreadPoolTest, ReservedWorkersStayOnTopOfEnsureWorkers) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.num_workers(), 2u);
-  EXPECT_EQ(pool.reserved_workers(), 0u);
-
-  // Park a long-lived service task (like the status server's accept
-  // loop) on a reserved worker.
-  std::atomic<bool> stop{false};
-  std::atomic<bool> parked{false};
-  pool.ReserveWorker();
-  EXPECT_EQ(pool.reserved_workers(), 1u);
-  EXPECT_EQ(pool.num_workers(), 3u);
-  pool.Submit([&] {
-    parked.store(true);
-    while (!stop.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  while (!parked.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // EnsureWorkers(n) must mean "n workers free for tasks": with one
-  // worker parked, asking for 4 yields 4 usable workers, so 4 mutually
-  // blocking tasks (a barrier) can all run concurrently.
-  pool.EnsureWorkers(4);
-  EXPECT_EQ(pool.num_workers(), 5u);
-  std::atomic<int> arrived{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&] {
-      arrived.fetch_add(1);
-      while (arrived.load() < 4) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-  }
-  for (int spins = 0; arrived.load() < 4 && spins < 5000; ++spins) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(arrived.load(), 4);  // nobody starved by the parked service
-  stop.store(true);
 }
 
 TEST(ParallelForTest, EveryIndexExactlyOnce) {

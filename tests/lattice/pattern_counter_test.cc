@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <tuple>
+
+#include "nmine/bio/blosum.h"
+#include "nmine/core/match_kernel.h"
+#include "nmine/gen/matrix_generator.h"
 #include "nmine/gen/sequence_generator.h"
 #include "test_util.h"
 
@@ -16,9 +24,8 @@ using testutil::P;
 
 TEST(PatternTrieTest, SinglePatternMatchesSequenceMatch) {
   CompatibilityMatrix c = Figure2Matrix();
-  PatternTrie trie({P({0, 1})});
-  std::vector<double> best;
-  trie.BestMatches(c, {0, 1, 1, 2, 3, 0}, &best);
+  PatternTrie trie({P({0, 1})}, &c);
+  std::vector<double> best = trie.Best({0, 1, 1, 2, 3, 0});
   ASSERT_EQ(best.size(), 1u);
   EXPECT_DOUBLE_EQ(best[0], 0.72);  // the Section-3 example
 }
@@ -27,10 +34,9 @@ TEST(PatternTrieTest, SharedPrefixesComputeCorrectly) {
   CompatibilityMatrix c = Figure2Matrix();
   std::vector<Pattern> patterns = {P({0, 1}), P({0, 1, 2}), P({0, -1, 2}),
                                    P({1}), P({1, 1})};
-  PatternTrie trie(patterns);
+  PatternTrie trie(patterns, &c);
   Sequence s = {0, 1, 2, 0, 1};
-  std::vector<double> best;
-  trie.BestMatches(c, s, &best);
+  std::vector<double> best = trie.Best(s);
   std::vector<double> expected = NaiveMatches(
       {{0, s}}, c, patterns);
   ASSERT_EQ(best.size(), expected.size());
@@ -41,22 +47,20 @@ TEST(PatternTrieTest, SharedPrefixesComputeCorrectly) {
 
 TEST(PatternTrieTest, DuplicatePatternsBothReceiveResults) {
   CompatibilityMatrix c = Figure2Matrix();
-  PatternTrie trie({P({0, 1}), P({0, 1})});
-  std::vector<double> best;
-  trie.BestMatches(c, {0, 1}, &best);
+  PatternTrie trie({P({0, 1}), P({0, 1})}, &c);
+  std::vector<double> best = trie.Best({0, 1});
   ASSERT_EQ(best.size(), 2u);
   EXPECT_DOUBLE_EQ(best[0], best[1]);
   EXPECT_GT(best[0], 0.0);
 }
 
 TEST(PatternTrieTest, SupportsAreBinary) {
-  PatternTrie trie({P({0, 1}), P({1, 0}), P({0, -1, 0})});
-  std::vector<double> best;
-  trie.BestSupports({0, 1, 0}, &best);
+  PatternTrie trie({P({0, 1}), P({1, 0}), P({0, -1, 0})}, nullptr);
+  std::vector<double> best = trie.Best({0, 1, 0});
   EXPECT_DOUBLE_EQ(best[0], 1.0);
   EXPECT_DOUBLE_EQ(best[1], 1.0);
   EXPECT_DOUBLE_EQ(best[2], 1.0);
-  trie.BestSupports({0, 0, 0}, &best);
+  best = trie.Best({0, 0, 0});
   EXPECT_DOUBLE_EQ(best[0], 0.0);
   EXPECT_DOUBLE_EQ(best[1], 0.0);
   EXPECT_DOUBLE_EQ(best[2], 1.0);
@@ -136,6 +140,184 @@ TEST_P(TrieVsNaiveProperty, RandomBatchesAgreeWithNaiveOracle) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, TrieVsNaiveProperty,
                          ::testing::Range<uint64_t>(0, 25));
+
+// ---- PatternCounterProperty: the window trie against the naive oracle,
+// bit for bit (EXPECT_EQ on doubles, no tolerance) ----
+
+enum class Regime { kDense, kSparse, kBlosum, kSupport };
+
+const char* RegimeName(Regime regime) {
+  switch (regime) {
+    case Regime::kDense:
+      return "dense";
+    case Regime::kSparse:
+      return "sparse";
+    case Regime::kBlosum:
+      return "blosum";
+    case Regime::kSupport:
+      return "support";
+  }
+  return "?";
+}
+
+/// Kernels this build compiled and this host can run; scalar first.
+std::vector<SimdLevel> RunnableKernels() {
+  std::vector<SimdLevel> levels;
+  const CpuFeatures host = DetectCpuFeatures();
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
+    if (!KernelCompiled(level)) continue;
+    if (level == SimdLevel::kAvx2 && !host.avx2) continue;
+    if (level == SimdLevel::kNeon && !host.neon) continue;
+    levels.push_back(level);
+  }
+  return levels;
+}
+
+/// Restores the auto-resolved kernel when a forced-kernel test ends.
+struct ActiveKernelGuard {
+  ~ActiveKernelGuard() {
+    SimdLevel level = SimdLevel::kScalar;
+    ResolveSimdLevel("auto", DetectCpuFeatures(), &level, nullptr);
+    SetActiveMatchKernel(level, nullptr);
+  }
+};
+
+/// A batch with lengths 1-14, interior wildcards, shared prefixes (a
+/// pattern extended from an earlier one) and exact duplicates.
+std::vector<Pattern> PropertyBatch(Rng& rng, size_t m) {
+  std::vector<Pattern> patterns;
+  const size_t count = 1 + rng.UniformInt(40);
+  while (patterns.size() < count) {
+    std::vector<SymbolId> body;
+    if (!patterns.empty() && rng.Bernoulli(0.15)) {
+      patterns.push_back(patterns[rng.UniformInt(patterns.size())]);
+      continue;
+    }
+    if (!patterns.empty() && rng.Bernoulli(0.3)) {
+      body = patterns[rng.UniformInt(patterns.size())].body();
+    }
+    const size_t target = 1 + rng.UniformInt(14);
+    if (body.size() >= target) body.resize(target);
+    while (body.size() < target) {
+      const bool interior = !body.empty() && body.size() + 1 < target;
+      body.push_back(interior && rng.Bernoulli(0.3)
+                         ? kWildcard
+                         : static_cast<SymbolId>(rng.UniformInt(m)));
+    }
+    std::optional<Pattern> p = Pattern::Trimmed(body);
+    if (p.has_value()) patterns.push_back(*p);
+  }
+  return patterns;
+}
+
+/// Records whose lengths cover the empty sequence, sequences shorter than
+/// most patterns, and every tile boundary the trie crosses.
+std::vector<SequenceRecord> PropertyRecords(Rng& rng, size_t m) {
+  const size_t t = PatternTrie::kTileWindows;
+  std::vector<size_t> lengths = {0,     1,     t - 1, t,         t + 1,
+                                 t + 13, t + 14, 2 * t, 2 * t + 7};
+  for (int i = 0; i < 12; ++i) lengths.push_back(rng.UniformInt(20));
+  std::vector<SequenceRecord> records;
+  for (size_t len : lengths) {
+    SequenceRecord r;
+    r.id = static_cast<SequenceId>(records.size());
+    r.symbols = RandomSequence(len, m, &rng);
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+/// Per-record oracle values summed in the reducer's shard grouping
+/// (ascending shards, records in order within a shard), then averaged.
+std::vector<double> ShardedOracle(
+    const std::vector<std::vector<double>>& per_record, size_t k,
+    size_t shard_size) {
+  std::vector<double> totals(k, 0.0);
+  for (size_t begin = 0; begin < per_record.size(); begin += shard_size) {
+    std::vector<double> partial(k, 0.0);
+    const size_t end = std::min(begin + shard_size, per_record.size());
+    for (size_t r = begin; r < end; ++r) {
+      for (size_t i = 0; i < k; ++i) partial[i] += per_record[r][i];
+    }
+    for (size_t i = 0; i < k; ++i) totals[i] += partial[i];
+  }
+  for (double& v : totals) v /= static_cast<double>(per_record.size());
+  return totals;
+}
+
+class PatternCounterProperty
+    : public ::testing::TestWithParam<std::tuple<Regime, uint64_t>> {};
+
+TEST_P(PatternCounterProperty, WindowTrieIsBitIdenticalToNaiveOracle) {
+  ActiveKernelGuard guard;
+  const Regime regime = std::get<0>(GetParam());
+  Rng rng(std::get<1>(GetParam()) * 7919 + static_cast<uint64_t>(regime));
+  std::optional<CompatibilityMatrix> matrix;
+  switch (regime) {
+    case Regime::kDense:
+      matrix = UniformNoiseMatrix(8, 0.3);
+      break;
+    case Regime::kSparse:
+      matrix = SparseRandomMatrix(12, 0.15, 0.7, &rng);
+      break;
+    case Regime::kBlosum:
+      matrix = BlosumCompatibilityMatrix(1.0);
+      break;
+    case Regime::kSupport:
+      break;
+  }
+  const CompatibilityMatrix* c = matrix.has_value() ? &*matrix : nullptr;
+  const size_t m = c != nullptr ? c->size() : 6;
+  const std::vector<Pattern> patterns = PropertyBatch(rng, m);
+  const std::vector<SequenceRecord> records = PropertyRecords(rng, m);
+
+  std::vector<std::vector<double>> oracle;
+  for (const SequenceRecord& r : records) {
+    oracle.push_back(c != nullptr ? NaiveMatches({r}, *c, patterns)
+                                  : NaiveSupports({r}, patterns));
+  }
+  const size_t shard_size = 4;
+  const std::vector<double> expected =
+      ShardedOracle(oracle, patterns.size(), shard_size);
+
+  const PatternTrie trie(patterns, c);
+  PatternTrie::Scratch scratch = trie.MakeScratch();
+  std::vector<double> best(patterns.size());
+  for (SimdLevel level : RunnableKernels()) {
+    ASSERT_TRUE(SetActiveMatchKernel(level, nullptr));
+    for (size_t r = 0; r < records.size(); ++r) {
+      trie.Best(records[r].symbols, &scratch, best.data());
+      for (size_t i = 0; i < patterns.size(); ++i) {
+        EXPECT_EQ(best[i], oracle[r][i])
+            << RegimeName(regime) << " " << SimdLevelName(level) << " "
+            << patterns[i].ToString() << " on a length-"
+            << records[r].symbols.size() << " sequence";
+      }
+    }
+    for (size_t threads : {1u, 4u}) {
+      exec::ExecPolicy exec;
+      exec.num_threads = threads;
+      exec.shard_size = shard_size;
+      const std::vector<double> counted =
+          c != nullptr ? CountMatchesInRecords(records, *c, patterns, exec)
+                       : CountSupportsInRecords(records, patterns, exec);
+      EXPECT_EQ(counted, expected)
+          << RegimeName(regime) << " " << SimdLevelName(level) << " "
+          << threads << " threads";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, PatternCounterProperty,
+    ::testing::Combine(::testing::Values(Regime::kDense, Regime::kSparse,
+                                         Regime::kBlosum, Regime::kSupport),
+                       ::testing::Range<uint64_t>(0, 8)),
+    [](const ::testing::TestParamInfo<std::tuple<Regime, uint64_t>>& info) {
+      return std::string(RegimeName(std::get<0>(info.param))) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace nmine

@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "nmine/dist/wire.h"
+#include "nmine/exec/thread_pool.h"
 #include "nmine/serve/protocol.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace net {
@@ -45,6 +47,48 @@ class EchoServer {
   LineServer server_;
   bool started_ = false;
 };
+
+TEST(LineTransportTest, StartStopLeavesNoThreadBehind) {
+  // The accept loop runs on a thread the listener owns and joins: twenty
+  // start/stop cycles (each serving one request) leave neither a process
+  // thread nor a shared-pool worker behind.
+  auto cycle = [] {
+    EchoServer echo;
+    int fd = -1;
+    ASSERT_TRUE(Dial("127.0.0.1", echo.port(), &fd).ok());
+    ASSERT_TRUE(SendAll(fd, "ping\n"));
+    std::string buffer;
+    std::string line;
+    ASSERT_TRUE(ReadLine(fd, &buffer, 1024, nullptr, &line).ok());
+    EXPECT_EQ(line, "echo:ping");
+    ::close(fd);
+    echo.server().Stop();
+  };
+  // The baseline follows one warm-up cycle, which may start process-wide
+  // helpers that outlive it (such as a sanitizer's background thread).
+  const int threads_at_start = testutil::ProcessThreadCount();
+  ASSERT_GT(threads_at_start, 0);
+  cycle();
+  const int threads_before = testutil::SettledThreadCount(threads_at_start);
+  const size_t pool_before = exec::ThreadPool::Shared().num_workers();
+  for (int i = 0; i < 20; ++i) cycle();
+  EXPECT_EQ(exec::ThreadPool::Shared().num_workers(), pool_before);
+  EXPECT_EQ(testutil::SettledThreadCount(threads_before), threads_before);
+}
+
+TEST(LineTransportTest, ListenerRefusesASecondStart) {
+  // The accept thread is owned: a second Start() must fail typed instead
+  // of replacing a running thread.
+  TcpListener listener;
+  std::string error;
+  ASSERT_TRUE(listener.Start("127.0.0.1", 0, [](int fd) { ::close(fd); },
+                             &error))
+      << error;
+  EXPECT_FALSE(listener.Start("127.0.0.1", 0, [](int fd) { ::close(fd); },
+                              &error));
+  EXPECT_NE(error.find("already started"), std::string::npos) << error;
+  listener.Stop();
+}
 
 /// A client socket on the server, closed at scope exit.
 class Client {

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "nmine/db/format.h"
+#include "nmine/exec/thread_pool.h"
 #include "nmine/gen/workload.h"
 #include "nmine/net/status_server.h"
 #include "nmine/obs/json_parse.h"
@@ -31,6 +32,7 @@
 #include "nmine/obs/trace.h"
 #include "nmine/serve/job.h"
 #include "nmine/serve/server.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace serve {
@@ -323,6 +325,187 @@ TEST_F(MiningServerTest, FinishedConnectionsReleaseTheirThreads) {
   EXPECT_LT(growth, int64_t{64} << 20)
       << "thread stacks grew " << growth << " bytes";
   server.Stop();
+}
+
+TEST_F(MiningServerTest, StartStopLeavesNoThreadBehind) {
+  // Executors and the accept loop run on threads the server owns and
+  // joins: restarts leave neither a process thread nor a pool worker.
+  MiningServer::Options options = ServerOptions();
+  options.max_running = 2;
+  auto cycle = [&options] {
+    MiningServer server;
+    std::string error;
+    ASSERT_TRUE(server.Start(options, &error)) << error;
+    server.Drain();
+  };
+  // The baseline follows one warm-up cycle, which may start process-wide
+  // helpers that outlive it (such as a sanitizer's background thread).
+  const int threads_at_start = testutil::ProcessThreadCount();
+  ASSERT_GT(threads_at_start, 0);
+  cycle();
+  const int threads_before = testutil::SettledThreadCount(threads_at_start);
+  const size_t pool_before = exec::ThreadPool::Shared().num_workers();
+  for (int i = 0; i < 20; ++i) cycle();
+  EXPECT_EQ(exec::ThreadPool::Shared().num_workers(), pool_before);
+  EXPECT_EQ(testutil::SettledThreadCount(threads_before), threads_before);
+}
+
+TEST_F(MiningServerTest, LiveBoardKeepsWhatARestartWouldRecover) {
+  // The journal keeps the newest JobJournal::kMaxTerminalKept finished
+  // jobs across a restart; the live board must not hold more. Jobs on a
+  // missing database fail at once, so 600 of them finish quickly.
+  MiningServer::Options options = ServerOptions();
+  options.queue_capacity = 1024;
+  options.max_running = 2;
+  JobSpec failing = QuickSpec();
+  failing.db_path = dir_ + "/missing.nmsq";
+  const int kJobs = 600;
+  auto board_counts = [](MiningServer& server) {
+    std::optional<obs::JsonValue> board = obs::ParseJson(server.JobszJson());
+    EXPECT_TRUE(board.has_value());
+    const obs::JsonValue* counts = board->Get("counts");
+    return std::vector<double>{
+        counts->GetNumber("queued", -1.0), counts->GetNumber("running", -1.0),
+        counts->GetNumber("done", -1.0), counts->GetNumber("failed", -1.0)};
+  };
+  uint64_t first = 0;
+  std::vector<double> live;
+  {
+    MiningServer server;
+    std::string error;
+    ASSERT_TRUE(server.Start(options, &error)) << error;
+    uint64_t last = 0;
+    for (int i = 0; i < kJobs; ++i) {
+      std::optional<obs::JsonValue> ack = Ask(
+          server.port(), SubmitLine("alice", "t" + std::to_string(i), failing));
+      ASSERT_TRUE(ack.has_value());
+      ASSERT_TRUE(ack->Get("ok")->bool_value) << i;
+      last = static_cast<uint64_t>(ack->GetNumber("id", 0.0));
+      if (i == 0) first = last;
+    }
+    std::optional<obs::JsonValue> done = Wait(server.port(), last);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->Get("state")->string_value, "failed");
+    live = board_counts(server);
+    for (int spins = 0; live[0] + live[1] > 0 && spins < 5000; ++spins) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      live = board_counts(server);
+    }
+    EXPECT_EQ(live[0] + live[1], 0.0);
+    EXPECT_EQ(live[2] + live[3],
+              static_cast<double>(JobJournal::kMaxTerminalKept));
+
+    // The oldest job is gone, as after a restart: NOT_FOUND, and its tag
+    // no longer dedups.
+    std::optional<obs::JsonValue> evicted = Ask(
+        server.port(),
+        "{\"op\": \"status\", \"id\": " + std::to_string(first) + "}\n");
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(evicted->Get("error")->string_value, "NOT_FOUND");
+    std::optional<obs::JsonValue> again =
+        Ask(server.port(), SubmitLine("alice", "t0", failing));
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->Get("deduped"), nullptr);
+    const uint64_t again_id =
+        static_cast<uint64_t>(again->GetNumber("id", 0.0));
+    EXPECT_GT(again_id, last);
+    ASSERT_TRUE(Wait(server.port(), again_id).has_value());
+    live = board_counts(server);
+    server.Drain();
+  }
+
+  MiningServer restarted;
+  std::string error;
+  ASSERT_TRUE(restarted.Start(options, &error)) << error;
+  EXPECT_EQ(board_counts(restarted), live);
+  std::optional<obs::JsonValue> evicted = Ask(
+      restarted.port(),
+      "{\"op\": \"status\", \"id\": " + std::to_string(first) + "}\n");
+  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(evicted->Get("error")->string_value, "NOT_FOUND");
+  restarted.Drain();
+}
+
+TEST_F(MiningServerTest, JobFinishingLastIsKeptWhateverItsId) {
+  // The board evicts in finish order: a low-id job that finishes after
+  // more than kMaxTerminalKept later-submitted jobs is still answered,
+  // live and after a restart. Its first scans fail and back off, so it
+  // runs for seconds while the failing jobs finish on the other executor.
+  MiningServer::Options options = ServerOptions();
+  options.queue_capacity = 1024;
+  options.max_running = 2;
+  JobSpec slow = QuickSpec();
+  slow.fault_plan = "open-fail:12";
+  slow.scan_retries = 12;
+  slow.retry_backoff_ms = 500.0;
+  JobSpec failing = QuickSpec();
+  failing.db_path = dir_ + "/missing.nmsq";
+  const int kFast = static_cast<int>(JobJournal::kMaxTerminalKept) + 1;
+  // The job's state, or the error code when the board does not know it.
+  auto state_of = [](uint16_t port, uint64_t id) -> std::string {
+    std::optional<obs::JsonValue> r = Ask(
+        port, "{\"op\": \"status\", \"id\": " + std::to_string(id) + "}\n");
+    if (!r.has_value()) return "no response";
+    const obs::JsonValue* v = r->Get("state");
+    if (v == nullptr) v = r->Get("error");
+    return v != nullptr && v->is_string() ? v->string_value : "malformed";
+  };
+
+  uint64_t slow_id = 0;
+  uint64_t first_fast = 0;
+  {
+    MiningServer server;
+    std::string error;
+    ASSERT_TRUE(server.Start(options, &error)) << error;
+    std::optional<obs::JsonValue> ack =
+        Ask(server.port(), SubmitLine("alice", "slow", slow));
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_TRUE(ack->Get("ok")->bool_value);
+    slow_id = static_cast<uint64_t>(ack->GetNumber("id", 0.0));
+    uint64_t last_fast = 0;
+    for (int i = 0; i < kFast; ++i) {
+      ack = Ask(server.port(),
+                SubmitLine("bob", "f" + std::to_string(i), failing));
+      ASSERT_TRUE(ack.has_value());
+      ASSERT_TRUE(ack->Get("ok")->bool_value) << i;
+      last_fast = static_cast<uint64_t>(ack->GetNumber("id", 0.0));
+      if (i == 0) first_fast = last_fast;
+    }
+    ASSERT_TRUE(Wait(server.port(), last_fast).has_value());
+    ASSERT_EQ(state_of(server.port(), slow_id), "running")
+        << "the slow job must outlast the failing ones";
+
+    std::optional<obs::JsonValue> done = Wait(server.port(), slow_id);
+    ASSERT_TRUE(done.has_value());
+    ASSERT_TRUE(done->Get("ok")->bool_value);
+    EXPECT_EQ(done->Get("state")->string_value, "done");
+    EXPECT_EQ(ResultOf(*done).rows, RunJob(QuickSpec(), "", nullptr).rows);
+    // The job that finished first went instead.
+    EXPECT_EQ(state_of(server.port(), first_fast), "NOT_FOUND");
+    server.Drain();
+  }
+
+  // Restarts keep the same jobs, and each compacted journal keeps the
+  // finish order: one more finished job evicts the next-earliest failing
+  // job, never the slow one. The failing jobs ran one at a time on the
+  // free executor, so they finished in id order.
+  for (int life = 0; life < 2; ++life) {
+    MiningServer restarted;
+    std::string error;
+    ASSERT_TRUE(restarted.Start(options, &error)) << error;
+    std::optional<obs::JsonValue> ack =
+        Ask(restarted.port(),
+            SubmitLine("bob", "r" + std::to_string(life), failing));
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_TRUE(ack->Get("ok")->bool_value);
+    ASSERT_TRUE(
+        Wait(restarted.port(), static_cast<uint64_t>(ack->GetNumber("id", 0.0)))
+            .has_value());
+    EXPECT_EQ(state_of(restarted.port(), slow_id), "done") << life;
+    const uint64_t gone = first_fast + 2 + static_cast<uint64_t>(life);
+    EXPECT_EQ(state_of(restarted.port(), gone), "NOT_FOUND") << life;
+    restarted.Drain();
+  }
 }
 
 TEST_F(MiningServerTest, UnknownJobIsNotFound) {

@@ -1,6 +1,10 @@
 #include "test_util.h"
 
+#include <chrono>
+#include <fstream>
 #include <functional>
+#include <string>
+#include <thread>
 
 #include "nmine/core/match.h"
 
@@ -93,6 +97,24 @@ std::vector<double> NaiveSupports(const std::vector<SequenceRecord>& records,
     }
   }
   return out;
+}
+
+int SettledThreadCount(int target) {
+  int count = ProcessThreadCount();
+  for (int i = 0; i < 2000 && count > target; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    count = ProcessThreadCount();
+  }
+  return count;
+}
+
+int ProcessThreadCount() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
 }  // namespace testutil

@@ -41,6 +41,15 @@ std::vector<Pattern> EnumeratePatterns(size_t m,
 std::vector<double> NaiveSupports(const std::vector<SequenceRecord>& records,
                                   const std::vector<Pattern>& patterns);
 
+/// The `Threads:` count of /proc/self/status, or -1 where it is missing.
+int ProcessThreadCount();
+
+/// ProcessThreadCount() once it is at most `target`, polling for up to
+/// two seconds: a thread can stay counted for a moment after its join
+/// returns, because the kernel drops it from the count only after waking
+/// the joiner.
+int SettledThreadCount(int target);
+
 }  // namespace testutil
 }  // namespace nmine
 

@@ -27,8 +27,9 @@
 //                  (default auto = widest kernel both this build and this
 //                  CPU support; requesting an unavailable level is an
 //                  error). Mined pattern sets are bit-identical across
-//                  levels: vector kernels screen windows in log space and
-//                  re-derive survivors with the exact scalar product. The
+//                  levels: batch counts multiply every window's factors in
+//                  the scalar order, and the single-pattern screen
+//                  re-derives survivors with the exact scalar product. The
 //                  active kernel is reported in /statusz ("simd_kernel")
 //                  and bench fingerprints.
 //
