@@ -1,6 +1,6 @@
 // Microbenchmarks for the hot paths: sliding-window match computation,
-// trie-batched counting vs naive counting, the Phase-1 symbol scan, and
-// the varint codec. Each scenario runs a fixed amount of work per
+// trie-batched counting vs naive counting, the Phase-1 symbol scan, disk
+// decode, and the varint codec. Each scenario runs a fixed amount of work per
 // repetition, so the harness's median/MAD over reps is directly
 // comparable across builds; the smoke subset is the CI perf gate.
 //
@@ -9,13 +9,20 @@
 // so this scenario doubles as the guard that leaving NMINE_PROFILE_SCOPE
 // in the library costs nothing on the innermost loops (the disabled-state
 // cost of a scope is one relaxed atomic load, and there are none here).
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness.h"
 #include "nmine/core/match.h"
 #include "nmine/core/match_kernel.h"
+#include "nmine/db/disk_database.h"
 #include "nmine/db/format.h"
 #include "nmine/gen/matrix_generator.h"
 #include "nmine/gen/sequence_generator.h"
@@ -173,6 +180,64 @@ void RunSymbolScan(const bench::BenchContext&) {
   }
 }
 
+/// Phase 1 at Fig. 15's largest alphabet: m = 5000 with a sparse matrix
+/// (each symbol compatible with ~10% of the others), 300 records of
+/// length 100-140. Every column takes the nonzero-list fold.
+void RunSymbolScanSparse(const bench::BenchContext&) {
+  constexpr size_t kM = 5000;
+  static const CompatibilityMatrix c = [] {
+    Rng rng(6);
+    return SparseRandomMatrix(kM, 0.1, 0.85, &rng);
+  }();
+  static const InMemorySequenceDatabase db = [] {
+    Rng rng(7);
+    GeneratorConfig config;
+    config.num_sequences = 300;
+    config.min_length = 100;
+    config.max_length = 140;
+    config.alphabet_size = kM;
+    return GenerateDatabase(config, &rng);
+  }();
+  Rng rng(4);
+  SymbolScanResult result = ScanSymbolsAndSample(db, c, 0, &rng);
+  KeepAlive(result);
+}
+
+/// A generated 20K-record file (alphabet 20, length 60), written and
+/// opened once per process and removed at exit.
+const DiskSequenceDatabase& DecodeDb() {
+  struct File {
+    std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("nmine_bench_decode_" + std::to_string(::getpid()) + ".nmsq"))
+            .string();
+    std::unique_ptr<DiskSequenceDatabase> db;
+    File() {
+      Status error = Status::Internal("cannot write " + path);
+      if (dbformat::WriteDatabaseFile(path, MakeDb(20000, 60).records()).ok) {
+        db = DiskSequenceDatabase::Open(path, &error);
+      }
+      if (db == nullptr) {
+        std::fprintf(stderr, "micro.disk_scan_decode: %s\n",
+                     error.ToString().c_str());
+        std::exit(1);
+      }
+    }
+    ~File() { std::remove(path.c_str()); }
+  };
+  static const File file;
+  return *file.db;
+}
+
+/// Decode alone: full scans of a disk-resident file with a no-op visitor.
+void RunDiskScanDecode(const bench::BenchContext&) {
+  const DiskSequenceDatabase& db = DecodeDb();
+  for (int i = 0; i < 5; ++i) {
+    Status status = db.Scan([](const SequenceRecord& r) { KeepAlive(r); });
+    KeepAlive(status);
+  }
+}
+
 void RunVarintRoundTrip(const bench::BenchContext&) {
   static const std::vector<uint64_t> values = [] {
     std::vector<uint64_t> out;
@@ -230,6 +295,9 @@ int main(int argc, char** argv) {
   RegisterScenario("micro.naive_shared_prefixes",
                    nmine::RunNaiveSharedPrefixes);
   RegisterScenario("micro.symbol_scan", nmine::RunSymbolScan,
+                   {.smoke = true});
+  RegisterScenario("micro.symbol_scan_sparse", nmine::RunSymbolScanSparse);
+  RegisterScenario("micro.disk_scan_decode", nmine::RunDiskScanDecode,
                    {.smoke = true});
   RegisterScenario("micro.varint_roundtrip", nmine::RunVarintRoundTrip,
                    {.smoke = true});

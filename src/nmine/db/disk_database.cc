@@ -32,11 +32,12 @@ class ScopedFd {
   int fd_;
 };
 
-/// Buffered LEB128 reader over a file descriptor, positioned by Seek and
-/// never reading at or past its limit (bytes there read as EOF).
+/// Buffered LEB128 reader over a file of `file_bytes` bytes, positioned by
+/// Seek and never reading at or past its limit (bytes there read as EOF).
 class BufferedVarintReader {
  public:
-  explicit BufferedVarintReader(int fd) : fd_(fd) {}
+  BufferedVarintReader(int fd, uint64_t file_bytes)
+      : fd_(fd), file_bytes_(file_bytes) {}
 
   /// File offset of the next byte to be read.
   uint64_t Tell() const { return base_ + pos_; }
@@ -50,6 +51,26 @@ class BufferedVarintReader {
 
   /// Bytes at or past `limit` are never read.
   void SetLimit(uint64_t limit) { limit_ = limit; }
+
+  /// Bytes before the end of the file or the limit: every varint takes at
+  /// least one byte, so no valid length or count exceeds this.
+  uint64_t BytesLeft() const {
+    const uint64_t end = std::min(limit_, file_bytes_);
+    return end > Tell() ? end - Tell() : 0;
+  }
+
+  /// Decodes `n` varints in one copy when all are buffered and one byte
+  /// long; otherwise consumes nothing and returns false.
+  bool ReadOneByteRun(size_t n, Sequence* out) {
+    if (len_ - pos_ < n) return false;
+    const uint8_t* run = reinterpret_cast<const uint8_t*>(buffer_) + pos_;
+    uint8_t high = 0;
+    for (size_t i = 0; i < n; ++i) high |= run[i];
+    if ((high & 0x80) != 0) return false;
+    out->assign(run, run + n);
+    pos_ += n;
+    return true;
+  }
 
   /// Reads `n` raw bytes into `out`. Returns false on EOF/short read.
   bool ReadRaw(char* out, size_t n) {
@@ -118,6 +139,7 @@ class BufferedVarintReader {
   }
 
   int fd_;
+  uint64_t file_bytes_;
   char buffer_[kBufferSize];
   uint64_t base_ = 0;  // file offset of buffer_[0]
   size_t pos_ = 0;
@@ -226,13 +248,14 @@ Status DiskSequenceDatabase::StreamFile(const Visitor* visitor,
   auto changed = [&] {
     return Status::Unavailable("database file changed since open: " + path_);
   };
-  BufferedVarintReader reader(fd.get());
+  struct stat st;
+  if (::fstat(fd.get(), &st) != 0) {
+    return Status::Unavailable("cannot stat: " + path_);
+  }
+  const uint64_t file_bytes = static_cast<uint64_t>(st.st_size);
+  BufferedVarintReader reader(fd.get(), file_bytes);
   if (ranged) {
-    struct stat st;
-    if (::fstat(fd.get(), &st) != 0 ||
-        static_cast<uint64_t>(st.st_size) != layout_.file_bytes) {
-      return changed();
-    }
+    if (file_bytes != layout_.file_bytes) return changed();
     reader.SetLimit(kMaxHeaderBytes);
   }
   char magic[sizeof(dbformat::kMagic)];
@@ -275,16 +298,21 @@ Status DiskSequenceDatabase::StreamFile(const Visitor* visitor,
       return VarintError(vr,
                          "record header at sequence " + std::to_string(i));
     }
+    // Refuse a length the remaining bytes cannot hold before sizing.
+    if (len > reader.BytesLeft()) {
+      return TruncatedError("symbols at sequence " + std::to_string(i));
+    }
     record.id = static_cast<SequenceId>(id);
-    record.symbols.clear();
-    record.symbols.reserve(len);
-    for (uint64_t j = 0; j < len; ++j) {
-      uint64_t sym = 0;
-      if ((vr = reader.ReadVarint64(&sym)) !=
-          BufferedVarintReader::VarintResult::kOk) {
-        return VarintError(vr, "symbols at sequence " + std::to_string(i));
+    if (!reader.ReadOneByteRun(static_cast<size_t>(len), &record.symbols)) {
+      record.symbols.resize(static_cast<size_t>(len));
+      for (SymbolId& symbol : record.symbols) {
+        uint64_t sym = 0;
+        if ((vr = reader.ReadVarint64(&sym)) !=
+            BufferedVarintReader::VarintResult::kOk) {
+          return VarintError(vr, "symbols at sequence " + std::to_string(i));
+        }
+        symbol = static_cast<SymbolId>(sym);
       }
-      record.symbols.push_back(static_cast<SymbolId>(sym));
     }
     if (layout != nullptr) {
       layout->total_symbols += record.symbols.size();

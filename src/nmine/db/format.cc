@@ -69,6 +69,10 @@ IoResult DecodeDatabase(const std::string& bytes,
   if (!GetVarint64(&pos, end, &count)) {
     return IoResult::Error("truncated sequence count");
   }
+  // Every varint takes a byte: refuse counts the image cannot hold.
+  if (count > static_cast<uint64_t>(end - pos)) {
+    return IoResult::Error("sequence count exceeds the image");
+  }
   records->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     SequenceRecord r;
@@ -76,6 +80,10 @@ IoResult DecodeDatabase(const std::string& bytes,
     uint64_t len = 0;
     if (!GetVarint64(&pos, end, &id) || !GetVarint64(&pos, end, &len)) {
       return IoResult::Error("truncated record header at sequence " +
+                             std::to_string(i));
+    }
+    if (len > static_cast<uint64_t>(end - pos)) {
+      return IoResult::Error("truncated symbols at sequence " +
                              std::to_string(i));
     }
     r.id = static_cast<SequenceId>(id);

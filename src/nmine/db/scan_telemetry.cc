@@ -25,9 +25,5 @@ void RecordScanStarted() { ScansCounter().Increment(); }
 
 void RecordSequenceVisited() { SequencesCounter().Increment(); }
 
-int64_t ScansStarted() { return ScansCounter().value(); }
-
-int64_t SequencesScanned() { return SequencesCounter().value(); }
-
 }  // namespace db_telemetry
 }  // namespace nmine

@@ -21,9 +21,6 @@ void RecordScanStarted();
 /// atomic increment — cheap enough for the hot path.
 void RecordSequenceVisited();
 
-int64_t ScansStarted();
-int64_t SequencesScanned();
-
 }  // namespace db_telemetry
 }  // namespace nmine
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -36,6 +37,10 @@ Coordinator*& ActiveCoordinator() {
   static Coordinator* coordinator = nullptr;
   return coordinator;
 }
+
+/// Owner name of a shard the coordinator counts itself. No worker may use
+/// it: a poll re-grants the shards its worker name owns.
+constexpr char kLocalOwner[] = "coordinator";
 
 int64_t NowSteadyUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -261,6 +266,11 @@ void Coordinator::Stop() {
 
 std::string Coordinator::HandleRequest(const DistRequest& request) {
   if (request.op == "ping") return serve::OkResponse();
+  if (request.op != "wait" && request.worker == kLocalOwner) {
+    return serve::ErrorResponse(
+        "INVALID_ARGUMENT",
+        std::string("worker name '") + kLocalOwner + "' is reserved");
+  }
   if (request.op == "hello") return HandleHello(request);
   if (request.op == "poll") return HandlePoll(request);
   if (request.op == "progress") return HandleProgress(request);
@@ -604,10 +614,15 @@ Status Coordinator::CountBatch(Metric metric,
     const bool network_silent = now - last_heard_us > options_.lease_ms * 1000;
     if (any_pending && network_silent) {
       Status local = CountShardLocallyLocked(lock);
-      if (!local.ok() && !local.IsTransient()) {
+      if (local.ok()) continue;
+      if (!local.IsTransient()) {
         status = local;
         break;
       }
+      // The shard is pending again, with whatever progress was journaled;
+      // retry it (here or on a worker) a lease period later, as after an
+      // expired lease.
+      scan_cv_.wait_for(lock, std::chrono::milliseconds(options_.lease_ms));
       continue;
     }
     scan_cv_.wait_for(lock, std::chrono::milliseconds(50));
@@ -642,16 +657,18 @@ Status Coordinator::CountShardLocallyLocked(
   Status js = journal_->AppendEpoch(id, epoch);
   if (!js.ok()) return js;
   epochs_[id] = epoch;
-  shard->owner = "coordinator";
+  shard->owner = kLocalOwner;
   shard->granted_us = NowSteadyUs();
-  shard->lease_deadline_us = shard->granted_us + options_.lease_ms * 1000;
+  // The count below runs on this thread with the lock released and gives
+  // the shard back when it returns, so its lease cannot lapse.
+  shard->lease_deadline_us = std::numeric_limits<int64_t>::max();
   if (shard->reassigns > 0 || shard->progress.done > 0) {
     obs::MetricsRegistry::Global()
         .GetCounter(shard->progress.done > 0 ? "dist.shards.resumed"
                                              : "dist.shards.restarted")
         .Increment();
   }
-  EmitDistSpan("dist.local_grant", id, epoch, "coordinator");
+  EmitDistSpan("dist.local_grant", id, epoch, kLocalOwner);
 
   const uint64_t scan = scan_id_;
   const uint64_t begin = shard->begin_record;
@@ -698,14 +715,15 @@ Status Coordinator::CountShardLocallyLocked(
 
   lock.lock();
   // Only publish if the world didn't move: same scan, and the shard was
-  // not re-granted out from under us (it can't be — we hold the lease and
-  // sweep only runs on this thread — but the check keeps the invariant
-  // local and obvious).
+  // not re-granted out from under us (it can't be — the local lease never
+  // lapses — but the check keeps the invariant local and obvious). The
+  // count is over, complete or not, so the shard goes back to pending: a
+  // transient failure resumes from the journaled progress.
   if (scan_active_ && scan_id_ == scan && epochs_[id] == epoch) {
     auto it = shards_.find(id);
     if (it != shards_.end()) {
       it->second.progress = std::move(progress);
-      if (it->second.progress.complete) it->second.owner.clear();
+      it->second.owner.clear();
     }
   }
   return status;

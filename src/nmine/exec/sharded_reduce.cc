@@ -33,8 +33,8 @@ ShardedScanReducer::ShardedScanReducer(size_t accum_size,
   } else {
     // Two shards per thread bounds buffered records (and partial vectors)
     // per wave while leaving enough shards to keep every worker busy.
-    wave_.resize(2 * threads_);
-    for (auto& shard : wave_) shard.reserve(shard_size_);
+    wave_.assign(2 * threads_, std::vector<SequenceRecord>(shard_size_));
+    fill_.assign(wave_.size(), 0);
     partials_.resize(wave_.size());
   }
 }
@@ -59,8 +59,10 @@ void ShardedScanReducer::Consume(const SequenceRecord& record) {
     }
     return;
   }
-  wave_[current_shard_].push_back(record);
-  if (wave_[current_shard_].size() == shard_size_) {
+  // Copy-assigning into a live slot reuses its symbol buffer, so a
+  // steady-state wave allocates nothing.
+  wave_[current_shard_][fill_[current_shard_]] = record;
+  if (++fill_[current_shard_] == shard_size_) {
     ++current_shard_;
     if (current_shard_ == wave_.size()) FlushWave();
   }
@@ -68,7 +70,7 @@ void ShardedScanReducer::Consume(const SequenceRecord& record) {
 
 void ShardedScanReducer::FlushWave() {
   size_t n_shards = current_shard_;
-  if (n_shards < wave_.size() && !wave_[n_shards].empty()) ++n_shards;
+  if (n_shards < wave_.size() && fill_[n_shards] > 0) ++n_shards;
   if (n_shards == 0) return;
   if (runtime::StopRequested(run_)) stopped_ = true;
   if (!stopped_) {
@@ -77,8 +79,8 @@ void ShardedScanReducer::FlushWave() {
         [this](size_t i) {
           partials_[i].assign(accum_size_, 0.0);
           RecordFn fn = factory_();
-          for (const SequenceRecord& r : wave_[i]) {
-            fn(r, &partials_[i]);
+          for (size_t r = 0; r < fill_[i]; ++r) {
+            fn(wave_[i][r], &partials_[i]);
           }
         },
         run_);
@@ -92,7 +94,7 @@ void ShardedScanReducer::FlushWave() {
       MergeInto(&totals_, partials_[i]);
     }
   }
-  for (size_t i = 0; i < n_shards; ++i) wave_[i].clear();
+  std::fill(fill_.begin(), fill_.begin() + n_shards, 0);
   current_shard_ = 0;
 }
 
@@ -104,8 +106,8 @@ void ShardedScanReducer::Restart() {
     return;
   }
   // No tasks are in flight between Consume calls (waves are synchronous),
-  // so dropping the buffers cannot race with workers.
-  for (auto& shard : wave_) shard.clear();
+  // so emptying the slots cannot race with workers.
+  std::fill(fill_.begin(), fill_.end(), 0);
   current_shard_ = 0;
 }
 

@@ -34,13 +34,14 @@ using RecordFnFactory = std::function<RecordFn()>;
 /// the shards are evaluated inline (num_threads == 1) or on a pool:
 /// results are bit-identical for every thread count.
 ///
-/// Parallel mode buffers records into waves of 2 x threads shards; when
-/// a wave fills, a blocking ParallelFor evaluates its shards and the
+/// Parallel mode copies records into waves of 2 x threads shards, reusing
+/// each record slot (and its symbol buffer) from wave to wave; when a
+/// wave fills, a blocking ParallelFor evaluates its shards and the
 /// partials are merged in order before more records are consumed. The
 /// producer (the database Scan visitor) therefore never runs concurrently
 /// with an unfinished wave, which makes Restart() race-free: when the
 /// database retries a failed attempt there are no outstanding tasks, so
-/// dropping the buffers and zeroing the totals cannot race with workers.
+/// emptying the slots and zeroing the totals cannot race with workers.
 ///
 /// Usage:
 ///   ShardedScanReducer reducer(k, policy, factory);
@@ -88,10 +89,12 @@ class ShardedScanReducer {
   std::vector<double> serial_partial_;
   size_t serial_count_ = 0;
 
-  // Parallel streaming state: shard buffers for the current wave. Buffer
-  // `current_shard_` is being filled; a wave flushes when all buffers are
-  // full (or at Finish/Restart).
+  // Parallel streaming state: shard_size record slots per shard of the
+  // wave, reused by every wave; the first fill_[i] of wave_[i] are live.
+  // Shard `current_shard_` is being filled; a wave flushes when all shards
+  // are full (or at Finish/Restart).
   std::vector<std::vector<SequenceRecord>> wave_;
+  std::vector<size_t> fill_;
   std::vector<std::vector<double>> partials_;
   size_t current_shard_ = 0;
 };

@@ -16,92 +16,44 @@
 namespace nmine {
 namespace {
 
-/// Phase-1 accounting shared by both scan flavours: one scan, n_seq
-/// sequences offered to the sampler, `selected` kept.
-void RecordPhase1(const char* name, size_t n_seq, size_t sample_target,
-                  size_t selected) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("phase1.scans").Increment();
-  reg.GetCounter("phase1.sequences").Add(static_cast<int64_t>(n_seq));
-  reg.GetGauge("phase1.sample.target")
-      .Set(static_cast<double>(sample_target));
-  reg.GetGauge("phase1.sample.selected").Set(static_cast<double>(selected));
-  NMINE_LOG(kDebug, "phase1")
-      .Msg(name)
-      .Num("sequences", n_seq)
-      .Num("sample_target", sample_target)
-      .Num("sample_selected", selected);
-}
+/// Per-shard scratch of both folds: `stamp[d] == epoch` marks the symbols
+/// of the current record (a fresh epoch per record avoids clearing), and
+/// `acc` holds the match fold's column maxima.
+struct StampScratch {
+  explicit StampScratch(size_t m) : stamp(m, 0), acc(m, 0.0) {}
+  std::vector<uint64_t> stamp;
+  std::vector<double> acc;
+  uint64_t epoch = 0;
+};
 
-}  // namespace
-
-SymbolScanResult ScanSymbolsAndSample(const SequenceDatabase& db,
-                                      const CompatibilityMatrix& c,
-                                      size_t sample_size, Rng* rng,
-                                      const exec::ExecPolicy& exec) {
+/// The one Phase-1 scan: draws the sample on the scanning thread while a
+/// sharded reducer runs `fold` over every record, restarting both (with
+/// the generator rewound) when the database retries an attempt.
+SymbolScanResult RunPhase1Scan(const char* name, const SequenceDatabase& db,
+                               size_t m, size_t sample_size, Rng* rng,
+                               const exec::ExecPolicy& exec,
+                               exec::RecordFnFactory fold) {
   obs::TraceSpan span("phase1.symbol_scan", "phase1");
   NMINE_PROFILE_SCOPE("phase1.symbol_scan");
   obs::Profiler::Section* offer_section =
       obs::ResolveSection("phase1.sample.offer");
-  const size_t m = c.size();
   const size_t n_seq = db.NumSequences();
   SymbolScanResult result;
-  result.symbol_match.assign(m, 0.0);
   // Refuse to start (and charge) the Phase-1 scan for a stopped run.
   result.status = runtime::CheckRun(exec.run);
-  if (!result.status.ok()) {
-    result.symbol_match.clear();
-    return result;
-  }
+  if (!result.status.ok()) return result;
 
   // Snapshotting the generator lets a retried scan attempt redraw the
   // exact same sample, so a run that recovers from a transient fault is
   // bit-identical to a fault-free run.
   const Rng rng_snapshot = *rng;
-  std::optional<SequentialSampler> sampler;
-  sampler.emplace(sample_size, n_seq, rng);
+  std::optional<SequentialSampler> sampler(std::in_place, sample_size, n_seq,
+                                           rng);
 
-  // Per-symbol accumulation is sharded: each shard kernel owns its
-  // epoch-stamped scratch (avoids O(m) clearing per sequence) and folds
-  // max_match / n into an m-sized partial merged in shard order. The
-  // sampler is NOT sharded — it consumes RNG draws sequentially, so it
-  // stays on the scanning thread in delivery order and the sample is the
-  // same for every thread count.
-  struct MatchScratch {
-    explicit MatchScratch(size_t m)
-        : max_match(m, 0.0), max_match_epoch(m, 0), seen_epoch(m, 0) {}
-    std::vector<double> max_match;
-    std::vector<uint64_t> max_match_epoch;
-    std::vector<uint64_t> seen_epoch;  // distinct-symbol flags
-    uint64_t epoch = 0;
-  };
-  exec::ShardedScanReducer reducer(m, exec, [&c, m, n_seq]() -> exec::RecordFn {
-    auto st = std::make_shared<MatchScratch>(m);
-    return [&c, m, n_seq, st](const SequenceRecord& record,
-                              std::vector<double>* partial) {
-      uint64_t epoch = ++st->epoch;
-      for (SymbolId observed : record.symbols) {
-        size_t oi = static_cast<size_t>(observed);
-        if (st->seen_epoch[oi] == epoch) continue;  // first occurrence only
-        st->seen_epoch[oi] = epoch;
-        for (const CompatibilityMatrix::Entry& e : c.ColumnNonZeros(observed)) {
-          size_t ti = static_cast<size_t>(e.symbol);
-          if (st->max_match_epoch[ti] != epoch) {
-            st->max_match_epoch[ti] = epoch;
-            st->max_match[ti] = e.value;
-          } else if (e.value > st->max_match[ti]) {
-            st->max_match[ti] = e.value;
-          }
-        }
-      }
-      for (size_t d = 0; d < m; ++d) {
-        if (st->max_match_epoch[d] == epoch) {
-          (*partial)[d] += st->max_match[d] / static_cast<double>(n_seq);
-        }
-      }
-    };
-  });
-
+  // The fold is sharded (deterministic ordered merge); the sampler is
+  // NOT — it consumes RNG draws sequentially, so it stays on the scanning
+  // thread and the sample is the same for every thread count.
+  exec::ShardedScanReducer reducer(m, exec, std::move(fold));
   result.status = db.Scan(
       [&](const SequenceRecord& record) {
         reducer.Consume(record);
@@ -118,85 +70,99 @@ SymbolScanResult ScanSymbolsAndSample(const SequenceDatabase& db,
   // A run stopped mid-scan skipped reducer work: the accumulation is
   // garbage, so surface the typed stop status (the scan stays charged).
   if (result.status.ok()) result.status = runtime::CheckRun(exec.run);
-  if (!result.status.ok()) {
-    result.symbol_match.clear();
-    result.sample = InMemorySequenceDatabase();
-    return result;
-  }
+  if (!result.status.ok()) return result;
   result.symbol_match = reducer.Finish();
 
-  RecordPhase1("symbol match scan", n_seq, sample_size,
-               sampler->sample().size());
-  span.Arg("sequences", n_seq).Arg("sample", sampler->sample().size());
+  const size_t selected = sampler->sample().size();
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.GetCounter("phase1.scans").Increment();
+  reg.GetCounter("phase1.sequences").Add(static_cast<int64_t>(n_seq));
+  reg.GetGauge("phase1.sample.target").Set(static_cast<double>(sample_size));
+  reg.GetGauge("phase1.sample.selected").Set(static_cast<double>(selected));
+  NMINE_LOG(kDebug, "phase1")
+      .Msg(name)
+      .Num("sequences", n_seq)
+      .Num("sample_target", sample_size)
+      .Num("sample_selected", selected);
+  span.Arg("sequences", n_seq).Arg("sample", selected);
   result.sample = sampler->TakeDatabase();
   return result;
+}
+
+}  // namespace
+
+SymbolScanResult ScanSymbolsAndSample(const SequenceDatabase& db,
+                                      const CompatibilityMatrix& c,
+                                      size_t sample_size, Rng* rng,
+                                      const exec::ExecPolicy& exec) {
+  const size_t m = c.size();
+  const double n = static_cast<double>(db.NumSequences());
+  // A column with no zero entry is folded contiguously; any other through
+  // its nonzero list, which keeps sparse alphabets (Fig. 15, m = 5000) at
+  // O(l + m^2) per record.
+  std::vector<uint8_t> dense(m);
+  for (size_t d = 0; d < m; ++d) {
+    dense[d] = c.ColumnNonZeros(static_cast<SymbolId>(d)).size() == m;
+  }
+  return RunPhase1Scan(
+      "symbol match scan", db, m, sample_size, rng, exec,
+      [&c, &dense, m, n]() -> exec::RecordFn {
+        auto st = std::make_shared<StampScratch>(m);
+        return [&c, &dense, m, n, st](const SequenceRecord& record,
+                                      std::vector<double>* partial) {
+          // Stamp every position (no branch), then sweep the alphabet once:
+          // each stamped symbol folds its column into acc with a branchless
+          // max. The max is exact, so the sweep order cannot change it.
+          const uint64_t epoch = ++st->epoch;
+          uint64_t* stamp = st->stamp.data();
+          for (SymbolId s : record.symbols) {
+            stamp[static_cast<size_t>(s)] = epoch;
+          }
+          double* acc = st->acc.data();
+          std::fill(acc, acc + m, 0.0);
+          for (size_t o = 0; o < m; ++o) {
+            if (stamp[o] != epoch) continue;
+            if (dense[o]) {
+              const double* col = c.Column(static_cast<SymbolId>(o));
+              for (size_t t = 0; t < m; ++t) {
+                acc[t] = col[t] > acc[t] ? col[t] : acc[t];
+              }
+            } else {
+              for (const CompatibilityMatrix::Entry& e :
+                   c.ColumnNonZeros(static_cast<SymbolId>(o))) {
+                double& a = acc[static_cast<size_t>(e.symbol)];
+                a = e.value > a ? e.value : a;
+              }
+            }
+          }
+          // Symbols no observed column reaches add 0.0 / n = +0.0, which
+          // leaves a non-negative partial bit-for-bit unchanged.
+          double* out = partial->data();
+          for (size_t d = 0; d < m; ++d) out[d] += acc[d] / n;
+        };
+      });
 }
 
 SymbolScanResult ScanSymbolSupports(const SequenceDatabase& db, size_t m,
                                     size_t sample_size, Rng* rng,
                                     const exec::ExecPolicy& exec) {
-  obs::TraceSpan span("phase1.symbol_scan", "phase1");
-  NMINE_PROFILE_SCOPE("phase1.symbol_scan");
-  obs::Profiler::Section* offer_section =
-      obs::ResolveSection("phase1.sample.offer");
-  const size_t n_seq = db.NumSequences();
-  SymbolScanResult result;
-  result.symbol_match.assign(m, 0.0);
-  result.status = runtime::CheckRun(exec.run);
-  if (!result.status.ok()) {
-    result.symbol_match.clear();
-    return result;
-  }
-
-  const Rng rng_snapshot = *rng;
-  std::optional<SequentialSampler> sampler;
-  sampler.emplace(sample_size, n_seq, rng);
-
-  struct SupportScratch {
-    explicit SupportScratch(size_t m) : seen_epoch(m, 0) {}
-    std::vector<uint64_t> seen_epoch;
-    uint64_t epoch = 0;
-  };
-  exec::ShardedScanReducer reducer(m, exec, [m, n_seq]() -> exec::RecordFn {
-    auto st = std::make_shared<SupportScratch>(m);
-    return [n_seq, st](const SequenceRecord& record,
+  const double n = static_cast<double>(db.NumSequences());
+  return RunPhase1Scan(
+      "symbol support scan", db, m, sample_size, rng, exec,
+      [m, n]() -> exec::RecordFn {
+        auto st = std::make_shared<StampScratch>(m);
+        return [n, st](const SequenceRecord& record,
                        std::vector<double>* partial) {
-      uint64_t epoch = ++st->epoch;
-      for (SymbolId observed : record.symbols) {
-        size_t oi = static_cast<size_t>(observed);
-        if (st->seen_epoch[oi] == epoch) continue;
-        st->seen_epoch[oi] = epoch;
-        (*partial)[oi] += 1.0 / static_cast<double>(n_seq);
-      }
-    };
-  });
-
-  result.status = db.Scan(
-      [&](const SequenceRecord& record) {
-        reducer.Consume(record);
-        if (sample_size > 0) {
-          obs::SectionTimer timer(offer_section);
-          sampler->Offer(record);
-        }
-      },
-      /*restart=*/[&] {
-        reducer.Restart();
-        *rng = rng_snapshot;
-        sampler.emplace(sample_size, n_seq, rng);
+          // O(l) per record: 1/n at each symbol's first stamp.
+          const uint64_t epoch = ++st->epoch;
+          for (SymbolId s : record.symbols) {
+            uint64_t& mark = st->stamp[static_cast<size_t>(s)];
+            if (mark == epoch) continue;
+            mark = epoch;
+            (*partial)[static_cast<size_t>(s)] += 1.0 / n;
+          }
+        };
       });
-  if (result.status.ok()) result.status = runtime::CheckRun(exec.run);
-  if (!result.status.ok()) {
-    result.symbol_match.clear();
-    result.sample = InMemorySequenceDatabase();
-    return result;
-  }
-  result.symbol_match = reducer.Finish();
-
-  RecordPhase1("symbol support scan", n_seq, sample_size,
-               sampler->sample().size());
-  span.Arg("sequences", n_seq).Arg("sample", sampler->sample().size());
-  result.sample = sampler->TakeDatabase();
-  return result;
 }
 
 }  // namespace nmine

@@ -30,9 +30,9 @@ struct SymbolScanResult {
 /// Phase 1 of the probabilistic algorithm: in ONE scan of `db`, computes
 /// the match of every individual symbol and draws `sample_size` sequences
 /// by sequential random sampling (Vitter). Implements the distinct-symbol
-/// optimization of Section 4.1: within a sequence, only the first
-/// occurrence of each distinct observed symbol updates max_match, giving
-/// O(N * min(l*m, l + m^2)) total work.
+/// optimization of Section 4.1 by stamp-and-sweep: a record stamps its
+/// symbols, then one sweep of the alphabet folds each distinct observed
+/// symbol's column into max_match, for O(N * min(l*m, l + m^2)) work.
 ///
 /// When `sample_size == 0` no sample is kept (useful for computing symbol
 /// matches alone).

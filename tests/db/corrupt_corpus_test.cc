@@ -168,6 +168,51 @@ TEST(CorruptCorpusTest, TrailingGarbageRejected) {
   std::remove(path.c_str());
 }
 
+// --- Lengths and counts the remaining bytes cannot hold. ---
+
+// Header with `count`, then one record with id 7 and length `len`, then
+// `body` symbol bytes.
+std::string OneRecordImage(uint64_t count, uint64_t len, size_t body) {
+  std::string bytes(dbformat::kMagic, sizeof(dbformat::kMagic));
+  bytes.push_back(static_cast<char>(dbformat::kVersion));
+  dbformat::PutVarint64(count, &bytes);
+  dbformat::PutVarint64(7, &bytes);
+  dbformat::PutVarint64(len, &bytes);
+  bytes.append(body, '\x01');
+  return bytes;
+}
+
+TEST(CorruptCorpusTest, LengthOrCountPastTheBytesLeftIsATypedError) {
+  // Every varint takes at least one byte, so each image below is refused
+  // before any buffer is sized from the bad value (a 2^62 reserve used to
+  // abort with std::length_error).
+  const uint64_t kHuge = uint64_t{1} << 62;
+  const struct {
+    const char* name;
+    std::string bytes;
+  } cases[] = {
+      {"huge len", OneRecordImage(1, kHuge, 4)},
+      {"len = bytes left + 1", OneRecordImage(1, 5, 4)},
+      {"huge count", OneRecordImage(kHuge, 4, 4)},
+  };
+  for (const auto& c : cases) {
+    std::vector<SequenceRecord> records;
+    IoResult decoded = dbformat::DecodeDatabase(c.bytes, &records);
+    EXPECT_FALSE(decoded.ok) << c.name;
+    EXPECT_FALSE(decoded.message.empty()) << c.name;
+
+    const std::string path = WriteBytes("bounds.nmsq", c.bytes);
+    Status error;
+    std::unique_ptr<DiskSequenceDatabase> db = DiskSequenceDatabase::Open(
+        path, {RetryPolicy::NoRetry(), nullptr}, &error);
+    EXPECT_EQ(db, nullptr) << c.name;
+    EXPECT_EQ(error.code(), StatusCode::kUnavailable) << c.name;
+    EXPECT_NE(error.message().find("truncated"), std::string::npos)
+        << c.name << ": " << error.ToString();
+    std::remove(path.c_str());
+  }
+}
+
 // --- Range scans over a file that changed after Open. ---
 
 // Three index strides of irregular records (multi-byte varints).
@@ -359,6 +404,46 @@ TEST(CorruptCorpusTest, ScanRangeRetriesAFileChangedSinceOpen) {
   for (size_t i = 0; i < out.seen.size(); ++i) {
     EXPECT_EQ(out.seen[i].id, records[300 + i].id);
   }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptCorpusTest, ScanRangeRefusesAHugeLengthInASameSizeImage) {
+  // The valid image ends in a record whose id is a 10-byte varint and whose
+  // length is 0; the rewrite keeps size and count but spends those 11
+  // bytes on a 1-byte id and a 10-byte length of 2^63, so only the decoder
+  // can notice. Ranges before that record still decode.
+  std::vector<SequenceRecord> records = MultiStrideRecords();
+  records.back().id = -1;  // UINT64_MAX on disk: a 10-byte varint
+  records.back().symbols.clear();
+  const std::string original = dbformat::EncodeDatabase(records);
+  std::string tail;
+  dbformat::PutVarint64(UINT64_MAX, &tail);
+  dbformat::PutVarint64(0, &tail);
+  ASSERT_EQ(original.substr(original.size() - tail.size()), tail);
+  std::string damaged = original.substr(0, original.size() - tail.size());
+  dbformat::PutVarint64(7, &damaged);
+  dbformat::PutVarint64(uint64_t{1} << 63, &damaged);
+  ASSERT_EQ(damaged.size(), original.size());
+
+  const std::string path = WriteBytes("range_huge_len.nmsq", original);
+  std::unique_ptr<DiskSequenceDatabase> db = OpenNoRetry(path);
+  ASSERT_NE(db, nullptr);
+  WriteBytes("range_huge_len.nmsq", damaged);
+  const size_t last = records.size() - 1;
+  for (const auto& range : kRanges) {
+    RangeOutcome out = RunRange(*db, range);
+    if (range.second <= last) {
+      EXPECT_TRUE(out.status.ok()) << out.status.ToString();
+      EXPECT_EQ(out.seen.size(), range.second - range.first);
+    } else {
+      EXPECT_EQ(out.status.code(), StatusCode::kUnavailable)
+          << range.first << ".." << range.second << ": "
+          << out.status.ToString();
+      EXPECT_EQ(out.seen.size(), last - range.first);
+    }
+  }
+  std::vector<SequenceRecord> decoded;
+  EXPECT_FALSE(dbformat::DecodeDatabase(damaged, &decoded).ok);
   std::remove(path.c_str());
 }
 

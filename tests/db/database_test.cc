@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <memory>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -8,6 +11,7 @@
 #include "nmine/db/disk_database.h"
 #include "nmine/db/format.h"
 #include "nmine/db/in_memory_database.h"
+#include "nmine/stats/random.h"
 #include "test_util.h"
 
 namespace nmine {
@@ -167,6 +171,67 @@ TEST(DiskDatabaseTest, ScanRangeEqualsFullScanSlice) {
     }
   }
   EXPECT_EQ(disk->scan_count(), 1);  // range scans are not charged
+  std::remove(path.c_str());
+}
+
+TEST(DiskDatabaseTest, DecodeEqualsDecodeDatabaseThroughScanAndEveryRange) {
+  // Records that take the one-byte bulk path and records that cannot: two-
+  // byte symbols (>= 128), empty records, one record longer than the 64 KiB
+  // read buffer, and ~80 KB of shorter records so several straddle a refill.
+  std::vector<SequenceRecord> records;
+  Rng rng(23);
+  for (size_t i = 0; i < 420; ++i) {
+    SequenceRecord r;
+    r.id = static_cast<SequenceId>(i * 977 + 3);
+    const size_t len = i % 13 == 0 ? 0 : rng.UniformInt(300);
+    const uint64_t alphabet = i % 3 == 0 ? 300 : 128;
+    for (size_t j = 0; j < len; ++j) {
+      r.symbols.push_back(static_cast<SymbolId>(rng.UniformInt(alphabet)));
+    }
+    if (i == 200) r.symbols.assign(70000, 5);  // one-byte, > the buffer
+    records.push_back(std::move(r));
+  }
+  const std::string bytes = dbformat::EncodeDatabase(records);
+  std::vector<SequenceRecord> decoded;
+  ASSERT_TRUE(dbformat::DecodeDatabase(bytes, &decoded).ok);
+  ASSERT_EQ(decoded.size(), records.size());
+  const std::string path = TempPath("decode_property.nmsq");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  Status error;
+  std::unique_ptr<DiskSequenceDatabase> disk =
+      DiskSequenceDatabase::Open(path, &error);
+  ASSERT_NE(disk, nullptr) << error.ToString();
+
+  auto expect_slice = [&](const std::vector<SequenceRecord>& seen,
+                          size_t begin, const std::string& where) {
+    for (size_t i = 0; i < seen.size(); ++i) {
+      ASSERT_EQ(seen[i].id, decoded[begin + i].id) << where;
+      ASSERT_EQ(seen[i].symbols, decoded[begin + i].symbols) << where;
+    }
+  };
+  std::vector<SequenceRecord> full;
+  ASSERT_TRUE(
+      disk->Scan([&](const SequenceRecord& r) { full.push_back(r); }).ok());
+  ASSERT_EQ(full.size(), decoded.size());
+  expect_slice(full, 0, "scan");
+  // Cut the file at every record: the range before and after each cut.
+  const size_t n = decoded.size();
+  for (size_t cut = 0; cut <= n; ++cut) {
+    using Range = std::pair<size_t, size_t>;
+    for (const auto& [begin, end] : {Range{0, cut}, Range{cut, n}}) {
+      const std::string where =
+          "range " + std::to_string(begin) + ".." + std::to_string(end);
+      std::vector<SequenceRecord> seen;
+      Status s = disk->ScanRange(
+          begin, end, [&](const SequenceRecord& r) { seen.push_back(r); }, {});
+      ASSERT_TRUE(s.ok()) << where << ": " << s.ToString();
+      ASSERT_EQ(seen.size(), end - begin) << where;
+      expect_slice(seen, begin, where);
+    }
+  }
   std::remove(path.c_str());
 }
 

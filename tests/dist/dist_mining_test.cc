@@ -6,10 +6,13 @@
 // and a coordinator crash mid-scan (journal adoption on restart). The CI
 // chaos drill repeats the same story across real processes with SIGKILL.
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -17,6 +20,7 @@
 #include <iterator>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -112,6 +116,32 @@ class RawConnection {
   std::string buffer_;
 };
 
+/// Sends a hello every 10 ms until stopped. The coordinator counts shards
+/// itself only after a lease period without a worker frame, so this holds
+/// local counting off while a test sets up; a hello grants nothing.
+class HelloKeepalive {
+ public:
+  explicit HelloKeepalive(uint16_t port)
+      : thread_([this, port] {
+          RawConnection connection(port);
+          while (connection.ok() && !stop_.load()) {
+            connection.RoundTrip(
+                "{\"v\": 1, \"op\": \"hello\", \"worker\": \"keepalive\"}\n");
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          }
+        }) {}
+  ~HelloKeepalive() { Stop(); }
+
+  void Stop() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 class DistMiningTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -174,6 +204,30 @@ class DistMiningTest : public ::testing::Test {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     return false;
+  }
+
+  /// Whether a scan is in flight.
+  static bool ScanActive(const obs::JsonValue& shardz) {
+    const obs::JsonValue* active = shardz.Get("scan_active");
+    return active != nullptr && active->bool_value;
+  }
+
+  /// Calls `tick` every 5 ms until Run() sets `finished`, for up to 30 s;
+  /// past that it stops the coordinator (Run() then returns) and fails.
+  template <typename Tick>
+  bool AwaitRun(Coordinator& coordinator, const std::atomic<bool>& finished,
+                Tick tick) {
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::seconds(30);
+    while (!finished.load()) {
+      if (Clock::now() > deadline) {
+        coordinator.Stop();
+        return false;
+      }
+      tick();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
   }
 
   std::string dir_;
@@ -460,6 +514,197 @@ TEST_F(DistMiningTest, CoordinatorRestartAdoptsTheJournaledScan) {
   ASSERT_TRUE(solo.ok);
   EXPECT_EQ(result.rows, solo.rows);
   EXPECT_EQ(result.scans, solo.scans);
+}
+
+TEST_F(DistMiningTest, WorkerPollDuringLocalCountLeavesItsLeaseAlone) {
+  // The coordinator counts a shard itself after a lease period of network
+  // silence, with the lock released. A worker that polls meanwhile runs
+  // the lease sweep; it must not expire the coordinator's own grant, or
+  // the two fence each other's counts.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const int64_t reassigned_before = reg.CounterValue("dist.shards.reassigned");
+  const int64_t fenced_before = reg.CounterValue("dist.results.fenced");
+
+  // One dist shard covers the whole database.
+  const int64_t lease_ms = 200;
+  Coordinator coordinator;
+  std::string error;
+  ASSERT_TRUE(coordinator.Start(
+      CoordinatorOptions("state", lease_ms, /*records_per_task=*/1024),
+      &error))
+      << error;
+  serve::JobResult result;
+  std::atomic<bool> finished{false};
+  std::thread run_thread([&] {
+    result = coordinator.Run();
+    finished.store(true);
+  });
+
+  // Once the first scan is in flight, put a FIFO in the database's place:
+  // the local count blocks opening it until the FIFO's second name is
+  // opened for writing, which holds the count open past its lease.
+  HelloKeepalive keepalive(coordinator.port());
+  EXPECT_TRUE(WaitForShardz(coordinator, ScanActive));
+  const std::string real_path = db_path_ + ".real";
+  const std::string fifo_path = db_path_ + ".fifo";
+  std::error_code ec;
+  std::filesystem::rename(db_path_, real_path, ec);
+  EXPECT_FALSE(ec) << ec.message();
+  EXPECT_EQ(::mkfifo(db_path_.c_str(), 0600), 0);
+  std::filesystem::create_hard_link(db_path_, fifo_path, ec);
+  EXPECT_FALSE(ec) << ec.message();
+  keepalive.Stop();
+
+  // The owner and epoch of the shard the coordinator counts.
+  struct LocalShard {
+    double id = -1.0, epoch = 0.0;
+  };
+  auto local_shard = [&]() {
+    LocalShard found;
+    std::optional<obs::JsonValue> shardz =
+        obs::ParseJson(coordinator.ShardzJson());
+    const obs::JsonValue* shards =
+        shardz.has_value() ? shardz->Get("shards") : nullptr;
+    if (shards == nullptr || !shards->is_array()) return found;
+    for (const obs::JsonValue& shard : shards->array) {
+      const obs::JsonValue* owner = shard.Get("owner");
+      if (owner != nullptr && owner->string_value == "coordinator") {
+        found.id = shard.GetNumber("id", -1.0);
+        found.epoch = shard.GetNumber("epoch", 0.0);
+      }
+    }
+    return found;
+  };
+  // No ASSERT until the count is released: Run() must be able to finish.
+  const bool entered = WaitForShardz(coordinator, [&](const obs::JsonValue&) {
+    return local_shard().id >= 0.0;
+  });
+  EXPECT_TRUE(entered) << "the coordinator never counted a shard itself";
+  if (entered) {
+    const LocalShard before = local_shard();
+    // Let a lease period lapse, then poll as a worker.
+    std::this_thread::sleep_for(std::chrono::milliseconds(3 * lease_ms));
+    RawConnection poller(coordinator.port());
+    EXPECT_TRUE(poller.ok());
+    std::optional<obs::JsonValue> reply;
+    if (poller.ok()) {
+      reply = poller.RoundTrip(
+          "{\"v\": 1, \"op\": \"poll\", \"worker\": \"poller\"}\n");
+    }
+    std::optional<PollReply> parsed;
+    if (reply.has_value()) parsed = ParsePollReply(*reply);
+    EXPECT_TRUE(parsed.has_value());
+    if (parsed.has_value()) {
+      EXPECT_FALSE(parsed->task.has_value()) << "the poll took the local shard";
+    }
+    // Still counting locally under the same grant.
+    const LocalShard after = local_shard();
+    EXPECT_EQ(after.id, before.id);
+    EXPECT_EQ(after.epoch, before.epoch);
+  }
+
+  // Put the database back and release the blocked open: the attempt sees
+  // a changed file, and its retry reads the database.
+  std::filesystem::rename(real_path, db_path_, ec);
+  EXPECT_FALSE(ec) << ec.message();
+  EXPECT_TRUE(AwaitRun(coordinator, finished, [&] {
+    const int fd = ::open(fifo_path.c_str(), O_WRONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd >= 0) ::close(fd);
+  }));
+  run_thread.join();
+  coordinator.Stop();
+  ASSERT_TRUE(result.ok) << result.message;
+  serve::JobResult solo = Solo();
+  ASSERT_TRUE(solo.ok);
+  EXPECT_EQ(result.rows, solo.rows);
+  EXPECT_EQ(result.scans, solo.scans);
+  EXPECT_EQ(reg.CounterValue("dist.shards.reassigned"), reassigned_before);
+  EXPECT_EQ(reg.CounterValue("dist.results.fenced"), fenced_before);
+}
+
+TEST_F(DistMiningTest, LocalCountThatFailsTransientlyGivesItsShardBack) {
+  // A local count that fails transiently (here: the file changed since
+  // open, on every retry) must return its shard to pending, or the scan
+  // waits forever on a shard no one holds.
+  Coordinator coordinator;
+  std::string error;
+  ASSERT_TRUE(coordinator.Start(CoordinatorOptions("state", /*lease_ms=*/100,
+                                                   /*records_per_task=*/256),
+                                &error))
+      << error;
+  serve::JobResult result;
+  std::atomic<bool> finished{false};
+  std::thread run_thread([&] {
+    result = coordinator.Run();
+    finished.store(true);
+  });
+
+  // Once the first scan is in flight, grow the file by one byte so every
+  // range scan of it fails; then let the coordinator count.
+  HelloKeepalive keepalive(coordinator.port());
+  EXPECT_TRUE(WaitForShardz(coordinator, ScanActive));
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(db_path_, ec);
+  EXPECT_FALSE(ec) << ec.message();
+  { std::ofstream(db_path_, std::ios::binary | std::ios::app).put('\0'); }
+  keepalive.Stop();
+
+  // A shard granted (epoch >= 1), not complete, and owned by no one: the
+  // failed local count gave it back.
+  const bool given_back =
+      WaitForShardz(coordinator, [](const obs::JsonValue& shardz) {
+        const obs::JsonValue* shards = shardz.Get("shards");
+        if (shards == nullptr || !shards->is_array()) return false;
+        for (const obs::JsonValue& shard : shards->array) {
+          const obs::JsonValue* owner = shard.Get("owner");
+          const obs::JsonValue* complete = shard.Get("complete");
+          if (shard.GetNumber("epoch", 0.0) >= 1.0 && owner != nullptr &&
+              owner->string_value.empty() && complete != nullptr &&
+              !complete->bool_value) {
+            return true;
+          }
+        }
+        return false;
+      });
+  EXPECT_TRUE(given_back) << "the failed local count kept its shard";
+
+  std::filesystem::resize_file(db_path_, size, ec);
+  EXPECT_FALSE(ec) << ec.message();
+  EXPECT_TRUE(AwaitRun(coordinator, finished, [] {}));
+  run_thread.join();
+  coordinator.Stop();
+  ASSERT_TRUE(result.ok) << result.message;
+  serve::JobResult solo = Solo();
+  ASSERT_TRUE(solo.ok);
+  EXPECT_EQ(result.rows, solo.rows);
+  EXPECT_EQ(result.scans, solo.scans);
+}
+
+TEST_F(DistMiningTest, WorkerCannotTakeTheCoordinatorsOwnerName) {
+  // A poll re-grants the shards its worker name owns, so a remote worker
+  // named "coordinator" would take the shard the coordinator is counting:
+  // it is refused.
+  Coordinator coordinator;
+  std::string error;
+  ASSERT_TRUE(coordinator.Start(CoordinatorOptions("state", /*lease_ms=*/2000,
+                                                   /*records_per_task=*/256),
+                                &error))
+      << error;
+  RawConnection impostor(coordinator.port());
+  ASSERT_TRUE(impostor.ok());
+  for (const char* op : {"hello", "poll"}) {
+    std::optional<obs::JsonValue> reply = impostor.RoundTrip(
+        std::string("{\"v\": 1, \"op\": \"") + op +
+        "\", \"worker\": \"coordinator\"}\n");
+    ASSERT_TRUE(reply.has_value()) << op;
+    const obs::JsonValue* ok = reply->Get("ok");
+    ASSERT_NE(ok, nullptr) << op;
+    EXPECT_FALSE(ok->bool_value) << op;
+    const obs::JsonValue* code = reply->Get("error");
+    ASSERT_NE(code, nullptr) << op;
+    EXPECT_EQ(code->string_value, "INVALID_ARGUMENT") << op;
+  }
+  coordinator.Stop();
 }
 
 TEST_F(DistMiningTest, ShardzExposesOwnersLeasesAndCounters) {

@@ -1,5 +1,6 @@
 // Unit tests for the exec layer: ParallelFor index coverage and the
 // deterministic sharded reduction primitives.
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -124,6 +125,54 @@ TEST(ShardedScanReducerTest, RestartDropsAllAccumulation) {
   for (const SequenceRecord& r : records) reducer.Consume(r);
   std::vector<double> totals = reducer.Finish();
   EXPECT_EQ(totals[0], 300.0);
+}
+
+TEST(ShardedScanReducerTest, ReusedSlotsFollowGrowingAndShrinkingRecords) {
+  // Wave slots keep their symbol buffers across waves, so a record that
+  // is shorter than the slot's last tenant must not see stale symbols.
+  // Lengths rise to 96 and fall back to 0 across several waves, and a
+  // restart lands mid-wave; the order-sensitive sums must equal the serial
+  // reducer's bit for bit.
+  std::vector<SequenceRecord> records(900);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].id = static_cast<SequenceId>(i);
+    const size_t phase = i % 300;
+    const size_t len = phase < 150 ? phase * 96 / 150 : (300 - phase) / 3;
+    for (size_t j = 0; j < len; ++j) {
+      records[i].symbols.push_back(static_cast<SymbolId>((7 * i + j) % 23));
+    }
+  }
+  RecordFnFactory factory = []() -> RecordFn {
+    return [](const SequenceRecord& r, std::vector<double>* partial) {
+      (*partial)[0] += static_cast<double>(r.symbols.size());
+      for (size_t j = 0; j < r.symbols.size(); ++j) {
+        (*partial)[1] += 1.0 / (1.0 + static_cast<double>(r.symbols[j]) +
+                                0.37 * static_cast<double>(j));
+      }
+    };
+  };
+  for (size_t shard : {size_t{8}, size_t{50}}) {
+    ExecPolicy serial;
+    serial.shard_size = shard;
+    ShardedScanReducer reference(2, serial, factory);
+    for (const SequenceRecord& r : records) reference.Consume(r);
+    const std::vector<double> want = reference.Finish();
+    for (size_t threads : {size_t{2}, size_t{4}}) {
+      ExecPolicy policy = serial;
+      policy.num_threads = threads;
+      ShardedScanReducer reducer(2, policy, factory);
+      // A failed first attempt that stops mid-wave, after the slots have
+      // held the longest records.
+      const size_t cut = 2 * threads * shard * 3 + shard / 2 + 1;
+      for (size_t i = 0; i < std::min(cut, records.size()); ++i) {
+        reducer.Consume(records[i]);
+      }
+      reducer.Restart();
+      for (const SequenceRecord& r : records) reducer.Consume(r);
+      EXPECT_EQ(reducer.Finish(), want)
+          << "threads=" << threads << " shard=" << shard;
+    }
+  }
 }
 
 TEST(ReduceRecordsTest, MatchesSerialBitForBit) {

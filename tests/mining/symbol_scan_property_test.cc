@@ -1,0 +1,280 @@
+// Randomized property tests for Phase 1 (Algorithm 4.1) end to end: a
+// disk-resident database (one- and two-byte varint symbols, empty
+// records) decoded, folded by the sharded stamp-and-sweep kernel and
+// sampled on the scanning thread must give exactly the symbol matches of
+// a naive per-record Algorithm 4.1 grouped like the reducer, and exactly
+// the sample of a standalone sequential sampler. All double comparisons
+// are exact (EXPECT_EQ on doubles is deliberate).
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "nmine/bio/blosum.h"
+#include "nmine/core/compatibility_matrix.h"
+#include "nmine/db/disk_database.h"
+#include "nmine/db/fault_injecting_database.h"
+#include "nmine/db/format.h"
+#include "nmine/db/reservoir_sampler.h"
+#include "nmine/db/retrying_database.h"
+#include "nmine/exec/policy.h"
+#include "nmine/gen/matrix_generator.h"
+#include "nmine/mining/symbol_scan.h"
+#include "nmine/stats/random.h"
+
+namespace nmine {
+namespace {
+
+enum class Kind { kDense, kSparse, kIdentity, kBlosum };
+
+struct Case {
+  Kind kind;
+  size_t m;
+};
+
+std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
+  const char* kind = "";
+  switch (info.param.kind) {
+    case Kind::kDense: kind = "dense"; break;
+    case Kind::kSparse: kind = "sparse"; break;
+    case Kind::kIdentity: kind = "identity"; break;
+    case Kind::kBlosum: kind = "blosum50"; break;
+  }
+  return std::string(kind) + "_" + std::to_string(info.param.m);
+}
+
+CompatibilityMatrix MakeMatrix(const Case& c) {
+  switch (c.kind) {
+    case Kind::kDense:
+      return UniformNoiseMatrix(c.m, 0.1);
+    case Kind::kSparse: {
+      Rng rng(c.m);
+      return SparseRandomMatrix(c.m, 0.05, 0.8, &rng);
+    }
+    case Kind::kIdentity:
+      return CompatibilityMatrix::Identity(c.m);
+    case Kind::kBlosum:
+      return BlosumCompatibilityMatrix(1.0);
+  }
+  return CompatibilityMatrix::Identity(c.m);
+}
+
+/// 700 records of 0..40 uniform symbols over [0, m), every 17th empty.
+std::vector<SequenceRecord> MakeRecords(size_t m, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<SequenceRecord> records(700);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].id = static_cast<SequenceId>(3 * i + 1);
+    const size_t len = i % 17 == 0 ? 0 : rng.UniformInt(41);
+    for (size_t j = 0; j < len; ++j) {
+      records[i].symbols.push_back(static_cast<SymbolId>(rng.UniformInt(m)));
+    }
+  }
+  return records;
+}
+
+/// Sums per-record values into shard_size shards merged in ascending
+/// order: the grouping ShardedScanReducer guarantees at any thread count.
+template <typename PerRecord>
+std::vector<double> ShardedSum(const std::vector<SequenceRecord>& records,
+                               size_t m, size_t shard_size,
+                               PerRecord per_record) {
+  std::vector<double> totals(m, 0.0);
+  for (size_t begin = 0; begin < records.size(); begin += shard_size) {
+    std::vector<double> partial(m, 0.0);
+    const size_t end = std::min(begin + shard_size, records.size());
+    for (size_t r = begin; r < end; ++r) per_record(records[r], &partial);
+    for (size_t d = 0; d < m; ++d) totals[d] += partial[d];
+  }
+  return totals;
+}
+
+/// Algorithm 4.1 as the paper states it: for every sequence and every
+/// symbol d, max_match[d] is the largest C(d, s) over its positions s, and
+/// each nonzero max_match[d] / N joins match[d].
+std::vector<double> NaiveSymbolMatch(const std::vector<SequenceRecord>& records,
+                                     const CompatibilityMatrix& c,
+                                     size_t shard_size) {
+  const size_t m = c.size();
+  const double n = static_cast<double>(records.size());
+  return ShardedSum(records, m, shard_size,
+                    [&](const SequenceRecord& r, std::vector<double>* p) {
+                      std::vector<double> max_match(m, 0.0);
+                      for (SymbolId s : r.symbols) {
+                        for (size_t d = 0; d < m; ++d) {
+                          max_match[d] = std::max(
+                              max_match[d], c(static_cast<SymbolId>(d), s));
+                        }
+                      }
+                      for (size_t d = 0; d < m; ++d) {
+                        if (max_match[d] > 0.0) (*p)[d] += max_match[d] / n;
+                      }
+                    });
+}
+
+/// Support analogue: 1 / N for every distinct symbol of a sequence.
+std::vector<double> NaiveSymbolSupport(
+    const std::vector<SequenceRecord>& records, size_t m, size_t shard_size) {
+  const double n = static_cast<double>(records.size());
+  return ShardedSum(records, m, shard_size,
+                    [&](const SequenceRecord& r, std::vector<double>* p) {
+                      std::vector<bool> seen(m, false);
+                      for (SymbolId s : r.symbols) {
+                        const size_t d = static_cast<size_t>(s);
+                        if (!seen[d]) (*p)[d] += 1.0 / n;
+                        seen[d] = true;
+                      }
+                    });
+}
+
+/// The sample a standalone sequential sampler draws from `seed`.
+std::vector<SequenceRecord> NaiveSample(
+    const std::vector<SequenceRecord>& records, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  SequentialSampler sampler(n, records.size(), &rng);
+  for (const SequenceRecord& r : records) sampler.Offer(r);
+  return sampler.sample();
+}
+
+exec::ExecPolicy Policy(size_t threads, size_t shard_size) {
+  exec::ExecPolicy policy;
+  policy.num_threads = threads;
+  policy.shard_size = shard_size;
+  return policy;
+}
+
+void ExpectSameSample(const InMemorySequenceDatabase& got,
+                      const std::vector<SequenceRecord>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.records().size(), want.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.records()[i].id, want[i].id) << where << " i=" << i;
+    EXPECT_EQ(got.records()[i].symbols, want[i].symbols) << where;
+  }
+}
+
+using ScanFn = SymbolScanResult (*)(const SequenceDatabase&,
+                                    const CompatibilityMatrix&, size_t, Rng*,
+                                    const exec::ExecPolicy&);
+
+SymbolScanResult ScanMatch(const SequenceDatabase& db,
+                           const CompatibilityMatrix& c, size_t sample,
+                           Rng* rng, const exec::ExecPolicy& exec) {
+  return ScanSymbolsAndSample(db, c, sample, rng, exec);
+}
+
+SymbolScanResult ScanSupport(const SequenceDatabase& db,
+                             const CompatibilityMatrix& c, size_t sample,
+                             Rng* rng, const exec::ExecPolicy& exec) {
+  return ScanSymbolSupports(db, c.size(), sample, rng, exec);
+}
+
+constexpr uint64_t kSampleSeed = 11;
+const size_t kShardSizes[] = {16, exec::kDefaultShardSize};
+
+class SymbolScanProperty : public ::testing::TestWithParam<Case> {
+ protected:
+  void SetUp() override {
+    c_ = std::make_unique<CompatibilityMatrix>(MakeMatrix(GetParam()));
+    records_ = MakeRecords(GetParam().m, 100 + GetParam().m);
+    path_ = std::string(::testing::TempDir()) + "/symbol_scan_property_" +
+            CaseName({GetParam(), 0}) + ".nmsq";
+    ASSERT_TRUE(dbformat::WriteDatabaseFile(path_, records_).ok);
+    Status error;
+    db_ = DiskSequenceDatabase::Open(path_, &error);
+    ASSERT_NE(db_, nullptr) << error.ToString();
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Every thread count and sample size against the naive oracle `want`.
+  void CheckAllPolicies(ScanFn scan, size_t shard,
+                        const std::vector<double>& want) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (size_t sample : {size_t{0}, size_t{1}, records_.size()}) {
+        const std::string where = "threads=" + std::to_string(threads) +
+                                  " shard=" + std::to_string(shard) +
+                                  " sample=" + std::to_string(sample);
+        Rng rng(kSampleSeed);
+        SymbolScanResult got =
+            scan(*db_, *c_, sample, &rng, Policy(threads, shard));
+        ASSERT_TRUE(got.status.ok()) << where << ": "
+                                     << got.status.ToString();
+        EXPECT_EQ(got.symbol_match, want) << where;
+        ExpectSameSample(got.sample,
+                         NaiveSample(records_, sample, kSampleSeed), where);
+      }
+    }
+  }
+
+  std::unique_ptr<CompatibilityMatrix> c_;
+  std::vector<SequenceRecord> records_;
+  std::string path_;
+  std::unique_ptr<DiskSequenceDatabase> db_;
+};
+
+TEST_P(SymbolScanProperty, MatchEqualsNaiveAlgorithm41) {
+  for (size_t shard : kShardSizes) {
+    CheckAllPolicies(ScanMatch, shard,
+                     NaiveSymbolMatch(records_, *c_, shard));
+  }
+}
+
+TEST_P(SymbolScanProperty, SupportEqualsNaiveAlgorithm41) {
+  for (size_t shard : kShardSizes) {
+    CheckAllPolicies(ScanSupport, shard,
+                     NaiveSymbolSupport(records_, c_->size(), shard));
+  }
+}
+
+// short-read:1:300 delivers 300 records and fails once, mid-wave at both
+// shard sizes; the retried scan restarts the reducer and rewinds the
+// generator, so it must equal the fault-free oracle.
+TEST_P(SymbolScanProperty, RestartMidScanGivesTheFaultFreeResult) {
+  const size_t shard = 16;
+  const size_t sample = 50;
+  const std::vector<double> want_match =
+      NaiveSymbolMatch(records_, *c_, shard);
+  const std::vector<double> want_support =
+      NaiveSymbolSupport(records_, c_->size(), shard);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (bool match : {true, false}) {
+      const std::string where = "threads=" + std::to_string(threads) +
+                                (match ? " match" : " support");
+      std::string error;
+      std::optional<FaultPlan> plan =
+          FaultPlan::Parse("short-read:1:300", &error);
+      ASSERT_TRUE(plan.has_value()) << error;
+      FaultInjectingDatabase faulty(db_.get(), *plan);
+      RetryPolicy retry;
+      retry.max_attempts = 3;
+      retry.initial_backoff_ms = 0.0;
+      RetryingDatabase retrying(&faulty, retry);
+      Rng rng(kSampleSeed);
+      SymbolScanResult got = (match ? ScanMatch : ScanSupport)(
+          retrying, *c_, sample, &rng, Policy(threads, shard));
+      ASSERT_TRUE(got.status.ok()) << where << ": " << got.status.ToString();
+      EXPECT_GE(faulty.attempts(), 2) << where;
+      EXPECT_EQ(got.symbol_match, match ? want_match : want_support) << where;
+      ExpectSameSample(got.sample, NaiveSample(records_, sample, kSampleSeed),
+                       where);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, SymbolScanProperty,
+    ::testing::Values(Case{Kind::kDense, 1}, Case{Kind::kDense, 20},
+                      Case{Kind::kDense, 65}, Case{Kind::kDense, 300},
+                      Case{Kind::kSparse, 20}, Case{Kind::kSparse, 65},
+                      Case{Kind::kSparse, 300}, Case{Kind::kIdentity, 1},
+                      Case{Kind::kIdentity, 20}, Case{Kind::kIdentity, 65},
+                      Case{Kind::kIdentity, 300}, Case{Kind::kBlosum, 20}),
+    CaseName);
+
+}  // namespace
+}  // namespace nmine

@@ -77,6 +77,14 @@ std::optional<HttpResult> HttpGet(uint16_t port, const std::string& path,
 class StatusServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Health signals read process-wide state that earlier tests (or an
+    // earlier --gtest_repeat round) leave behind: clear the sticky budget
+    // counter and the governor board, and take a fresh retry baseline.
+    obs::MetricsRegistry::Global()
+        .GetCounter("db.scan.retry_budget_exhausted")
+        .Reset();
+    runtime::RunStatusBoard::Global().Reset();
+    (void)StatusServer::HealthzBody();
     std::string error;
     StatusServer::Options options;  // port 0: ephemeral
     ASSERT_TRUE(server_.Start(options, &error)) << error;
@@ -148,8 +156,8 @@ TEST_F(StatusServerTest, HealthzDegradesWhileScanRetriesClimb) {
   EXPECT_FALSE(HasReason(*doc, "scan_retries_climbing"));
 }
 
-// Keep this after every test that expects "ok": the exhausted-budget
-// signal is deliberately sticky for the life of the process.
+// The exhausted-budget signal is deliberately sticky for the life of the
+// process; the fixture clears it between tests.
 TEST_F(StatusServerTest, HealthzDegradesAfterRetryBudgetExhaustion) {
   obs::MetricsRegistry::Global()
       .GetCounter("db.scan.retry_budget_exhausted")

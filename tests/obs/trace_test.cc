@@ -132,12 +132,14 @@ TEST_F(TracerTest, RestartClearsButRedundantStartKeepsBuffer) {
 }
 
 TEST_F(TracerTest, StartAnchorsWallClock) {
-  EXPECT_EQ(Tracer::Global().WallEpochUs(), 0);
-  Tracer::Global().Start();
+  // A fresh tracer: the global one keeps the anchor of any earlier test.
+  Tracer tracer;
+  EXPECT_EQ(tracer.WallEpochUs(), 0);
+  tracer.Start();
   // Trace ts 0 is the process epoch, which is in the past: the anchor
   // must be a plausible recent wall-clock time (after 2020-01-01).
-  EXPECT_GT(Tracer::Global().WallEpochUs(), 1577836800LL * 1000000LL);
-  Tracer::Global().Stop();
+  EXPECT_GT(tracer.WallEpochUs(), 1577836800LL * 1000000LL);
+  tracer.Stop();
 }
 
 TEST_F(TracerTest, RingCapacityBoundsBufferAndCountsDrops) {
