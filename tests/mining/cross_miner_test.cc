@@ -2,6 +2,7 @@
 
 #include "nmine/gen/sequence_generator.h"
 #include "nmine/mining/border_collapse_miner.h"
+#include "nmine/mining/depth_first_miner.h"
 #include "nmine/mining/levelwise_miner.h"
 #include "nmine/mining/max_miner.h"
 #include "nmine/mining/toivonen_miner.h"
@@ -12,11 +13,11 @@ namespace {
 
 using testutil::Figure2Matrix;
 
-/// Property sweep: on random databases, all four miners agree — the exact
-/// level-wise result is the ground truth; the probabilistic miners run
-/// with sample == whole database, where the Chernoff machinery still
-/// produces an ambiguous band but every ambiguous pattern gets verified
-/// exactly.
+/// Property sweep: on random databases, all five miners agree under both
+/// metrics — the exact level-wise result is the ground truth; the
+/// probabilistic miners run with sample == whole database, where the
+/// Chernoff machinery still produces an ambiguous band but every ambiguous
+/// pattern gets verified exactly.
 class MinerAgreementProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MinerAgreementProperty, AllMinersAgree) {
@@ -30,7 +31,6 @@ TEST_P(MinerAgreementProperty, AllMinersAgree) {
   config.planted = {RandomPattern(3 + rng.UniformInt(2), 0, m, &rng)};
   config.plant_probability = 0.5;
   InMemorySequenceDatabase db = GenerateDatabase(config, &rng);
-  CompatibilityMatrix c = Figure2Matrix();
 
   MinerOptions o;
   o.min_threshold = 0.25 + 0.1 * rng.UniformDouble();
@@ -40,24 +40,38 @@ TEST_P(MinerAgreementProperty, AllMinersAgree) {
   o.delta = 0.2;  // keep the Chernoff band narrower than the threshold
   o.seed = GetParam();
 
-  LevelwiseMiner levelwise(Metric::kMatch, o);
-  MiningResult truth = levelwise.Mine(db, c);
+  const CompatibilityMatrix figure2 = Figure2Matrix();
+  const CompatibilityMatrix identity = CompatibilityMatrix::Identity(m);
+  for (Metric metric : {Metric::kMatch, Metric::kSupport}) {
+    SCOPED_TRACE(metric == Metric::kMatch ? "match" : "support");
+    const CompatibilityMatrix& c =
+        metric == Metric::kMatch ? figure2 : identity;
+    db.ResetScanCount();
+    LevelwiseMiner levelwise(metric, o);
+    MiningResult truth = levelwise.Mine(db, c);
 
-  db.ResetScanCount();
-  BorderCollapseMiner collapse(Metric::kMatch, o);
-  MiningResult rc = collapse.Mine(db, c);
-  EXPECT_EQ(rc.frequent.ToSortedVector(), truth.frequent.ToSortedVector());
-  EXPECT_EQ(rc.border.ToSortedVector(), truth.border.ToSortedVector());
+    db.ResetScanCount();
+    BorderCollapseMiner collapse(metric, o);
+    MiningResult rc = collapse.Mine(db, c);
+    EXPECT_EQ(rc.frequent.ToSortedVector(), truth.frequent.ToSortedVector());
+    EXPECT_EQ(rc.border.ToSortedVector(), truth.border.ToSortedVector());
 
-  db.ResetScanCount();
-  ToivonenMiner toivonen(Metric::kMatch, o);
-  MiningResult rt = toivonen.Mine(db, c);
-  EXPECT_EQ(rt.frequent.ToSortedVector(), truth.frequent.ToSortedVector());
+    db.ResetScanCount();
+    ToivonenMiner toivonen(metric, o);
+    MiningResult rt = toivonen.Mine(db, c);
+    EXPECT_EQ(rt.frequent.ToSortedVector(), truth.frequent.ToSortedVector());
 
-  db.ResetScanCount();
-  MaxMiner max_miner(Metric::kMatch, o);
-  MiningResult rm = max_miner.Mine(db, c);
-  EXPECT_EQ(rm.border.ToSortedVector(), truth.border.ToSortedVector());
+    db.ResetScanCount();
+    MaxMiner max_miner(metric, o);
+    MiningResult rm = max_miner.Mine(db, c);
+    EXPECT_EQ(rm.border.ToSortedVector(), truth.border.ToSortedVector());
+
+    db.ResetScanCount();
+    DepthFirstMiner depth_first(metric, o);
+    MiningResult rd = depth_first.Mine(db, c);
+    EXPECT_EQ(rd.frequent.ToSortedVector(), truth.frequent.ToSortedVector());
+    EXPECT_EQ(rd.border.ToSortedVector(), truth.border.ToSortedVector());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, MinerAgreementProperty,
