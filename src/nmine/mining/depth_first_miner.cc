@@ -1,14 +1,12 @@
 #include "nmine/mining/depth_first_miner.h"
 
-#include <chrono>
 #include <utility>
 #include <vector>
 
 #include "nmine/exec/parallel_for.h"
-#include "nmine/mining/levelwise_miner.h"
+#include "nmine/mining/miner_engine.h"
 #include "nmine/obs/profiler.h"
 #include "nmine/obs/trace.h"
-#include "nmine/runtime/resource_governor.h"
 #include "nmine/runtime/run_control.h"
 #include "nmine/runtime/run_status.h"
 
@@ -197,31 +195,12 @@ class DepthFirstSearch {
 
 MiningResult DepthFirstMiner::Mine(const SequenceDatabase& db,
                                    const CompatibilityMatrix& c) const {
-  obs::TraceSpan mine_span("mine.depthfirst", "mining");
-  NMINE_PROFILE_SCOPE("mine.depthfirst");
-  auto start = std::chrono::steady_clock::now();
-  int64_t scans_before = db.scan_count();
-  MiningResult result;
+  RunScope scope("mine.depthfirst", "depthfirst", db, options_);
   const runtime::RunControl* run = options_.run_control;
-  runtime::ResourceGovernor governor(options_.memory_budget_bytes);
-
-  auto fail = [&](Status status) {
-    result.status = std::move(status);
-    result.frequent = PatternSet();
-    result.values = PatternMap<double>();
-    result.border = Border();
-    result.scans = db.scan_count() - scans_before;
-    result.seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    result.degradation_steps = governor.degradation_steps();
-    EmitResultMetrics(result, "depthfirst");
-    return result;
-  };
 
   // Refuse to charge the load scan for a stopped run.
   Status rs = runtime::CheckRun(run);
-  if (!rs.ok()) return fail(rs);
+  if (!rs.ok()) return scope.Fail(rs);
 
   // Single accounted pass: the data is memory-resident from here on. The
   // resident database is this miner's dominant allocation, so it is
@@ -239,15 +218,16 @@ MiningResult DepthFirstMiner::Mine(const SequenceDatabase& db,
         },
         /*restart=*/[&sequences] { sequences.clear(); });
     if (load_status.ok()) load_status = runtime::CheckRun(run);
-    if (!load_status.ok()) return fail(std::move(load_status));
+    if (!load_status.ok()) return scope.Fail(std::move(load_status));
   }
-  if (!governor.unlimited()) {
+  if (!scope.governor()->unlimited()) {
     size_t resident_bytes = 0;
     for (const Sequence& s : sequences) {
       resident_bytes += s.size() * sizeof(SymbolId) + sizeof(Sequence);
     }
-    Status charge = governor.Charge("resident-database", resident_bytes);
-    if (!charge.ok()) return fail(std::move(charge));
+    Status charge = scope.governor()->Charge("resident-database",
+                                             resident_bytes);
+    if (!charge.ok()) return scope.Fail(std::move(charge));
   }
 
   DepthFirstSearch search(metric_, options_, c, std::move(sequences));
@@ -255,20 +235,13 @@ MiningResult DepthFirstMiner::Mine(const SequenceDatabase& db,
     obs::TraceSpan search_span("depthfirst.search", "depthfirst");
     NMINE_PROFILE_SCOPE("depthfirst.search");
     runtime::PublishPhase("depthfirst.search");
-    search.Run(&result);
+    search.Run(&scope.result());
   }
-  // A cancel/deadline mid-search leaves a partial traversal in `result`;
+  // A cancel/deadline mid-search leaves a partial traversal in the result;
   // discard it and surface the typed status.
   rs = runtime::CheckRun(run);
-  if (!rs.ok()) return fail(rs);
-
-  BuildBorder(&result);
-  result.scans = db.scan_count() - scans_before;
-  result.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  EmitResultMetrics(result, "depthfirst");
-  return result;
+  if (!rs.ok()) return scope.Fail(rs);
+  return scope.Finish();
 }
 
 }  // namespace nmine

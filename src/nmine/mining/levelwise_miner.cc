@@ -1,210 +1,66 @@
 #include "nmine/mining/levelwise_miner.h"
 
-#include <algorithm>
-#include <chrono>
-#include <functional>
-#include <utility>
-
-#include "nmine/lattice/pattern_counter.h"
-#include "nmine/mining/governed_count.h"
+#include "nmine/mining/miner_engine.h"
 #include "nmine/obs/logger.h"
-#include "nmine/obs/profiler.h"
-#include "nmine/obs/trace.h"
-#include "nmine/runtime/resource_governor.h"
-#include "nmine/runtime/run_control.h"
 #include "nmine/runtime/run_status.h"
 
 namespace nmine {
-namespace {
-
-using CountFn = std::function<Status(const std::vector<Pattern>&,
-                                     std::vector<double>*)>;
-using ThresholdFn = std::function<double(const Pattern&)>;
-
-/// Shared level-wise loop: `count` evaluates a batch of candidates (and
-/// charges a scan when running against a database).
-MiningResult RunLevelwise(size_t m, const ThresholdFn& threshold_of,
-                          const PatternSpaceOptions& space, size_t max_level,
-                          size_t max_candidates, const CountFn& count) {
-  auto start = std::chrono::steady_clock::now();
-  MiningResult result;
-
-  std::vector<SymbolId> all_symbols(m);
-  for (size_t i = 0; i < m; ++i) all_symbols[i] = static_cast<SymbolId>(i);
-
-  std::vector<Pattern> candidates = Level1Candidates(all_symbols);
-  std::vector<SymbolId> frequent_symbols;
-  std::vector<Pattern> frequent_level;
-
-  for (size_t level = 1; level <= max_level && !candidates.empty(); ++level) {
-    obs::TraceSpan level_span("levelwise.level", "levelwise");
-    NMINE_PROFILE_SCOPE("levelwise.level");
-    level_span.Arg("level", level).Arg("candidates", candidates.size());
-    std::vector<double> values;
-    Status count_status = count(candidates, &values);
-    if (!count_status.ok()) {
-      // Levels already mined would be a silently incomplete answer; return
-      // only the failure and what cost accounting exists.
-      result.status = std::move(count_status);
-      result.frequent = PatternSet();
-      result.values = PatternMap<double>();
-      result.seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      return result;
-    }
-    LevelStats stats;
-    stats.level = level;
-    stats.num_candidates = candidates.size();
-    frequent_level.clear();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (values[i] >= threshold_of(candidates[i])) {
-        frequent_level.push_back(candidates[i]);
-        result.frequent.Insert(candidates[i]);
-        result.values[candidates[i]] = values[i];
-        if (level == 1) {
-          frequent_symbols.push_back(candidates[i][0]);
-        }
-      }
-    }
-    stats.num_frequent = frequent_level.size();
-    result.level_stats.push_back(stats);
-    level_span.Arg("frequent", stats.num_frequent);
-    NMINE_LOG(kDebug, "levelwise")
-        .Msg("level counted")
-        .Num("level", level)
-        .Num("candidates", stats.num_candidates)
-        .Num("frequent", stats.num_frequent);
-    runtime::PublishProgress("levelwise.level", static_cast<int64_t>(level),
-                             static_cast<int64_t>(stats.num_frequent));
-    if (frequent_level.empty()) break;
-    candidates = NextLevelCandidates(
-        frequent_level, frequent_symbols, space,
-        [&result](const Pattern& sub) {
-          return result.frequent.Contains(sub);
-        },
-        max_candidates);
-    if (candidates.size() >= max_candidates) {
-      result.truncated = true;
-    }
-  }
-
-  BuildBorder(&result);
-  result.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  return result;
-}
-
-}  // namespace
-
-void BuildBorder(MiningResult* result) {
-  // Insert longest-first so shorter patterns are subsumed immediately and
-  // evictions are rare.
-  std::vector<Pattern> sorted = result->frequent.ToSortedVector();
-  std::reverse(sorted.begin(), sorted.end());
-  result->border.clear();
-  for (const Pattern& p : sorted) {
-    result->border.Insert(p);
-  }
-}
-
-namespace {
-
-/// Fallible batch counter over a database for the level-wise loop.
-CountFn DbCounter(const SequenceDatabase& db, const CompatibilityMatrix& c,
-                  Metric metric, const exec::ExecPolicy& exec) {
-  if (metric == Metric::kMatch) {
-    return [&db, &c, exec](const std::vector<Pattern>& patterns,
-                           std::vector<double>* values) {
-      return TryCountMatches(db, c, patterns, values, exec);
-    };
-  }
-  return [&db, exec](const std::vector<Pattern>& patterns,
-                     std::vector<double>* values) {
-    return TryCountSupports(db, patterns, values, exec);
-  };
-}
-
-}  // namespace
 
 MiningResult LevelwiseMiner::Mine(const SequenceDatabase& db,
                                   const CompatibilityMatrix& c) const {
-  runtime::ResourceGovernor governor(options_.memory_budget_bytes);
-  CountFn inner = DbCounter(db, c, metric_, ExecPolicyFor(options_));
-  // Under a memory budget each level is counted in governor-admitted
-  // batches (extra scans, exact results); the run control stops the loop
-  // between scans.
-  CountFn count = [&governor, this, &inner](
-                      const std::vector<Pattern>& patterns,
-                      std::vector<double>* values) {
-    return GovernedCount(patterns, &governor, options_.run_control, inner,
-                         values);
-  };
-  int64_t scans_before = db.scan_count();
-  obs::TraceSpan mine_span("mine.levelwise", "mining");
-  NMINE_PROFILE_SCOPE("mine.levelwise");
-  runtime::PublishPhase("mine.levelwise");
   const double threshold = options_.min_threshold;
-  MiningResult result = RunLevelwise(
-      c.size(), [threshold](const Pattern&) { return threshold; },
-      options_.space, options_.max_level, options_.max_candidates_per_level,
-      count);
-  result.scans = db.scan_count() - scans_before;
-  result.degradation_steps = governor.degradation_steps();
-  EmitResultMetrics(result, "levelwise");
-  return result;
-}
-
-MiningResult LevelwiseMiner::MineRecords(
-    const std::vector<SequenceRecord>& records,
-    const CompatibilityMatrix& c) const {
-  CountFn count;
-  const exec::ExecPolicy exec = ExecPolicyFor(options_);
-  // A stop mid-count leaves garbage values, so each in-memory count is
-  // followed by a run check before the level is classified.
-  if (metric_ == Metric::kMatch) {
-    count = [&records, &c, exec](const std::vector<Pattern>& patterns,
-                                 std::vector<double>* values) {
-      *values = CountMatchesInRecords(records, c, patterns, exec);
-      return runtime::CheckRun(exec.run);
-    };
-  } else {
-    count = [&records, exec](const std::vector<Pattern>& patterns,
-                             std::vector<double>* values) {
-      *values = CountSupportsInRecords(records, patterns, exec);
-      return runtime::CheckRun(exec.run);
-    };
-  }
-  const double threshold = options_.min_threshold;
-  return RunLevelwise(
-      c.size(), [threshold](const Pattern&) { return threshold; },
-      options_.space, options_.max_level, options_.max_candidates_per_level,
-      count);
+  return Run(
+      db, c, [threshold](const Pattern&) { return threshold; },
+      "mine.levelwise");
 }
 
 MiningResult LevelwiseMiner::MineWithThreshold(
     const SequenceDatabase& db, const CompatibilityMatrix& c,
     const std::function<double(const Pattern&)>& threshold_of) const {
-  runtime::ResourceGovernor governor(options_.memory_budget_bytes);
-  CountFn inner = DbCounter(db, c, metric_, ExecPolicyFor(options_));
-  CountFn count = [&governor, this, &inner](
-                      const std::vector<Pattern>& patterns,
-                      std::vector<double>* values) {
-    return GovernedCount(patterns, &governor, options_.run_control, inner,
-                         values);
+  return Run(db, c, threshold_of, "mine.levelwise_calibrated");
+}
+
+MiningResult LevelwiseMiner::Run(
+    const SequenceDatabase& db, const CompatibilityMatrix& c,
+    const std::function<double(const Pattern&)>& threshold_of,
+    const char* span_name) const {
+  RunScope scope(span_name, "levelwise", db, options_);
+  runtime::PublishPhase(span_name);
+  MiningResult& result = scope.result();
+  // Under a memory budget each level is counted in governor-admitted
+  // batches (extra scans, exact results); the run control stops the loop
+  // between scans.
+  const BoundCounter counter(metric_, c, options_, scope.governor(),
+                             options_.run_control);
+  LevelHooks hooks;
+  hooks.classify = [&](size_t level, const std::vector<Pattern>& candidates,
+                       const std::vector<double>& values, LevelStats* stats,
+                       obs::TraceSpan* span, std::vector<Pattern>* frequent) {
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (values[i] >= threshold_of(candidates[i])) {
+        frequent->push_back(candidates[i]);
+        result.frequent.Insert(candidates[i]);
+        result.values[candidates[i]] = values[i];
+      }
+    }
+    stats->num_frequent = frequent->size();
+    span->Arg("frequent", stats->num_frequent);
+    NMINE_LOG(kDebug, "levelwise")
+        .Msg("level counted")
+        .Num("level", level)
+        .Num("candidates", stats->num_candidates)
+        .Num("frequent", stats->num_frequent);
+    runtime::PublishProgress("levelwise.level", static_cast<int64_t>(level),
+                             static_cast<int64_t>(stats->num_frequent));
   };
-  int64_t scans_before = db.scan_count();
-  obs::TraceSpan mine_span("mine.levelwise_calibrated", "mining");
-  NMINE_PROFILE_SCOPE("mine.levelwise_calibrated");
-  runtime::PublishPhase("mine.levelwise_calibrated");
-  MiningResult result = RunLevelwise(
-      c.size(), threshold_of, options_.space, options_.max_level,
-      options_.max_candidates_per_level, count);
-  result.scans = db.scan_count() - scans_before;
-  result.degradation_steps = governor.degradation_steps();
-  EmitResultMetrics(result, "levelwise");
-  return result;
+  Status s = RunLevels(
+      c.size(), options_, "levelwise.level", "levelwise",
+      [&](const std::vector<Pattern>& batch, std::vector<double>* values) {
+        return counter.CountDb(db, batch, values);
+      },
+      result.frequent, hooks, &result.level_stats, &result.truncated);
+  if (!s.ok()) return scope.Fail(std::move(s));
+  return scope.Finish();
 }
 
 }  // namespace nmine

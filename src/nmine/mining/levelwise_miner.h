@@ -1,6 +1,7 @@
 #ifndef NMINE_MINING_LEVELWISE_MINER_H_
 #define NMINE_MINING_LEVELWISE_MINER_H_
 
+#include <functional>
 #include <vector>
 
 #include "nmine/core/compatibility_matrix.h"
@@ -26,11 +27,6 @@ class LevelwiseMiner {
   MiningResult Mine(const SequenceDatabase& db,
                     const CompatibilityMatrix& c) const;
 
-  /// In-memory variant over raw records (no scans are charged); used for
-  /// mining samples.
-  MiningResult MineRecords(const std::vector<SequenceRecord>& records,
-                           const CompatibilityMatrix& c) const;
-
   /// Per-pattern-threshold variant: pattern P qualifies iff its metric is
   /// >= threshold_of(P). Used with MatchCalibration to compensate the
   /// systematic match deflation under noise (see eval/calibration.h).
@@ -43,13 +39,13 @@ class LevelwiseMiner {
       const std::function<double(const Pattern&)>& threshold_of) const;
 
  private:
+  MiningResult Run(const SequenceDatabase& db, const CompatibilityMatrix& c,
+                   const std::function<double(const Pattern&)>& threshold_of,
+                   const char* span_name) const;
+
   Metric metric_;
   MinerOptions options_;
 };
-
-/// Populates `result->border` from `result->frequent` (maximal elements).
-/// Shared by all miners.
-void BuildBorder(MiningResult* result);
 
 }  // namespace nmine
 

@@ -1,17 +1,12 @@
 #include "nmine/mining/max_miner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
-#include "nmine/lattice/pattern_counter.h"
 #include "nmine/lattice/pattern_set.h"
-#include "nmine/mining/governed_count.h"
-#include "nmine/mining/levelwise_miner.h"
+#include "nmine/mining/miner_engine.h"
 #include "nmine/obs/logger.h"
 #include "nmine/obs/metrics.h"
-#include "nmine/obs/profiler.h"
-#include "nmine/obs/trace.h"
 #include "nmine/runtime/run_status.h"
 
 namespace nmine {
@@ -89,78 +84,37 @@ std::vector<Pattern> BuildJumps(const std::vector<Pattern>& frontier,
 
 MiningResult MaxMiner::Mine(const SequenceDatabase& db,
                             const CompatibilityMatrix& c) const {
-  obs::TraceSpan mine_span("mine.maxminer", "mining");
-  NMINE_PROFILE_SCOPE("mine.maxminer");
+  RunScope scope("mine.maxminer", "maxminer", db, options_);
   runtime::PublishPhase("mine.maxminer");
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  auto start = std::chrono::steady_clock::now();
-  int64_t scans_before = db.scan_count();
-  MiningResult result;
-  const size_t m = c.size();
+  MiningResult& result = scope.result();
   const bool contiguous = options_.space.max_gap == 0;
-
-  const exec::ExecPolicy exec = ExecPolicyFor(options_);
-  runtime::ResourceGovernor governor(options_.memory_budget_bytes);
-  const BatchCountFn inner = [&](const std::vector<Pattern>& patterns,
-                                 std::vector<double>* values) {
-    return metric_ == Metric::kMatch
-               ? TryCountMatches(db, c, patterns, values, exec)
-               : TryCountSupports(db, patterns, values, exec);
-  };
   // GovernedCount preserves input order, so the values of a split batch
-  // still line up with to_count followed by jumps. Under a binding budget
-  // a level costs several scans instead of one; the run control stops the
-  // loop between scans.
-  auto count = [&](const std::vector<Pattern>& patterns,
-                   std::vector<double>* values) {
-    return GovernedCount(patterns, &governor, options_.run_control, inner,
-                         values);
-  };
-  auto fail = [&](Status status) {
-    result.status = std::move(status);
-    result.frequent = PatternSet();
-    result.values = PatternMap<double>();
-    result.border = Border();
-    result.scans = db.scan_count() - scans_before;
-    result.seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    result.degradation_steps = governor.degradation_steps();
-    EmitResultMetrics(result, "maxminer");
-    return result;
-  };
+  // still line up with the counted candidates followed by the jumps.
+  const BoundCounter counter(metric_, c, options_, scope.governor(),
+                             options_.run_control);
 
   // Patterns certified frequent by a counted look-ahead jump: anything they
   // cover is frequent by Apriori and need not be counted.
   Border certified;
-
-  std::vector<SymbolId> all_symbols(m);
-  for (size_t i = 0; i < m; ++i) all_symbols[i] = static_cast<SymbolId>(i);
-
-  std::vector<Pattern> candidates = Level1Candidates(all_symbols);
-  std::vector<SymbolId> frequent_symbols;
-  std::vector<Pattern> frontier;
+  // This level's split: candidates certified by a jump, how many were
+  // counted, and the jumps counted after them in the same scan.
+  std::vector<Pattern> covered;
+  size_t counted = 0;
+  std::vector<Pattern> jumps;
   PatternMap<double> frontier_values;
 
-  for (size_t level = 1;
-       level <= options_.max_level && !candidates.empty(); ++level) {
-    obs::TraceSpan level_span("maxminer.level", "maxminer");
-    NMINE_PROFILE_SCOPE("maxminer.level");
-    level_span.Arg("level", level).Arg("candidates", candidates.size());
-    // Split candidates into covered (frequent via a certified jump) and
-    // those that must be counted.
-    std::vector<Pattern> to_count;
-    std::vector<Pattern> covered;
+  LevelHooks hooks;
+  hooks.batch = [&](size_t level, std::vector<Pattern> candidates,
+                    const std::vector<Pattern>& frontier) {
+    std::vector<Pattern> batch;
+    covered.clear();
     for (Pattern& cand : candidates) {
-      if (certified.Covers(cand)) {
-        covered.push_back(std::move(cand));
-      } else {
-        to_count.push_back(std::move(cand));
-      }
+      (certified.Covers(cand) ? covered : batch).push_back(std::move(cand));
     }
-
+    counted = batch.size();
     // Look-ahead jumps piggyback on the same scan.
-    std::vector<Pattern> jumps;
+    jumps.clear();
     if (contiguous && level >= 2) {
       jumps = BuildJumps(frontier, frontier_values, options_.space.max_span,
                          /*min_symbols=*/level + 2);
@@ -171,38 +125,28 @@ MiningResult MaxMiner::Mine(const SequenceDatabase& db,
                                  }),
                   jumps.end());
     }
-
-    LevelStats stats;
-    stats.level = level;
-    stats.num_candidates = to_count.size() + covered.size();
-
-    std::vector<Pattern> batch = to_count;
     batch.insert(batch.end(), jumps.begin(), jumps.end());
-    std::vector<double> values;
-    if (!batch.empty()) {
-      // One scan serves candidates and jumps.
-      Status count_status = count(batch, &values);
-      if (!count_status.ok()) return fail(std::move(count_status));
-    }
-
-    frontier.clear();
+    return batch;
+  };
+  hooks.classify = [&](size_t level, const std::vector<Pattern>& batch,
+                       const std::vector<double>& values, LevelStats* stats,
+                       obs::TraceSpan* span, std::vector<Pattern>* frontier) {
     frontier_values.clear();
-    for (size_t i = 0; i < to_count.size(); ++i) {
+    for (size_t i = 0; i < counted; ++i) {
       if (values[i] >= options_.min_threshold) {
-        frontier.push_back(to_count[i]);
-        frontier_values[to_count[i]] = values[i];
-        result.frequent.Insert(to_count[i]);
-        result.values[to_count[i]] = values[i];
-        if (level == 1) frequent_symbols.push_back(to_count[i][0]);
+        frontier->push_back(batch[i]);
+        frontier_values[batch[i]] = values[i];
+        result.frequent.Insert(batch[i]);
+        result.values[batch[i]] = values[i];
       }
     }
     for (Pattern& p : covered) {
       result.frequent.Insert(p);
-      frontier.push_back(std::move(p));  // certified frequent, no value
+      frontier->push_back(std::move(p));  // certified frequent, no value
     }
     size_t jumps_certified = 0;
     for (size_t j = 0; j < jumps.size(); ++j) {
-      double v = values[to_count.size() + j];
+      double v = values[counted + j];
       if (v >= options_.min_threshold) {
         certified.Insert(jumps[j]);
         result.frequent.Insert(jumps[j]);
@@ -210,54 +154,42 @@ MiningResult MaxMiner::Mine(const SequenceDatabase& db,
         ++jumps_certified;
       }
     }
-    stats.num_frequent = frontier.size();
-    result.level_stats.push_back(stats);
+    stats->num_frequent = frontier->size();
 
-    reg.GetCounter("maxminer.counted")
-        .Add(static_cast<int64_t>(to_count.size()));
+    reg.GetCounter("maxminer.counted").Add(static_cast<int64_t>(counted));
     reg.GetCounter("maxminer.covered")
         .Add(static_cast<int64_t>(covered.size()));
     reg.GetCounter("maxminer.jumps").Add(static_cast<int64_t>(jumps.size()));
     reg.GetCounter("maxminer.jumps_certified")
         .Add(static_cast<int64_t>(jumps_certified));
-    level_span.Arg("counted", to_count.size())
+    span->Arg("counted", counted)
         .Arg("covered", covered.size())
         .Arg("jumps", jumps.size())
         .Arg("jumps_certified", jumps_certified)
-        .Arg("frequent", stats.num_frequent);
+        .Arg("frequent", stats->num_frequent);
     NMINE_LOG(kDebug, "maxminer")
         .Msg("level counted")
         .Num("level", level)
-        .Num("candidates", stats.num_candidates)
+        .Num("candidates", stats->num_candidates)
         .Num("covered", covered.size())
         .Num("jumps_certified", jumps_certified)
-        .Num("frequent", stats.num_frequent);
+        .Num("frequent", stats->num_frequent);
     runtime::PublishProgress("maxminer.level", static_cast<int64_t>(level),
-                             static_cast<int64_t>(stats.num_frequent));
-
-    if (frontier.empty()) break;
-    candidates = NextLevelCandidates(
-        frontier, frequent_symbols, options_.space,
-        [&result](const Pattern& sub) {
-          return result.frequent.Contains(sub);
-        },
-        options_.max_candidates_per_level);
-    if (candidates.size() >= options_.max_candidates_per_level) {
-      result.truncated = true;
-    }
-  }
-
+                             static_cast<int64_t>(stats->num_frequent));
+  };
+  // Under a binding budget a level costs several scans instead of one; the
+  // run control stops the loop between scans.
+  Status s = RunLevels(
+      c.size(), options_, "maxminer.level", "maxminer",
+      [&](const std::vector<Pattern>& batch, std::vector<double>* values) {
+        return counter.CountDb(db, batch, values);
+      },
+      result.frequent, hooks, &result.level_stats, &result.truncated);
+  if (!s.ok()) return scope.Fail(std::move(s));
   // Every pattern covered by a certified jump is frequent; they are already
   // in `result.frequent` because covered candidates are enumerated level by
   // level. The border is therefore complete.
-  BuildBorder(&result);
-  result.scans = db.scan_count() - scans_before;
-  result.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  result.degradation_steps = governor.degradation_steps();
-  EmitResultMetrics(result, "maxminer");
-  return result;
+  return scope.Finish();
 }
 
 }  // namespace nmine

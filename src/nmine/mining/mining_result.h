@@ -98,13 +98,6 @@ struct MiningResult {
   }
 };
 
-/// Folds a finished run's diagnostics into the global metrics registry
-/// (obs/metrics.h) under the shared `mining.*` / `phase2.*` names, so runs
-/// of every algorithm are comparable from the same snapshot. The fields on
-/// MiningResult remain the per-run snapshot view of the same quantities.
-/// Every miner calls this once at the end of Mine().
-void EmitResultMetrics(const MiningResult& result, const char* algorithm);
-
 }  // namespace nmine
 
 #endif  // NMINE_MINING_MINING_RESULT_H_

@@ -11,11 +11,7 @@
 #include "nmine/db/retrying_database.h"
 #include "nmine/eval/table.h"
 #include "nmine/gen/matrix_generator.h"
-#include "nmine/mining/border_collapse_miner.h"
-#include "nmine/mining/depth_first_miner.h"
-#include "nmine/mining/levelwise_miner.h"
-#include "nmine/mining/max_miner.h"
-#include "nmine/mining/toivonen_miner.h"
+#include "nmine/mining/miners.h"
 #include "nmine/obs/json_util.h"
 #include "nmine/obs/logger.h"
 
@@ -137,11 +133,7 @@ std::optional<JobSpec> JobSpec::FromJson(const obs::JsonValue& value,
   spec.memory_budget = static_cast<uint64_t>(
       value.GetNumber("memory_budget", static_cast<double>(spec.memory_budget)));
 
-  static const char* kAlgorithms[] = {"collapse", "levelwise", "maxminer",
-                                      "toivonen", "depthfirst"};
-  if (std::find_if(std::begin(kAlgorithms), std::end(kAlgorithms),
-                   [&](const char* a) { return spec.algorithm == a; }) ==
-      std::end(kAlgorithms)) {
+  if (FindMiner(spec.algorithm) == nullptr) {
     if (error != nullptr) *error = "unknown algorithm '" + spec.algorithm + "'";
     return std::nullopt;
   }
@@ -327,21 +319,12 @@ JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
       !checkpoint_path.empty() &&
       std::filesystem::exists(std::filesystem::path(checkpoint_path));
 
-  MiningResult result;
-  if (spec.algorithm == "collapse") {
-    result = BorderCollapseMiner(metric, options).Mine(*mine_db, *c);
-  } else if (spec.algorithm == "levelwise") {
-    result = LevelwiseMiner(metric, options).Mine(*mine_db, *c);
-  } else if (spec.algorithm == "maxminer") {
-    result = MaxMiner(metric, options).Mine(*mine_db, *c);
-  } else if (spec.algorithm == "toivonen") {
-    result = ToivonenMiner(metric, options).Mine(*mine_db, *c);
-  } else if (spec.algorithm == "depthfirst") {
-    result = DepthFirstMiner(metric, options).Mine(*mine_db, *c);
-  } else {
+  const MinerEntry* miner = FindMiner(spec.algorithm);
+  if (miner == nullptr) {
     return TypedError(
         Status::InvalidArgument("unknown algorithm '" + spec.algorithm + "'"));
   }
+  MiningResult result = miner->mine(metric, options, *mine_db, *c);
 
   if (!result.ok()) {
     JobResult r = TypedError(result.status);

@@ -125,13 +125,5 @@ TEST(LevelwiseMinerTest, ThresholdAboveEverythingYieldsEmpty) {
   EXPECT_EQ(r.scans, 1);  // the level-1 scan
 }
 
-TEST(LevelwiseMinerTest, MineRecordsMatchesMine) {
-  InMemorySequenceDatabase db = Figure4Database();
-  LevelwiseMiner miner(Metric::kMatch, SmallOptions(0.3));
-  MiningResult a = miner.Mine(db, Figure2Matrix());
-  MiningResult b = miner.MineRecords(db.records(), Figure2Matrix());
-  EXPECT_EQ(a.frequent.ToSortedVector(), b.frequent.ToSortedVector());
-}
-
 }  // namespace
 }  // namespace nmine

@@ -16,10 +16,7 @@
 #include "nmine/db/sequence_database.h"
 #include "nmine/gen/workload.h"
 #include "nmine/mining/border_collapse_miner.h"
-#include "nmine/mining/depth_first_miner.h"
-#include "nmine/mining/levelwise_miner.h"
-#include "nmine/mining/max_miner.h"
-#include "nmine/mining/toivonen_miner.h"
+#include "nmine/mining/miners.h"
 #include "nmine/runtime/run_control.h"
 #include "test_util.h"
 
@@ -184,16 +181,10 @@ TEST_F(CancelResumeTest, EveryMinerFailsClosedWhenPreCancelled) {
   const CompatibilityMatrix& c = workload_.matrix;
 
   std::vector<std::pair<std::string, MiningResult>> runs;
-  runs.emplace_back("levelwise", LevelwiseMiner(Metric::kMatch, options)
-                                     .Mine(workload_.test, c));
-  runs.emplace_back("collapse", BorderCollapseMiner(Metric::kMatch, options)
-                                    .Mine(workload_.test, c));
-  runs.emplace_back("maxminer",
-                    MaxMiner(Metric::kMatch, options).Mine(workload_.test, c));
-  runs.emplace_back("toivonen", ToivonenMiner(Metric::kMatch, options)
-                                    .Mine(workload_.test, c));
-  runs.emplace_back("depthfirst", DepthFirstMiner(Metric::kMatch, options)
-                                      .Mine(workload_.test, c));
+  for (const MinerEntry& miner : kMiners) {
+    runs.emplace_back(miner.name,
+                      miner.mine(Metric::kMatch, options, workload_.test, c));
+  }
   for (const auto& [name, r] : runs) {
     EXPECT_EQ(r.status.code(), StatusCode::kCancelled) << name;
     EXPECT_TRUE(r.frequent.ToSortedVector().empty()) << name;

@@ -127,11 +127,8 @@
 #include "nmine/gen/matrix_generator.h"
 #include "nmine/gen/noise_model.h"
 #include "nmine/gen/sequence_generator.h"
-#include "nmine/mining/border_collapse_miner.h"
-#include "nmine/mining/depth_first_miner.h"
 #include "nmine/mining/levelwise_miner.h"
-#include "nmine/mining/max_miner.h"
-#include "nmine/mining/toivonen_miner.h"
+#include "nmine/mining/miners.h"
 #include "nmine/net/status_server.h"
 #include "nmine/obs/export/telemetry_sampler.h"
 #include "nmine/obs/flight_recorder.h"
@@ -776,13 +773,10 @@ int CmdMine(const Flags& flags) {
   // Publish the run on the status board so /statusz and the telemetry
   // sampler see it (string literals only — the board stores raw
   // pointers).
-  const char* algo_name = calibrate != "none"    ? "levelwise_calibrated"
-                          : algorithm == "collapse"   ? "collapse"
-                          : algorithm == "levelwise"  ? "levelwise"
-                          : algorithm == "maxminer"   ? "maxminer"
-                          : algorithm == "toivonen"   ? "toivonen"
-                          : algorithm == "depthfirst" ? "depthfirst"
-                                                      : "unknown";
+  const MinerEntry* miner = FindMiner(algorithm);
+  const char* algo_name = calibrate != "none" ? "levelwise_calibrated"
+                          : miner != nullptr  ? miner->name
+                                              : "unknown";
   runtime::RunStatusBoard::Global().BeginRun("mine", algo_name);
   runtime::RunStatusBoard::Global().SetRunControl(&g_run_control);
 
@@ -798,22 +792,14 @@ int CmdMine(const Flags& flags) {
                                ? CalibrationMode::kDiagonalSurvival
                                : CalibrationMode::kExpectedDeflation;
     MatchCalibration calibration(*c, mode);
-    LevelwiseMiner miner(metric, options);
     double tau = options.min_threshold;
-    result = miner.MineWithThreshold(
-        *mine_db, *c, [&calibration, tau](const Pattern& p) {
-          return calibration.ThresholdFor(p, tau);
-        });
-  } else if (algorithm == "collapse") {
-    result = BorderCollapseMiner(metric, options).Mine(*mine_db, *c);
-  } else if (algorithm == "levelwise") {
-    result = LevelwiseMiner(metric, options).Mine(*mine_db, *c);
-  } else if (algorithm == "maxminer") {
-    result = MaxMiner(metric, options).Mine(*mine_db, *c);
-  } else if (algorithm == "toivonen") {
-    result = ToivonenMiner(metric, options).Mine(*mine_db, *c);
-  } else if (algorithm == "depthfirst") {
-    result = DepthFirstMiner(metric, options).Mine(*mine_db, *c);
+    result = LevelwiseMiner(metric, options)
+                 .MineWithThreshold(*mine_db, *c,
+                                    [&calibration, tau](const Pattern& p) {
+                                      return calibration.ThresholdFor(p, tau);
+                                    });
+  } else if (miner != nullptr) {
+    result = miner->mine(metric, options, *mine_db, *c);
   } else {
     std::fprintf(stderr, "mine: unknown --algorithm '%s'\n",
                  algorithm.c_str());
