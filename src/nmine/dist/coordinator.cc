@@ -58,32 +58,13 @@ struct CoordinatorEnv {
   std::optional<CompatibilityMatrix> matrix;
 };
 
-namespace {
-/// One env per live coordinator, keyed off the ActiveCoordinator pattern
-/// would be overkill — the Coordinator simply owns it via this holder so
-/// coordinator.h does not need the heavy db/matrix includes.
-std::mutex& EnvMutex() {
-  static std::mutex* m = new std::mutex();
-  return *m;
-}
-std::map<const Coordinator*, std::unique_ptr<CoordinatorEnv>>& EnvMap() {
-  static auto* envs =
-      new std::map<const Coordinator*, std::unique_ptr<CoordinatorEnv>>();
-  return *envs;
-}
-CoordinatorEnv* EnvFor(const Coordinator* c) {
-  std::lock_guard<std::mutex> lock(EnvMutex());
-  auto it = EnvMap().find(c);
-  return it == EnvMap().end() ? nullptr : it->second.get();
-}
-}  // namespace
+Coordinator::Coordinator() = default;
 
 Coordinator::~Coordinator() {
   Stop();
-  // Not in Stop(): a Run() still unwinding from the cancel may be counting
-  // a shard locally against this environment until its caller joins it.
-  std::lock_guard<std::mutex> lock(EnvMutex());
-  EnvMap().erase(this);
+  // env_ is released only here, not in Stop(): a Run() still unwinding
+  // from the cancel may be counting a shard locally against it until its
+  // caller joins it.
 }
 
 bool Coordinator::Start(const Options& options, std::string* error) {
@@ -147,10 +128,7 @@ bool Coordinator::Start(const Options& options, std::string* error) {
   } else {
     env->matrix = CompatibilityMatrix::Identity(m);
   }
-  {
-    std::lock_guard<std::mutex> lock(EnvMutex());
-    EnvMap()[this] = std::move(env);
-  }
+  env_ = std::move(env);
 
   exec_shard_size_ = exec::kDefaultShardSize;
   records_per_shard_ = options_.records_per_task;
@@ -678,7 +656,7 @@ Status Coordinator::CountShardLocallyLocked(
   ShardProgress progress = shard->progress;
   lock.unlock();
 
-  CoordinatorEnv* env = EnvFor(this);
+  CoordinatorEnv* env = env_.get();
   Status status = Status::Ok();
   if (env == nullptr || env->db == nullptr) {
     status = Status::Internal("coordinator environment missing");

@@ -22,6 +22,8 @@
 namespace nmine {
 namespace dist {
 
+struct CoordinatorEnv;
+
 /// Coordinator of one fault-tolerant distributed mining run.
 ///
 /// The coordinator owns the mining algorithm end to end: it executes
@@ -78,7 +80,7 @@ class Coordinator {
     uint64_t records_per_task = 1024;
   };
 
-  Coordinator() = default;
+  Coordinator();
   ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -148,6 +150,9 @@ class Coordinator {
                     const std::string& worker);
 
   Options options_;
+  // The database and matrix, set in Start() before any thread that reads
+  // them starts, and kept until the destructor.
+  std::unique_ptr<CoordinatorEnv> env_;
   std::unique_ptr<DistJournal> journal_;
   ReplayState replay_;
   bool adopt_pending_ = false;  // replay_ holds an unconsumed in-flight scan
