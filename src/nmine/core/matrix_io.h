@@ -27,6 +27,7 @@ enum class MatrixIoCode {
   kIoError,         // file missing / unreadable / short write
   kParseError,      // malformed text: bad size, counts, or numbers
   kNotStochastic,   // well-formed but columns do not sum to 1
+  kTooSmall,        // valid but smaller than the data's alphabet
 };
 
 struct MatrixIoResult {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "nmine/core/check.h"
 #include "nmine/db/scan_telemetry.h"
 
 namespace nmine {
@@ -161,6 +162,100 @@ Status VarintError(BufferedVarintReader::VarintResult r, std::string what) {
   return TruncatedError(std::move(what));
 }
 
+/// Opens `path` for reading and reports its size. On success `*fd` is
+/// open and the caller owns it.
+Status OpenFile(const std::string& path, int* fd, uint64_t* file_bytes) {
+  *fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (*fd < 0) {
+    if (errno == ENOENT) {
+      return Status::NotFound("no such database file: " + path);
+    }
+    return Status::Unavailable("cannot open for reading: " + path);
+  }
+  struct stat st;
+  if (::fstat(*fd, &st) != 0) {
+    ::close(*fd);
+    *fd = -1;
+    return Status::Unavailable("cannot stat: " + path);
+  }
+  *file_bytes = static_cast<uint64_t>(st.st_size);
+  return Status::Ok();
+}
+
+/// Reads and checks magic and version, then the sequence count.
+Status ReadHeader(BufferedVarintReader* reader, uint64_t* count) {
+  char magic[sizeof(dbformat::kMagic)];
+  if (!reader->ReadRaw(magic, sizeof(magic)) ||
+      std::memcmp(magic, dbformat::kMagic, sizeof(magic)) != 0) {
+    return Status::DataLoss("bad magic: not an nmine sequence database");
+  }
+  char version = 0;
+  if (!reader->ReadRaw(&version, 1) ||
+      static_cast<uint8_t>(version) != dbformat::kVersion) {
+    return Status::DataLoss("unsupported format version");
+  }
+  BufferedVarintReader::VarintResult vr = reader->ReadVarint64(count);
+  if (vr != BufferedVarintReader::VarintResult::kOk) {
+    return VarintError(vr, "sequence count");
+  }
+  return Status::Ok();
+}
+
+/// Decodes record `i` at the reader's position. A short read is
+/// truncation. So is a record that needs bytes past the reader's end when
+/// that end is the end of the file; when it is a range's end offset
+/// inside the file (`end_inside_file`), the offsets do not delimit whole
+/// records, which is data loss.
+Status ReadRecord(BufferedVarintReader* reader, uint64_t i,
+                  bool end_inside_file, SequenceRecord* record) {
+  auto past_end = [end_inside_file](std::string what) {
+    return end_inside_file
+               ? Status::DataLoss("range overruns its end offset: " + what)
+               : TruncatedError(std::move(what));
+  };
+  auto varint_error = [&](BufferedVarintReader::VarintResult r,
+                          std::string what) {
+    if (r == BufferedVarintReader::VarintResult::kTruncated &&
+        reader->BytesLeft() == 0) {
+      return past_end(std::move(what));
+    }
+    return VarintError(r, std::move(what));
+  };
+  BufferedVarintReader::VarintResult vr;
+  uint64_t id = 0;
+  uint64_t len = 0;
+  if ((vr = reader->ReadVarint64(&id)) !=
+          BufferedVarintReader::VarintResult::kOk ||
+      (vr = reader->ReadVarint64(&len)) !=
+          BufferedVarintReader::VarintResult::kOk) {
+    return varint_error(vr, "record header at sequence " + std::to_string(i));
+  }
+  // Refuse a length the remaining bytes cannot hold before sizing.
+  if (len > reader->BytesLeft()) {
+    return past_end("symbols at sequence " + std::to_string(i));
+  }
+  record->id = static_cast<SequenceId>(id);
+  if (reader->ReadOneByteRun(static_cast<size_t>(len), &record->symbols)) {
+    return Status::Ok();
+  }
+  record->symbols.resize(static_cast<size_t>(len));
+  for (SymbolId& symbol : record->symbols) {
+    uint64_t sym = 0;
+    if ((vr = reader->ReadVarint64(&sym)) !=
+        BufferedVarintReader::VarintResult::kOk) {
+      return varint_error(vr, "symbols at sequence " + std::to_string(i));
+    }
+    // SymbolId is int32 and -1 is the wildcard: a wider value would alias
+    // another symbol or index outside the matrix.
+    if (sym > static_cast<uint64_t>(INT32_MAX)) {
+      return Status::DataLoss("symbol out of range at sequence " +
+                              std::to_string(i));
+    }
+    symbol = static_cast<SymbolId>(sym);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 DiskSequenceDatabase::DiskSequenceDatabase(std::string path, Options options)
@@ -181,9 +276,8 @@ std::unique_ptr<DiskSequenceDatabase> DiskSequenceDatabase::Open(
       [&](int) {
         layout = FileLayout();
         ScanAttempt attempt;
-        attempt.status =
-            db->StreamFile(/*visitor=*/nullptr, 0, SIZE_MAX, &layout,
-                           &attempt.delivered_records);
+        attempt.status = db->StreamFile(/*visitor=*/nullptr, &layout,
+                                        &attempt.delivered_records);
         return attempt;
       });
   if (!r.ok()) {
@@ -191,6 +285,8 @@ std::unique_ptr<DiskSequenceDatabase> DiskSequenceDatabase::Open(
     return nullptr;
   }
   db->layout_ = std::move(layout);
+  db->ranges_ = std::make_unique<DiskRangeReader>(
+      path, db->layout_.num_sequences, db->layout_.file_bytes, options);
   if (error != nullptr) *error = Status::Ok();
   return db;
 }
@@ -204,11 +300,18 @@ Status DiskSequenceDatabase::Scan(const Visitor& visitor,
       /*can_replay=*/static_cast<bool>(restart), "disk scan", [&](int) {
         if (restart) restart();
         ScanAttempt attempt;
-        attempt.status = StreamFile(&visitor, 0, SIZE_MAX, /*layout=*/nullptr,
+        attempt.status = StreamFile(&visitor, /*layout=*/nullptr,
                                     &attempt.delivered_records);
         return attempt;
       },
       options_.retry_budget);
+}
+
+uint64_t DiskSequenceDatabase::RecordOffset(size_t record) const {
+  if (record == layout_.num_sequences) return layout_.file_bytes;
+  NMINE_CHECK(record % kIndexStride == 0 && record < layout_.num_sequences,
+              "RecordOffset needs an indexed record");
+  return layout_.record_offsets[record / kIndexStride];
 }
 
 Status DiskSequenceDatabase::ScanRange(size_t begin_record, size_t end_record,
@@ -216,121 +319,173 @@ Status DiskSequenceDatabase::ScanRange(size_t begin_record, size_t end_record,
                                        const RestartFn& restart) const {
   end_record = std::min(end_record, layout_.num_sequences);
   if (begin_record >= end_record) return Status::Ok();
+  // The indexed records around the range: the span starts at or before
+  // begin_record and ends at or after end_record.
+  RecordSpan span;
+  span.begin_record = begin_record / kIndexStride * kIndexStride;
+  span.end_record = std::min(
+      (end_record + kIndexStride - 1) / kIndexStride * kIndexStride,
+      layout_.num_sequences);
+  span.begin_offset = RecordOffset(span.begin_record);
+  span.end_offset = RecordOffset(span.end_record);
+  return ranges_->ScanWithin(span, begin_record, end_record, visitor,
+                             restart);
+}
+
+Status DiskSequenceDatabase::StreamFile(const Visitor* visitor,
+                                        FileLayout* layout,
+                                        bool* delivered_records) const {
+  if (delivered_records != nullptr) *delivered_records = false;
+  int raw_fd = -1;
+  uint64_t file_bytes = 0;
+  Status opened = OpenFile(path_, &raw_fd, &file_bytes);
+  if (!opened.ok()) return opened;
+  ScopedFd fd(raw_fd);
+  BufferedVarintReader reader(fd.get(), file_bytes);
+  uint64_t count = 0;
+  Status header = ReadHeader(&reader, &count);
+  if (!header.ok()) return header;
+  SequenceRecord record;
+  for (uint64_t i = 0; i < count; ++i) {
+    if (layout != nullptr && i % kIndexStride == 0) {
+      layout->record_offsets.push_back(reader.Tell());
+    }
+    Status read = ReadRecord(&reader, i, /*end_inside_file=*/false, &record);
+    if (!read.ok()) return read;
+    if (layout != nullptr) {
+      const size_t len = record.symbols.size();
+      layout->min_length =
+          i == 0 ? len : std::min(layout->min_length, len);
+      layout->max_length = std::max(layout->max_length, len);
+      SymbolId max_symbol = layout->max_symbol;
+      for (SymbolId s : record.symbols) max_symbol = std::max(max_symbol, s);
+      layout->max_symbol = max_symbol;
+      layout->total_symbols += len;
+      ++layout->num_sequences;
+    }
+    if (visitor != nullptr) {
+      if (delivered_records != nullptr) *delivered_records = true;
+      db_telemetry::RecordSequenceVisited();
+      (*visitor)(record);
+    }
+  }
+  if (!reader.AtEof()) {
+    return Status::DataLoss("trailing garbage after last record");
+  }
+  if (layout != nullptr) layout->file_bytes = reader.Tell();
+  return Status::Ok();
+}
+
+DiskRangeReader::DiskRangeReader(std::string path, uint64_t num_sequences,
+                                 uint64_t file_bytes, DiskReadOptions options)
+    : path_(std::move(path)),
+      num_sequences_(num_sequences),
+      file_bytes_(file_bytes),
+      options_(options) {}
+
+std::unique_ptr<DiskRangeReader> DiskRangeReader::Open(
+    const std::string& path, uint64_t num_sequences, uint64_t file_bytes,
+    const DiskReadOptions& options, Status* error) {
+  uint64_t count = 0;
+  uint64_t size = 0;
+  Status r = RunScanWithRetry(
+      options.retry, options.sleeper, /*can_replay=*/true, "disk open header",
+      [&](int) {
+        ScanAttempt attempt;
+        int raw_fd = -1;
+        attempt.status = OpenFile(path, &raw_fd, &size);
+        if (!attempt.status.ok()) return attempt;
+        ScopedFd fd(raw_fd);
+        BufferedVarintReader reader(fd.get(), size);
+        reader.SetLimit(kMaxHeaderBytes);
+        attempt.status = ReadHeader(&reader, &count);
+        return attempt;
+      });
+  if (r.ok() && (count != num_sequences || size != file_bytes)) {
+    r = Status::FailedPrecondition(
+        path + " holds " + std::to_string(count) + " sequences in " +
+        std::to_string(size) + " bytes, not " + std::to_string(num_sequences) +
+        " in " + std::to_string(file_bytes));
+  }
+  if (error != nullptr) *error = r;
+  if (!r.ok()) return nullptr;
+  return std::make_unique<DiskRangeReader>(path, num_sequences, file_bytes,
+                                           options);
+}
+
+Status DiskRangeReader::Scan(const RecordSpan& span, const Visitor& visitor,
+                             const RestartFn& restart) const {
+  return ScanWithin(span, span.begin_record, span.end_record, visitor,
+                    restart);
+}
+
+Status DiskRangeReader::ScanWithin(const RecordSpan& span,
+                                   uint64_t begin_record, uint64_t end_record,
+                                   const Visitor& visitor,
+                                   const RestartFn& restart) const {
   return RunScanWithRetry(
       options_.retry, options_.sleeper,
       /*can_replay=*/static_cast<bool>(restart), "disk range scan", [&](int) {
         if (restart) restart();
         ScanAttempt attempt;
-        attempt.status = StreamFile(&visitor, begin_record, end_record,
-                                    /*layout=*/nullptr,
+        attempt.status = StreamSpan(span, begin_record, end_record, visitor,
                                     &attempt.delivered_records);
         return attempt;
       },
       options_.retry_budget);
 }
 
-Status DiskSequenceDatabase::StreamFile(const Visitor* visitor,
-                                        size_t begin_record,
-                                        size_t end_record, FileLayout* layout,
-                                        bool* delivered_records) const {
-  if (delivered_records != nullptr) *delivered_records = false;
-  const bool ranged = end_record != SIZE_MAX;
-  ScopedFd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
-  if (fd.get() < 0) {
-    if (errno == ENOENT) {
-      return Status::NotFound("no such database file: " + path_);
-    }
-    return Status::Unavailable("cannot open for reading: " + path_);
+Status DiskRangeReader::StreamSpan(const RecordSpan& span,
+                                   uint64_t begin_record, uint64_t end_record,
+                                   const Visitor& visitor,
+                                   bool* delivered_records) const {
+  *delivered_records = false;
+  if (span.begin_record >= span.end_record ||
+      span.end_record > num_sequences_) {
+    return Status::InvalidArgument("record span outside the database");
   }
-  // The index describes the image Open validated; seeking through it into
-  // any other image would misdecode, so a changed file is a transient
+  // Every record takes at least two bytes (id and length).
+  if (span.begin_offset >= span.end_offset || span.end_offset > file_bytes_) {
+    return Status::DataLoss("record span offsets cannot hold its records");
+  }
+  int raw_fd = -1;
+  uint64_t file_bytes = 0;
+  Status opened = OpenFile(path_, &raw_fd, &file_bytes);
+  if (!opened.ok()) return opened;
+  ScopedFd fd(raw_fd);
+  // The offsets describe the image Open validated; seeking through them
+  // into any other image would misdecode, so a changed file is a transient
   // failure like truncation by a concurrent rewrite.
   auto changed = [&] {
     return Status::Unavailable("database file changed since open: " + path_);
   };
-  struct stat st;
-  if (::fstat(fd.get(), &st) != 0) {
-    return Status::Unavailable("cannot stat: " + path_);
-  }
-  const uint64_t file_bytes = static_cast<uint64_t>(st.st_size);
+  if (file_bytes != file_bytes_) return changed();
   BufferedVarintReader reader(fd.get(), file_bytes);
-  if (ranged) {
-    if (file_bytes != layout_.file_bytes) return changed();
-    reader.SetLimit(kMaxHeaderBytes);
-  }
-  char magic[sizeof(dbformat::kMagic)];
-  if (!reader.ReadRaw(magic, sizeof(magic)) ||
-      std::memcmp(magic, dbformat::kMagic, sizeof(magic)) != 0) {
-    return Status::DataLoss("bad magic: not an nmine sequence database");
-  }
-  char version = 0;
-  if (!reader.ReadRaw(&version, 1) ||
-      static_cast<uint8_t>(version) != dbformat::kVersion) {
-    return Status::DataLoss("unsupported format version");
-  }
+  reader.SetLimit(kMaxHeaderBytes);
   uint64_t count = 0;
-  BufferedVarintReader::VarintResult vr = reader.ReadVarint64(&count);
-  if (vr != BufferedVarintReader::VarintResult::kOk) {
-    return VarintError(vr, "sequence count");
-  }
-  uint64_t first_record = 0;
-  if (ranged) {
-    if (count != layout_.num_sequences) return changed();
-    const size_t stride = begin_record / kIndexStride;
-    const size_t stop = (end_record + kIndexStride - 1) / kIndexStride;
-    first_record = static_cast<uint64_t>(stride) * kIndexStride;
-    reader.Seek(layout_.record_offsets[stride]);
-    reader.SetLimit(stop < layout_.record_offsets.size()
-                        ? layout_.record_offsets[stop]
-                        : layout_.file_bytes);
-  }
+  Status header = ReadHeader(&reader, &count);
+  if (!header.ok()) return header;
+  if (count != num_sequences_) return changed();
+  reader.Seek(span.begin_offset);
+  reader.SetLimit(span.end_offset);
+  const bool end_inside_file = span.end_offset < file_bytes_;
   SequenceRecord record;
-  for (uint64_t i = first_record; i < count; ++i) {
-    if (layout != nullptr && i % kIndexStride == 0) {
-      layout->record_offsets.push_back(reader.Tell());
-    }
-    uint64_t id = 0;
-    uint64_t len = 0;
-    if ((vr = reader.ReadVarint64(&id)) !=
-            BufferedVarintReader::VarintResult::kOk ||
-        (vr = reader.ReadVarint64(&len)) !=
-            BufferedVarintReader::VarintResult::kOk) {
-      return VarintError(vr,
-                         "record header at sequence " + std::to_string(i));
-    }
-    // Refuse a length the remaining bytes cannot hold before sizing.
-    if (len > reader.BytesLeft()) {
-      return TruncatedError("symbols at sequence " + std::to_string(i));
-    }
-    record.id = static_cast<SequenceId>(id);
-    if (!reader.ReadOneByteRun(static_cast<size_t>(len), &record.symbols)) {
-      record.symbols.resize(static_cast<size_t>(len));
-      for (SymbolId& symbol : record.symbols) {
-        uint64_t sym = 0;
-        if ((vr = reader.ReadVarint64(&sym)) !=
-            BufferedVarintReader::VarintResult::kOk) {
-          return VarintError(vr, "symbols at sequence " + std::to_string(i));
-        }
-        symbol = static_cast<SymbolId>(sym);
-      }
-    }
-    if (layout != nullptr) {
-      layout->total_symbols += record.symbols.size();
-      ++layout->num_sequences;
-    }
-    if (visitor != nullptr && i >= begin_record && i < end_record) {
-      if (delivered_records != nullptr) *delivered_records = true;
+  for (uint64_t i = span.begin_record; i < end_record; ++i) {
+    Status read = ReadRecord(&reader, i, end_inside_file, &record);
+    if (!read.ok()) return read;
+    if (i >= begin_record) {
+      *delivered_records = true;
       db_telemetry::RecordSequenceVisited();
-      (*visitor)(record);
+      visitor(record);
     }
-    // Range scan: everything past the range is irrelevant — stop parsing
-    // (so the trailing-garbage check below only guards full streams).
-    if (i + 1 >= end_record) return Status::Ok();
   }
-  if (!reader.AtEof()) {
-    return Status::DataLoss("trailing garbage after last record");
+  if (end_record == span.end_record && reader.Tell() != span.end_offset) {
+    return Status::DataLoss(
+        "records " + std::to_string(span.begin_record) + ".." +
+        std::to_string(span.end_record) + " end at byte " +
+        std::to_string(reader.Tell()) + ", not at their end offset " +
+        std::to_string(span.end_offset));
   }
-  if (layout != nullptr) layout->file_bytes = reader.Tell();
   return Status::Ok();
 }
 

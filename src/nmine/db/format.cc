@@ -1,5 +1,6 @@
 #include "nmine/db/format.h"
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 
@@ -92,6 +93,10 @@ IoResult DecodeDatabase(const std::string& bytes,
       uint64_t sym = 0;
       if (!GetVarint64(&pos, end, &sym)) {
         return IoResult::Error("truncated symbols at sequence " +
+                               std::to_string(i));
+      }
+      if (sym > static_cast<uint64_t>(INT32_MAX)) {
+        return IoResult::Error("symbol out of range at sequence " +
                                std::to_string(i));
       }
       r.symbols.push_back(static_cast<SymbolId>(sym));

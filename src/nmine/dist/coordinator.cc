@@ -7,11 +7,8 @@
 #include <optional>
 #include <utility>
 
-#include "nmine/core/compatibility_matrix.h"
-#include "nmine/core/matrix_io.h"
 #include "nmine/db/disk_database.h"
 #include "nmine/exec/policy.h"
-#include "nmine/gen/matrix_generator.h"
 #include "nmine/lattice/pattern_counter.h"
 #include "nmine/net/status_server.h"
 #include "nmine/obs/clock.h"
@@ -50,13 +47,11 @@ int64_t NowSteadyUs() {
 
 }  // namespace
 
-/// Database + matrix the coordinator holds for its own use: the hello
-/// response mirrors this environment to workers, and the local fallback
-/// (counting with zero live workers) counts against it directly.
-struct CoordinatorEnv {
-  std::unique_ptr<DiskSequenceDatabase> db;
-  std::optional<CompatibilityMatrix> matrix;
-};
+// Task frames carry the byte offset of every exec-shard boundary, read
+// from Open's sparse index, so each boundary must be an indexed record.
+static_assert(exec::kDefaultShardSize % DiskSequenceDatabase::kIndexStride ==
+                  0,
+              "exec shard boundaries must fall on indexed records");
 
 Coordinator::Coordinator() = default;
 
@@ -85,50 +80,18 @@ bool Coordinator::Start(const Options& options, std::string* error) {
   adopt_pending_ = replay_.has_scan;
   next_scan_ = replay_.has_scan ? replay_.scan : 0;
 
-  // The coordinator's own view of the data: NumSequences fixes the shard
-  // geometry and the final division; the max symbol fixes the matrix
-  // dimension every party must agree on.
-  auto env = std::make_unique<CoordinatorEnv>();
-  Status db_error;
-  env->db = DiskSequenceDatabase::Open(options_.spec.db_path, &db_error);
-  if (env->db == nullptr) {
-    if (error != nullptr) *error = db_error.ToString();
+  // The job's inputs, opened once for the whole run: NumSequences fixes
+  // the shard geometry and the final division, the max symbol the matrix
+  // dimension every party must agree on, and the offset index the byte
+  // ranges task frames carry.
+  Status open_error;
+  env_ = serve::OpenJobInputs(options_.spec, &open_error);
+  if (env_ == nullptr) {
+    if (error != nullptr) *error = open_error.ToString();
     return false;
   }
-  num_sequences_ = env->db->NumSequences();
-  SymbolId max_symbol = -1;
-  Status probe_status = env->db->Scan(
-      [&](const SequenceRecord& r) {
-        for (SymbolId s : r.symbols) max_symbol = std::max(max_symbol, s);
-      },
-      /*restart=*/[&] { max_symbol = -1; });
-  if (!probe_status.ok()) {
-    if (error != nullptr) *error = probe_status.ToString();
-    return false;
-  }
-  num_symbols_ = static_cast<uint64_t>(max_symbol + 1);
-  const size_t m = static_cast<size_t>(num_symbols_);
-  if (!options_.spec.matrix_path.empty()) {
-    MatrixIoResult merr;
-    env->matrix = ReadCompatibilityMatrixFile(options_.spec.matrix_path, &merr);
-    if (!env->matrix.has_value()) {
-      if (error != nullptr) *error = merr.message;
-      return false;
-    }
-    if (env->matrix->size() < m) {
-      if (error != nullptr) {
-        *error = "matrix is " + std::to_string(env->matrix->size()) + "x" +
-                 std::to_string(env->matrix->size()) + " but the data uses " +
-                 std::to_string(m) + " symbols";
-      }
-      return false;
-    }
-  } else if (options_.spec.uniform_alpha >= 0.0) {
-    env->matrix = UniformNoiseMatrix(m, options_.spec.uniform_alpha);
-  } else {
-    env->matrix = CompatibilityMatrix::Identity(m);
-  }
-  env_ = std::move(env);
+  num_sequences_ = env_->db->NumSequences();
+  num_symbols_ = static_cast<uint64_t>(env_->db->max_symbol() + 1);
 
   exec_shard_size_ = exec::kDefaultShardSize;
   records_per_shard_ = options_.records_per_task;
@@ -208,8 +171,9 @@ serve::JobResult Coordinator::Run() {
       return CountBatch(metric, probe, values);
     };
   }
-  serve::JobResult result =
-      serve::RunJob(options_.spec, checkpoint_path, &run_control_, hooks);
+  serve::JobResult result = serve::MineJob(options_.spec, *env_,
+                                           checkpoint_path, &run_control_,
+                                           hooks);
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     result_ = result;
@@ -272,6 +236,7 @@ std::string Coordinator::HandleHello(const DistRequest& request) {
   info.metric = options_.spec.metric;
   info.num_symbols = num_symbols_;
   info.num_sequences = num_sequences_;
+  info.file_bytes = env_->db->file_bytes();
   info.exec_shard_size = exec_shard_size_;
   info.lease_ms = options_.lease_ms;
   NMINE_LOG(kInfo, "dist")
@@ -328,6 +293,14 @@ std::string Coordinator::HandlePoll(const DistRequest& request) {
     task.end_record = shard.end_record;
     task.resume_done = shard.progress.done;
     task.resume_partials = shard.progress.partials;
+    // Where each remaining exec shard starts, and where the last one ends:
+    // the worker seeks by these instead of pre-scanning the file.
+    for (uint64_t k = shard.progress.done;; ++k) {
+      const uint64_t record =
+          std::min(shard.begin_record + k * exec_shard_size_, shard.end_record);
+      task.offsets.push_back(env_->db->RecordOffset(record));
+      if (record == shard.end_record) break;
+    }
     task.patterns = scan_patterns_;
     return TaskResponse(task);
   }
@@ -656,9 +629,9 @@ Status Coordinator::CountShardLocallyLocked(
   ShardProgress progress = shard->progress;
   lock.unlock();
 
-  CoordinatorEnv* env = env_.get();
+  serve::JobInputs* env = env_.get();
   Status status = Status::Ok();
-  if (env == nullptr || env->db == nullptr) {
+  if (env == nullptr) {
     status = Status::Internal("coordinator environment missing");
   } else {
     const CompatibilityMatrix* c =

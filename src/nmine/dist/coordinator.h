@@ -22,18 +22,19 @@
 namespace nmine {
 namespace dist {
 
-struct CoordinatorEnv;
-
 /// Coordinator of one fault-tolerant distributed mining run.
 ///
-/// The coordinator owns the mining algorithm end to end: it executes
-/// serve::RunJob on the Run() caller's thread exactly as the solo CLI
-/// would — same database open, matrix resolution, checkpointing, and row
-/// formatting — and splices in only the Phase-3 batch counting, which it
+/// The coordinator owns the mining algorithm end to end: Start opens the
+/// job's inputs once (serve::OpenJobInputs) and Run mines them with
+/// serve::MineJob on the caller's thread exactly as the solo CLI would —
+/// same database open, matrix resolution, checkpointing, and row
+/// formatting — splicing in only the Phase-3 batch counting, which it
 /// farms out to workers over TCP. Each counting scan is partitioned into
 /// dist shards (contiguous runs of exec shards, boundaries aligned to
-/// exec::kDefaultShardSize), workers stream back one partial vector per
-/// exec shard, and the coordinator folds all partials into the totals in
+/// exec::kDefaultShardSize). Task frames carry the byte offsets of their
+/// exec shards from Open's index, so no worker pre-scans the file.
+/// Workers stream back one partial vector per exec shard, and the
+/// coordinator folds all partials into the totals in
 /// ascending global shard order before dividing by N once — the exact
 /// float grouping of ShardedScanReducer, so the mined pattern set is
 /// bit-identical to the serial CLI at any worker count and under any kill
@@ -150,9 +151,10 @@ class Coordinator {
                     const std::string& worker);
 
   Options options_;
-  // The database and matrix, set in Start() before any thread that reads
-  // them starts, and kept until the destructor.
-  std::unique_ptr<CoordinatorEnv> env_;
+  // The job's opened database and matrix, set in Start() before any thread
+  // that reads them starts, and kept until the destructor: Run() mines on
+  // them, the hello mirrors them, and the local fallback counts with them.
+  std::unique_ptr<serve::JobInputs> env_;
   std::unique_ptr<DistJournal> journal_;
   ReplayState replay_;
   bool adopt_pending_ = false;  // replay_ holds an unconsumed in-flight scan

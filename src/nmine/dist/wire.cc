@@ -1,6 +1,9 @@
 #include "nmine/dist/wire.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "nmine/obs/json_util.h"
 
@@ -32,6 +35,26 @@ bool ParsePartials(const obs::JsonValue& value,
   return true;
 }
 
+/// Member `name` of `object` through ReadWholeNumber; an absent member
+/// reads as `fallback`.
+bool GetWholeNumber(const obs::JsonValue& object, const char* name,
+                    uint64_t fallback, uint64_t* out) {
+  const obs::JsonValue* v = object.Get(name);
+  if (v == nullptr) {
+    *out = fallback;
+    return true;
+  }
+  return ReadWholeNumber(*v, out);
+}
+
+/// Whether `value` carries exactly kProtocolVersion in its "v".
+bool SpeaksOurVersion(const obs::JsonValue& value) {
+  const obs::JsonValue* v = value.Get("v");
+  uint64_t version = 0;
+  return v != nullptr && ReadWholeNumber(*v, &version) &&
+         version == static_cast<uint64_t>(kProtocolVersion);
+}
+
 void AppendPartials(const std::vector<std::vector<double>>& partials,
                     std::string* out) {
   out->append("[");
@@ -50,6 +73,15 @@ void AppendPartials(const std::vector<std::vector<double>>& partials,
 }
 
 }  // namespace
+
+bool ReadWholeNumber(const obs::JsonValue& value, uint64_t* out) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!value.is_number()) return false;
+  const double d = value.number_value;
+  if (!(d >= 0.0 && d <= kMaxExact) || d != std::floor(d)) return false;
+  *out = static_cast<uint64_t>(d);
+  return true;
+}
 
 std::string EncodeDoubleBits(double value) {
   uint64_t bits = 0;
@@ -106,8 +138,11 @@ bool ParsePatternsJson(const obs::JsonValue& value,
     std::vector<SymbolId> body;
     body.reserve(entry.array.size());
     for (const obs::JsonValue& sym : entry.array) {
+      // A symbol id, or -1 for the eternal symbol.
       if (!sym.is_number()) return false;
-      body.push_back(static_cast<SymbolId>(sym.number_value));
+      const double d = sym.number_value;
+      if (!(d >= -1.0 && d <= INT32_MAX) || d != std::floor(d)) return false;
+      body.push_back(static_cast<SymbolId>(d));
     }
     if (!Pattern::IsValidBody(body)) return false;
     patterns->emplace_back(std::move(body));
@@ -142,9 +177,7 @@ std::optional<DistRequest> ParseDistRequest(const std::string& line,
   if (is_worker_op) {
     // Worker frames REQUIRE the version: a mis-versioned worker must not
     // get to count anything.
-    const obs::JsonValue* v = value->Get("v");
-    if (v == nullptr || !v->is_number() ||
-        static_cast<int>(v->number_value) != kProtocolVersion) {
+    if (!SpeaksOurVersion(*value)) {
       if (error != nullptr) {
         *error = "unsupported protocol version (coordinator speaks v" +
                  std::to_string(kProtocolVersion) + ")";
@@ -165,22 +198,21 @@ std::optional<DistRequest> ParseDistRequest(const std::string& line,
 
   if (request.op == "progress") {
     const obs::JsonValue* v;
-    if ((v = value->Get("scan")) == nullptr || !v->is_number()) {
-      if (error != nullptr) *error = "progress needs a numeric \"scan\"";
+    for (auto [name, field] : {std::pair{"scan", &request.scan},
+                               std::pair{"shard", &request.shard},
+                               std::pair{"epoch", &request.epoch}}) {
+      if ((v = value->Get(name)) == nullptr || !ReadWholeNumber(*v, field)) {
+        if (error != nullptr) {
+          *error = std::string("progress needs a whole-number \"") + name +
+                   "\"";
+        }
+        return std::nullopt;
+      }
+    }
+    if (!GetWholeNumber(*value, "done", 0, &request.done)) {
+      if (error != nullptr) *error = "progress \"done\" is not a whole number";
       return std::nullopt;
     }
-    request.scan = static_cast<uint64_t>(v->number_value);
-    if ((v = value->Get("shard")) == nullptr || !v->is_number()) {
-      if (error != nullptr) *error = "progress needs a numeric \"shard\"";
-      return std::nullopt;
-    }
-    request.shard = static_cast<uint64_t>(v->number_value);
-    if ((v = value->Get("epoch")) == nullptr || !v->is_number()) {
-      if (error != nullptr) *error = "progress needs a numeric \"epoch\"";
-      return std::nullopt;
-    }
-    request.epoch = static_cast<uint64_t>(v->number_value);
-    request.done = static_cast<uint64_t>(value->GetNumber("done", 0.0));
     if ((v = value->Get("complete")) != nullptr) {
       request.complete = v->bool_value;
     }
@@ -216,6 +248,8 @@ std::string HelloResponse(const HelloInfo& info) {
   obs::AppendJsonNumber(static_cast<double>(info.num_symbols), &out);
   out.append(", \"n\": ");
   obs::AppendJsonNumber(static_cast<double>(info.num_sequences), &out);
+  out.append(", \"file_bytes\": ");
+  obs::AppendJsonNumber(static_cast<double>(info.file_bytes), &out);
   out.append(", \"exec_shard_size\": ");
   obs::AppendJsonNumber(static_cast<double>(info.exec_shard_size), &out);
   out.append(", \"lease_ms\": ");
@@ -225,12 +259,8 @@ std::string HelloResponse(const HelloInfo& info) {
 }
 
 std::optional<HelloInfo> ParseHelloResponse(const obs::JsonValue& value) {
-  if (!value.is_object()) return std::nullopt;
-  const obs::JsonValue* v = value.Get("v");
-  if (v == nullptr || !v->is_number() ||
-      static_cast<int>(v->number_value) != kProtocolVersion) {
-    return std::nullopt;
-  }
+  if (!value.is_object() || !SpeaksOurVersion(value)) return std::nullopt;
+  const obs::JsonValue* v;
   HelloInfo info;
   if ((v = value.Get("db")) == nullptr || !v->is_string() ||
       v->string_value.empty()) {
@@ -245,11 +275,19 @@ std::optional<HelloInfo> ParseHelloResponse(const obs::JsonValue& value) {
     return std::nullopt;
   }
   info.metric = v->string_value;
-  info.num_symbols = static_cast<uint64_t>(value.GetNumber("m", 0.0));
-  info.num_sequences = static_cast<uint64_t>(value.GetNumber("n", 0.0));
-  info.exec_shard_size =
-      static_cast<uint64_t>(value.GetNumber("exec_shard_size", 0.0));
-  info.lease_ms = static_cast<int64_t>(value.GetNumber("lease_ms", 0.0));
+  uint64_t lease_ms = 0;
+  if (!GetWholeNumber(value, "m", 0, &info.num_symbols) ||
+      !GetWholeNumber(value, "n", 0, &info.num_sequences) ||
+      !GetWholeNumber(value, "exec_shard_size", 0, &info.exec_shard_size) ||
+      !GetWholeNumber(value, "lease_ms", 0, &lease_ms)) {
+    return std::nullopt;
+  }
+  info.lease_ms = static_cast<int64_t>(lease_ms);
+  // The worker checks its file against this size, so it is required.
+  if ((v = value.Get("file_bytes")) == nullptr ||
+      !ReadWholeNumber(*v, &info.file_bytes)) {
+    return std::nullopt;
+  }
   if (info.exec_shard_size == 0) return std::nullopt;
   return info;
 }
@@ -269,6 +307,12 @@ std::string TaskResponse(const TaskAssignment& task) {
   obs::AppendJsonNumber(static_cast<double>(task.resume_done), &out);
   out.append(", \"resume_partials\": ");
   AppendPartials(task.resume_partials, &out);
+  out.append(", \"offsets\": [");
+  for (size_t i = 0; i < task.offsets.size(); ++i) {
+    if (i > 0) out.append(", ");
+    obs::AppendJsonNumber(static_cast<double>(task.offsets[i]), &out);
+  }
+  out.append("]");
   out.append(", \"patterns\": ");
   AppendPatternsJson(task.patterns, &out);
   out.append("}}\n");
@@ -296,19 +340,35 @@ std::optional<PollReply> ParsePollReply(const obs::JsonValue& value) {
   }
   const obs::JsonValue* task = value.Get("task");
   if (task == nullptr) {
-    reply.idle_ms = static_cast<int64_t>(value.GetNumber("idle_ms", 0.0));
+    uint64_t idle_ms = 0;
+    if (!GetWholeNumber(value, "idle_ms", 0, &idle_ms)) return std::nullopt;
+    reply.idle_ms = static_cast<int64_t>(idle_ms);
     return reply;
   }
   if (!task->is_object()) return std::nullopt;
   TaskAssignment assignment;
-  assignment.scan = static_cast<uint64_t>(task->GetNumber("scan", 0.0));
-  assignment.shard = static_cast<uint64_t>(task->GetNumber("shard", 0.0));
-  assignment.epoch = static_cast<uint64_t>(task->GetNumber("epoch", 0.0));
-  assignment.begin_record =
-      static_cast<uint64_t>(task->GetNumber("begin", 0.0));
-  assignment.end_record = static_cast<uint64_t>(task->GetNumber("end", 0.0));
-  assignment.resume_done =
-      static_cast<uint64_t>(task->GetNumber("resume_done", 0.0));
+  if (!GetWholeNumber(*task, "scan", 0, &assignment.scan) ||
+      !GetWholeNumber(*task, "shard", 0, &assignment.shard) ||
+      !GetWholeNumber(*task, "epoch", 0, &assignment.epoch) ||
+      !GetWholeNumber(*task, "begin", 0, &assignment.begin_record) ||
+      !GetWholeNumber(*task, "end", 0, &assignment.end_record) ||
+      !GetWholeNumber(*task, "resume_done", 0, &assignment.resume_done)) {
+    return std::nullopt;
+  }
+  // Absent offsets parse as none, which the worker refuses; present ones
+  // must strictly increase (every record takes at least two bytes).
+  if ((v = task->Get("offsets")) != nullptr) {
+    if (!v->is_array()) return std::nullopt;
+    for (const obs::JsonValue& entry : v->array) {
+      uint64_t offset = 0;
+      if (!ReadWholeNumber(entry, &offset) ||
+          (!assignment.offsets.empty() &&
+           offset <= assignment.offsets.back())) {
+        return std::nullopt;
+      }
+      assignment.offsets.push_back(offset);
+    }
+  }
   if ((v = task->Get("resume_partials")) == nullptr ||
       !ParsePartials(*v, &assignment.resume_partials)) {
     return std::nullopt;

@@ -42,6 +42,12 @@ inline constexpr int kProtocolVersion = 1;
 /// — but still a cap: a wedged peer cannot grow a buffer without bound.
 inline constexpr size_t kMaxFrameBytes = 8u << 20;
 
+/// Reads a JSON number that is a whole number in [0, 2^53], the range a
+/// double holds exactly. False on anything else (negative, fractional,
+/// too large, not a number); every count, id and offset on this wire
+/// goes through it.
+bool ReadWholeNumber(const obs::JsonValue& value, uint64_t* out);
+
 /// Renders `value`'s bit pattern as 16 lowercase hex digits.
 std::string EncodeDoubleBits(double value);
 
@@ -89,6 +95,7 @@ struct HelloInfo {
   std::string metric;          // match | support
   uint64_t num_symbols = 0;    // matrix dimension m
   uint64_t num_sequences = 0;  // guard: worker refuses a different file
+  uint64_t file_bytes = 0;     // guard, too: the size Open validated
   uint64_t exec_shard_size = 0;
   int64_t lease_ms = 0;
 };
@@ -100,6 +107,11 @@ std::optional<HelloInfo> ParseHelloResponse(const obs::JsonValue& value);
 /// [begin_record, end_record) of the database, one partial vector per
 /// exec shard, resuming after the first `resume_done` exec shards (their
 /// journaled partials ride along so the worker reports cumulatively).
+/// `offsets` are the byte offsets, from the coordinator's index, of the
+/// remaining exec-shard boundaries: offsets[j] is where exec shard
+/// resume_done + j starts and the last entry where end_record starts. Like
+/// resume_partials it is bounded by the task size, not the database. A
+/// worker refuses a task whose offsets do not match its exec shards.
 struct TaskAssignment {
   uint64_t scan = 0;
   uint64_t shard = 0;
@@ -108,6 +120,7 @@ struct TaskAssignment {
   uint64_t end_record = 0;
   uint64_t resume_done = 0;
   std::vector<std::vector<double>> resume_partials;
+  std::vector<uint64_t> offsets;
   std::vector<Pattern> patterns;
 };
 

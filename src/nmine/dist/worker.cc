@@ -44,8 +44,8 @@ void SleepWithStop(int64_t ms, const runtime::RunControl* run) {
 struct WorkerSession {
   int fd = -1;
   HelloInfo info;
-  std::unique_ptr<DiskSequenceDatabase> db;
-  std::optional<CompatibilityMatrix> matrix;  // set for metric == match
+  std::unique_ptr<DiskRangeReader> reader;
+  std::optional<CompatibilityMatrix> matrix;
   Metric metric = Metric::kMatch;
   std::string buffer;
 
@@ -106,36 +106,31 @@ Status OpenSession(const DistWorker::Options& options,
   session->metric =
       info->metric == "support" ? Metric::kSupport : Metric::kMatch;
 
-  // Mirror the coordinator's counting environment exactly — same database
-  // open, same matrix resolution order as serve::RunJob.
+  // Mirror the coordinator's counting environment exactly. The worker
+  // reads no record here: it checks the header and size against the
+  // coordinator's Open and seeks by the offsets each task carries.
   Status db_error;
-  session->db = DiskSequenceDatabase::Open(info->db_path, &db_error);
-  if (session->db == nullptr) {
+  session->reader = DiskRangeReader::Open(
+      info->db_path, info->num_sequences, info->file_bytes, DiskReadOptions(),
+      &db_error);
+  if (session->reader == nullptr) {
+    if (db_error.code() == StatusCode::kFailedPrecondition) {
+      return Status::FailedPrecondition(
+          "database " + db_error.message() +
+          " as the coordinator counted — different file?");
+    }
     return Status::InvalidArgument("cannot open database '" + info->db_path +
                                    "': " + db_error.message());
   }
-  if (session->db->NumSequences() != info->num_sequences) {
-    return Status::FailedPrecondition(
-        "database '" + info->db_path + "' has " +
-        std::to_string(session->db->NumSequences()) +
-        " sequences but the coordinator counted " +
-        std::to_string(info->num_sequences) + " — different file?");
-  }
-  const size_t m = static_cast<size_t>(info->num_symbols);
-  if (!info->matrix_path.empty()) {
-    MatrixIoResult merr;
-    session->matrix = ReadCompatibilityMatrixFile(info->matrix_path, &merr);
-    if (!session->matrix.has_value()) {
-      return Status::InvalidArgument(merr.message);
-    }
-    if (session->matrix->size() < m) {
-      return Status::InvalidArgument(
-          "matrix is smaller than the coordinator's symbol count");
-    }
-  } else if (info->uniform_alpha >= 0.0) {
-    session->matrix = UniformNoiseMatrix(m, info->uniform_alpha);
-  } else {
-    session->matrix = CompatibilityMatrix::Identity(m);
+  MatrixIoResult merr;
+  session->matrix = ResolveCompatibilityMatrix(
+      info->matrix_path, info->uniform_alpha,
+      static_cast<size_t>(info->num_symbols), &merr);
+  if (!session->matrix.has_value()) {
+    return Status::InvalidArgument(
+        merr.code == MatrixIoCode::kTooSmall
+            ? "matrix is smaller than the coordinator's symbol count"
+            : merr.message);
   }
   *out = std::move(session);
   return Status::Ok();
@@ -151,20 +146,31 @@ Status ProcessTask(WorkerSession& session, const TaskAssignment& task,
       session.metric == Metric::kMatch ? &*session.matrix : nullptr;
   BatchCountKernel kernel(task.patterns, c);
   const uint64_t ess = session.info.exec_shard_size;
+  const uint64_t num_exec =
+      (task.end_record - task.begin_record + ess - 1) / ess;
+  // One offset per remaining exec-shard boundary, the task's end included.
+  if (task.resume_done > num_exec ||
+      task.offsets.size() != num_exec - task.resume_done + 1) {
+    return Status::InvalidArgument(
+        "task for shard " + std::to_string(task.shard) + " carries " +
+        std::to_string(task.offsets.size()) +
+        " offsets, not one per remaining exec-shard boundary");
+  }
 
   std::vector<std::vector<double>> partials = task.resume_partials;
-  for (uint64_t k = task.resume_done;; ++k) {
-    const uint64_t lo = task.begin_record + k * ess;
-    if (lo >= task.end_record) break;
-    const uint64_t hi = std::min(lo + ess, task.end_record);
+  for (uint64_t k = task.resume_done; k < num_exec; ++k) {
+    RecordSpan span;
+    span.begin_record = task.begin_record + k * ess;
+    span.end_record = std::min(span.begin_record + ess, task.end_record);
+    span.begin_offset = task.offsets[k - task.resume_done];
+    span.end_offset = task.offsets[k - task.resume_done + 1];
     Status rs = runtime::CheckRun(options.run);
     if (!rs.ok()) return rs;
 
     std::vector<double> partial(task.patterns.size(), 0.0);
     exec::RecordFn fn = kernel.MakeRecordFn();
-    Status scan_status = session.db->ScanRange(
-        static_cast<size_t>(lo), static_cast<size_t>(hi),
-        [&](const SequenceRecord& r) { fn(r, &partial); },
+    Status scan_status = session.reader->Scan(
+        span, [&](const SequenceRecord& r) { fn(r, &partial); },
         /*restart=*/[&] {
           partial.assign(task.patterns.size(), 0.0);
           fn = kernel.MakeRecordFn();
@@ -186,7 +192,7 @@ Status ProcessTask(WorkerSession& session, const TaskAssignment& task,
     frame.append(", \"done\": ");
     obs::AppendJsonNumber(static_cast<double>(k + 1), &frame);
     frame.append(", \"complete\": ");
-    frame.append(hi >= task.end_record ? "true" : "false");
+    frame.append(k + 1 == num_exec ? "true" : "false");
     frame.append(", \"partials\": [");
     for (size_t i = 0; i < partials.size(); ++i) {
       if (i > 0) frame.append(", ");

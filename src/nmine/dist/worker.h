@@ -15,7 +15,8 @@ namespace dist {
 /// environment (database, compatibility matrix, metric — all named in the
 /// hello response), and then polls for shard tasks. Each task is counted
 /// one exec shard at a time with the exact serial kernel
-/// (lattice::BatchCountKernel over DiskSequenceDatabase::ScanRange), and
+/// (lattice::BatchCountKernel over a DiskRangeReader that seeks by the
+/// byte offsets the task carries; the worker never pre-scans the file), and
 /// every finished exec shard is reported as a cumulative progress frame —
 /// the worker's checkpoint stream. A worker killed mid-task loses at most
 /// one exec shard of work; its successor resumes from the last frame the

@@ -23,6 +23,26 @@ CompatibilityMatrix UniformNoiseMatrix(size_t m, double alpha) {
   return c;
 }
 
+std::optional<CompatibilityMatrix> ResolveCompatibilityMatrix(
+    const std::string& matrix_path, double uniform_alpha, size_t m,
+    MatrixIoResult* error) {
+  *error = MatrixIoResult();
+  if (matrix_path.empty()) {
+    if (uniform_alpha >= 0.0) return UniformNoiseMatrix(m, uniform_alpha);
+    return CompatibilityMatrix::Identity(m);
+  }
+  std::optional<CompatibilityMatrix> c =
+      ReadCompatibilityMatrixFile(matrix_path, error);
+  if (c.has_value() && c->size() < m) {
+    *error = {false, MatrixIoCode::kTooSmall,
+              "matrix is " + std::to_string(c->size()) + "x" +
+                  std::to_string(c->size()) + " but the data uses " +
+                  std::to_string(m) + " symbols"};
+    c.reset();
+  }
+  return c;
+}
+
 CompatibilityMatrix SparseRandomMatrix(size_t m, double compat_fraction,
                                        double diagonal_mass, Rng* rng) {
   if (m < 2) return CompatibilityMatrix::Identity(m);

@@ -2,9 +2,12 @@
 #define NMINE_GEN_MATRIX_GENERATOR_H_
 
 #include <cstddef>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "nmine/core/compatibility_matrix.h"
+#include "nmine/core/matrix_io.h"
 #include "nmine/stats/random.h"
 
 namespace nmine {
@@ -14,6 +17,15 @@ namespace nmine {
 /// otherwise. (Under a uniform symbol prior this equals the true posterior
 /// of the channel, so columns are stochastic by construction.)
 CompatibilityMatrix UniformNoiseMatrix(size_t m, double alpha);
+
+/// The compatibility matrix of a job over an m-symbol database: the file
+/// at `matrix_path` when it is set, else UniformNoiseMatrix(m,
+/// uniform_alpha) when uniform_alpha >= 0, else the identity. A file that
+/// does not read is nullopt with `*error` filled as ReadCompatibilityMatrix-
+/// File does; one smaller than m x m is nullopt with code kTooSmall.
+std::optional<CompatibilityMatrix> ResolveCompatibilityMatrix(
+    const std::string& matrix_path, double uniform_alpha, size_t m,
+    MatrixIoResult* error);
 
 /// The synthetic matrices of Section 5.7: each observed symbol is
 /// compatible with itself (with dominant probability `diagonal_mass`) and

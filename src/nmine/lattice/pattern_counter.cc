@@ -79,8 +79,12 @@ PatternTrie::Scratch PatternTrie::MakeScratch() const {
   return scratch;
 }
 
-void PatternTrie::FillFactors(const SymbolId* seq, size_t len,
-                              double* factors) const {
+// FillFactors and Best are aligned to a cache line so that where their hot
+// loops fall, and with it the trie's speed, does not move with the size of
+// unrelated code linked before this file: shifting them by 20 KB cost
+// sample_deep and disk_scan 8-12% of their mining CPU.
+__attribute__((aligned(64))) void PatternTrie::FillFactors(
+    const SymbolId* seq, size_t len, double* factors) const {
   const size_t stride = kTileWindows + max_depth_;
   if (c_ == nullptr) {
     for (size_t r = 0; r < row_syms_.size(); ++r) {
@@ -100,8 +104,9 @@ void PatternTrie::FillFactors(const SymbolId* seq, size_t len,
   }
 }
 
-void PatternTrie::Best(const Sequence& seq, Scratch* scratch,
-                       double* best) const {
+__attribute__((aligned(64))) void PatternTrie::Best(const Sequence& seq,
+                                                    Scratch* scratch,
+                                                    double* best) const {
   std::fill(best, best + num_patterns_, 0.0);
   const MatchKernel& kernel = ActiveMatchKernel();
   const size_t n = seq.size();

@@ -4,8 +4,6 @@
 #include <filesystem>
 #include <memory>
 
-#include "nmine/core/compatibility_matrix.h"
-#include "nmine/core/matrix_io.h"
 #include "nmine/db/disk_database.h"
 #include "nmine/db/fault_injecting_database.h"
 #include "nmine/db/retrying_database.h"
@@ -220,6 +218,60 @@ JobResult TypedError(const Status& status) {
 
 }  // namespace
 
+JobInputs::JobInputs() = default;
+JobInputs::~JobInputs() = default;
+
+const SequenceDatabase& JobInputs::mining_db() const {
+  if (retrier != nullptr) return *retrier;
+  return *db;
+}
+
+std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error) {
+  // Mirrors nmine_cli's CmdMine step for step: same defaults, same open,
+  // same matrix resolution — so the chaos drill can diff server output
+  // against a solo CLI run byte for byte.
+  auto inputs = std::make_unique<JobInputs>();
+  RetryPolicy retry;
+  retry.max_attempts = 1 + static_cast<int>(std::max<int64_t>(
+                               0, spec.scan_retries));
+  retry.initial_backoff_ms = spec.retry_backoff_ms;
+  if (spec.retry_budget >= 0) {
+    inputs->retry_budget = std::make_unique<RetryBudget>(spec.retry_budget);
+  }
+
+  DiskSequenceDatabase::Options db_options;
+  db_options.retry = retry;
+  db_options.retry_budget = inputs->retry_budget.get();
+  inputs->db = DiskSequenceDatabase::Open(spec.db_path, db_options, error);
+  if (inputs->db == nullptr) return nullptr;
+
+  if (!spec.fault_plan.empty()) {
+    std::string plan_error;
+    std::optional<FaultPlan> plan =
+        FaultPlan::Parse(spec.fault_plan, &plan_error);
+    if (!plan.has_value()) {
+      *error = Status::InvalidArgument(plan_error);
+      return nullptr;
+    }
+    inputs->injector = std::make_unique<FaultInjectingDatabase>(
+        inputs->db.get(), std::move(*plan));
+    inputs->retrier = std::make_unique<RetryingDatabase>(
+        inputs->injector.get(), retry, /*sleeper=*/nullptr,
+        inputs->retry_budget.get());
+  }
+
+  MatrixIoResult merr;
+  inputs->matrix = ResolveCompatibilityMatrix(
+      spec.matrix_path, spec.uniform_alpha,
+      static_cast<size_t>(inputs->db->max_symbol() + 1), &merr);
+  if (!inputs->matrix.has_value()) {
+    *error = Status::InvalidArgument(merr.message);
+    return nullptr;
+  }
+  *error = Status::Ok();
+  return inputs;
+}
+
 JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
                  const runtime::RunControl* run) {
   return RunJob(spec, checkpoint_path, run, RunJobHooks());
@@ -227,72 +279,15 @@ JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
 
 JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
                  const runtime::RunControl* run, const RunJobHooks& hooks) {
-  // Mirrors nmine_cli's CmdMine step for step: same defaults, same probe
-  // scan, same matrix resolution, same row formatting — so the chaos drill
-  // can diff server output against a solo CLI run byte for byte.
-  RetryPolicy retry;
-  retry.max_attempts = 1 + static_cast<int>(std::max<int64_t>(
-                               0, spec.scan_retries));
-  retry.initial_backoff_ms = spec.retry_backoff_ms;
-
-  std::optional<RetryBudget> retry_budget;
-  if (spec.retry_budget >= 0) retry_budget.emplace(spec.retry_budget);
-
   Status error;
-  DiskSequenceDatabase::Options db_options;
-  db_options.retry = retry;
-  db_options.retry_budget =
-      retry_budget.has_value() ? &*retry_budget : nullptr;
-  std::unique_ptr<DiskSequenceDatabase> db =
-      DiskSequenceDatabase::Open(spec.db_path, db_options, &error);
-  if (db == nullptr) return TypedError(error);
+  std::unique_ptr<JobInputs> inputs = OpenJobInputs(spec, &error);
+  if (inputs == nullptr) return TypedError(error);
+  return MineJob(spec, *inputs, checkpoint_path, run, hooks);
+}
 
-  std::unique_ptr<FaultInjectingDatabase> injector;
-  std::unique_ptr<RetryingDatabase> retrier;
-  const SequenceDatabase* mine_db = db.get();
-  if (!spec.fault_plan.empty()) {
-    std::string plan_error;
-    std::optional<FaultPlan> plan =
-        FaultPlan::Parse(spec.fault_plan, &plan_error);
-    if (!plan.has_value()) {
-      return TypedError(Status::InvalidArgument(plan_error));
-    }
-    injector =
-        std::make_unique<FaultInjectingDatabase>(db.get(), std::move(*plan));
-    retrier = std::make_unique<RetryingDatabase>(
-        injector.get(), retry, /*sleeper=*/nullptr,
-        retry_budget.has_value() ? &*retry_budget : nullptr);
-    mine_db = retrier.get();
-  }
-
-  SymbolId max_symbol = -1;
-  Status probe_status = db->Scan(
-      [&](const SequenceRecord& r) {
-        for (SymbolId s : r.symbols) max_symbol = std::max(max_symbol, s);
-      },
-      /*restart=*/[&] { max_symbol = -1; });
-  if (!probe_status.ok()) return TypedError(probe_status);
-  size_t m = static_cast<size_t>(max_symbol + 1);
-
-  std::optional<CompatibilityMatrix> c;
-  if (!spec.matrix_path.empty()) {
-    MatrixIoResult merr;
-    c = ReadCompatibilityMatrixFile(spec.matrix_path, &merr);
-    if (!c.has_value()) {
-      return TypedError(Status::InvalidArgument(merr.message));
-    }
-    if (c->size() < m) {
-      return TypedError(Status::InvalidArgument(
-          "matrix is " + std::to_string(c->size()) + "x" +
-          std::to_string(c->size()) + " but the data uses " +
-          std::to_string(m) + " symbols"));
-    }
-  } else if (spec.uniform_alpha >= 0.0) {
-    c = UniformNoiseMatrix(m, spec.uniform_alpha);
-  } else {
-    c = CompatibilityMatrix::Identity(m);
-  }
-
+JobResult MineJob(const JobSpec& spec, const JobInputs& inputs,
+                  const std::string& checkpoint_path,
+                  const runtime::RunControl* run, const RunJobHooks& hooks) {
   Metric metric = spec.metric == "support" ? Metric::kSupport : Metric::kMatch;
   MinerOptions options;
   options.min_threshold = spec.threshold;
@@ -324,7 +319,8 @@ JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
     return TypedError(
         Status::InvalidArgument("unknown algorithm '" + spec.algorithm + "'"));
   }
-  MiningResult result = miner->mine(metric, options, *mine_db, *c);
+  MiningResult result =
+      miner->mine(metric, options, inputs.mining_db(), *inputs.matrix);
 
   if (!result.ok()) {
     JobResult r = TypedError(result.status);

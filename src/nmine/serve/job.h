@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "nmine/core/compatibility_matrix.h"
 #include "nmine/core/metric.h"
 #include "nmine/core/pattern.h"
 #include "nmine/core/status.h"
@@ -15,6 +17,13 @@
 #include "nmine/runtime/run_control.h"
 
 namespace nmine {
+
+class DiskSequenceDatabase;
+class FaultInjectingDatabase;
+class RetryBudget;
+class RetryingDatabase;
+class SequenceDatabase;
+
 namespace serve {
 
 /// Lifecycle of one mining job inside the server.
@@ -120,22 +129,10 @@ struct Job {
   runtime::RunControl run_control;
 };
 
-/// Executes `spec` as one governed mining run: opens the database (with
-/// retry policy / budget / fault plan from the spec), resolves the
-/// compatibility matrix, mines with the requested algorithm under `run`,
-/// checkpointing to `checkpoint_path` (border-collapsing runs resume from
-/// it when it exists). Never throws and never returns a partial answer:
-/// the outcome is either ok with the full rows, or a typed error.
-/// kCancelled / kDeadlineExceeded surface as a !ok result with the
-/// corresponding wire code — the caller decides whether that means
-/// "re-queue" (drain) or "failed" (per-job deadline).
-JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
-                 const runtime::RunControl* run);
-
 /// Extension points a distributed driver splices into the run. The driver
-/// reuses ALL of RunJob (database open, matrix resolution, checkpointing,
-/// row formatting) so its output stays byte-identical to a solo run by
-/// construction; only the hooked stage differs.
+/// reuses ALL of the job path (database open, matrix resolution,
+/// checkpointing, row formatting) so its output stays byte-identical to a
+/// solo run by construction; only the hooked stage differs.
 struct RunJobHooks {
   /// Counts one Phase-3 probe batch out of process (collapse algorithm
   /// only; other algorithms ignore it). Must be bit-identical to the
@@ -145,6 +142,46 @@ struct RunJobHooks {
       phase3_count;
 };
 
+/// What a job mines, opened once: the database under the spec's retry
+/// policy and retry budget, the fault-plan wrappers when the spec has a
+/// plan, and the compatibility matrix sized by the alphabet Open learned.
+/// A coordinator keeps these for its whole run.
+struct JobInputs {
+  JobInputs();
+  ~JobInputs();
+  JobInputs(const JobInputs&) = delete;
+  JobInputs& operator=(const JobInputs&) = delete;
+
+  std::unique_ptr<RetryBudget> retry_budget;  // null: unlimited
+  std::unique_ptr<DiskSequenceDatabase> db;
+  std::unique_ptr<FaultInjectingDatabase> injector;  // with a fault plan
+  std::unique_ptr<RetryingDatabase> retrier;         // over the injector
+  std::optional<CompatibilityMatrix> matrix;
+
+  /// What the miners scan: the retrier when there is a fault plan, else
+  /// the database. The plan's scan indices count mining scans only.
+  const SequenceDatabase& mining_db() const;
+};
+
+/// Opens `spec`'s database (one validating pass, which also learns the
+/// alphabet) and resolves its matrix. Null with `*error` set on failure.
+std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error);
+
+/// Mines opened `inputs` as one governed run with the requested algorithm
+/// under `run`, checkpointing to `checkpoint_path` (border-collapsing runs
+/// resume from it when it exists). Never throws and never returns a
+/// partial answer: the outcome is either ok with the full rows, or a typed
+/// error. kCancelled / kDeadlineExceeded surface as a !ok result with the
+/// corresponding wire code — the caller decides whether that means
+/// "re-queue" (drain) or "failed" (per-job deadline).
+JobResult MineJob(const JobSpec& spec, const JobInputs& inputs,
+                  const std::string& checkpoint_path,
+                  const runtime::RunControl* run, const RunJobHooks& hooks);
+
+/// OpenJobInputs then MineJob: the file is read once to open it plus once
+/// per charged scan.
+JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
+                 const runtime::RunControl* run);
 JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
                  const runtime::RunControl* run, const RunJobHooks& hooks);
 

@@ -213,6 +213,44 @@ TEST(CorruptCorpusTest, LengthOrCountPastTheBytesLeftIsATypedError) {
   }
 }
 
+// --- Symbols a SymbolId cannot hold. ---
+
+TEST(CorruptCorpusTest, SymbolPastInt32IsDataLoss) {
+  // SymbolId is int32 and -1 is the wildcard. Cast blindly, 2^32 - 1 read
+  // as the wildcard, 2^31 + 2 as a negative symbol and 2^32 + 2 as symbol
+  // 2: mining then aborted, crashed or silently miscounted.
+  const uint64_t cases[] = {uint64_t{0xffffffff}, (uint64_t{1} << 31) + 2,
+                            (uint64_t{1} << 32) + 2};
+  for (uint64_t bad : cases) {
+    std::string bytes(dbformat::kMagic, sizeof(dbformat::kMagic));
+    bytes.push_back(static_cast<char>(dbformat::kVersion));
+    dbformat::PutVarint64(2, &bytes);  // count
+    for (const std::vector<uint64_t>& symbols :
+         {std::vector<uint64_t>{1, 2, 3}, std::vector<uint64_t>{1, bad, 2}}) {
+      dbformat::PutVarint64(7, &bytes);
+      dbformat::PutVarint64(symbols.size(), &bytes);
+      for (uint64_t sym : symbols) dbformat::PutVarint64(sym, &bytes);
+    }
+    std::vector<SequenceRecord> records;
+    IoResult decoded = dbformat::DecodeDatabase(bytes, &records);
+    EXPECT_FALSE(decoded.ok) << bad;
+    EXPECT_NE(decoded.message.find("symbol out of range at sequence 1"),
+              std::string::npos)
+        << bad << ": " << decoded.message;
+
+    const std::string path = WriteBytes("symbol_range.nmsq", bytes);
+    Status error;
+    std::unique_ptr<DiskSequenceDatabase> db = DiskSequenceDatabase::Open(
+        path, {RetryPolicy::NoRetry(), nullptr}, &error);
+    EXPECT_EQ(db, nullptr) << bad;
+    EXPECT_EQ(error.code(), StatusCode::kDataLoss) << bad;
+    EXPECT_NE(error.message().find("symbol out of range at sequence 1"),
+              std::string::npos)
+        << bad << ": " << error.ToString();
+    std::remove(path.c_str());
+  }
+}
+
 // --- Range scans over a file that changed after Open. ---
 
 // Three index strides of irregular records (multi-byte varints).

@@ -174,6 +174,52 @@ TEST(DiskDatabaseTest, ScanRangeEqualsFullScanSlice) {
   std::remove(path.c_str());
 }
 
+TEST(DiskDatabaseTest, OpenLearnsTheAlphabetAndLengthRange) {
+  // What Open's pre-scan reports must equal a fold over a full scan, so
+  // nothing needs a scan of its own to size the matrix or describe the
+  // file.
+  std::vector<SequenceRecord> two_byte(40);
+  for (size_t i = 0; i < two_byte.size(); ++i) {
+    two_byte[i].id = static_cast<SequenceId>(i);
+    for (size_t j = 0; j < 1 + i % 9; ++j) {
+      two_byte[i].symbols.push_back(
+          static_cast<SymbolId>(128 + (37 * i + 11 * j) % 16000));
+    }
+  }
+  const struct {
+    const char* name;
+    std::vector<SequenceRecord> records;
+  } cases[] = {
+      {"empty", {}},
+      {"two-byte symbols", two_byte},
+      {"irregular", IrregularRecords(1000)},
+      {"figure 4", testutil::Figure4Database().records()},
+  };
+  for (const auto& c : cases) {
+    const std::string path = TempPath("alphabet.nmsq");
+    ASSERT_TRUE(dbformat::WriteDatabaseFile(path, c.records).ok);
+    Status error;
+    std::unique_ptr<DiskSequenceDatabase> disk =
+        DiskSequenceDatabase::Open(path, &error);
+    ASSERT_NE(disk, nullptr) << c.name << ": " << error.ToString();
+    SymbolId max_symbol = -1;
+    size_t min_length = c.records.empty() ? 0 : SIZE_MAX;
+    size_t max_length = 0;
+    ASSERT_TRUE(disk->Scan([&](const SequenceRecord& r) {
+                      min_length = std::min(min_length, r.symbols.size());
+                      max_length = std::max(max_length, r.symbols.size());
+                      for (SymbolId s : r.symbols) {
+                        max_symbol = std::max(max_symbol, s);
+                      }
+                    })
+                    .ok());
+    EXPECT_EQ(disk->max_symbol(), max_symbol) << c.name;
+    EXPECT_EQ(disk->min_length(), min_length) << c.name;
+    EXPECT_EQ(disk->max_length(), max_length) << c.name;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(DiskDatabaseTest, DecodeEqualsDecodeDatabaseThroughScanAndEveryRange) {
   // Records that take the one-byte bulk path and records that cannot: two-
   // byte symbols (>= 128), empty records, one record longer than the 64 KiB

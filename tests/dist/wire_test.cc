@@ -144,6 +144,24 @@ TEST(DistRequestTest, MalformedFramesFailTyped) {
       {"{\"v\": 1, \"op\": \"progress\", \"worker\": \"w\", \"scan\": 1, "
        "\"shard\": 0, \"epoch\": 1, \"done\": 1, \"partials\": [[0.5]]}",
        "INVALID_ARGUMENT"},
+      // Counts that are not whole numbers in [0, 2^53]: a fraction used to
+      // truncate (epoch 2.5 checked as 2), a negative value to wrap.
+      {"{\"v\": 1, \"op\": \"progress\", \"worker\": \"w\", \"scan\": 1, "
+       "\"shard\": 0, \"epoch\": 2.5, \"done\": 0, \"partials\": []}",
+       "INVALID_ARGUMENT"},
+      {"{\"v\": 1, \"op\": \"progress\", \"worker\": \"w\", \"scan\": -1, "
+       "\"shard\": 0, \"epoch\": 1, \"done\": 0, \"partials\": []}",
+       "INVALID_ARGUMENT"},
+      {"{\"v\": 1, \"op\": \"progress\", \"worker\": \"w\", \"scan\": 1, "
+       "\"shard\": 18014398509481984, \"epoch\": 1, \"done\": 0, "
+       "\"partials\": []}",
+       "INVALID_ARGUMENT"},
+      {"{\"v\": 1, \"op\": \"progress\", \"worker\": \"w\", \"scan\": 1, "
+       "\"shard\": 0, \"epoch\": 1, \"done\": 0.5, \"partials\": []}",
+       "INVALID_ARGUMENT"},
+      // A fractional version is not version 1.
+      {"{\"v\": 1.5, \"op\": \"poll\", \"worker\": \"w\"}",
+       "FAILED_PRECONDITION"},
   };
   for (const Case& c : cases) {
     std::string error, code;
@@ -162,6 +180,7 @@ TEST(HelloResponseTest, RoundTrips) {
   info.metric = "match";
   info.num_symbols = 6;
   info.num_sequences = 60;
+  info.file_bytes = 5678;
   info.exec_shard_size = 256;
   info.lease_ms = 2000;
   std::optional<obs::JsonValue> value = obs::ParseJson(HelloResponse(info));
@@ -172,6 +191,7 @@ TEST(HelloResponseTest, RoundTrips) {
   EXPECT_EQ(back->uniform_alpha, info.uniform_alpha);
   EXPECT_EQ(back->metric, info.metric);
   EXPECT_EQ(back->num_sequences, info.num_sequences);
+  EXPECT_EQ(back->file_bytes, info.file_bytes);
   EXPECT_EQ(back->exec_shard_size, info.exec_shard_size);
   EXPECT_EQ(back->lease_ms, info.lease_ms);
 }
@@ -187,6 +207,28 @@ TEST(HelloResponseTest, RejectsMissingVersionOrGeometry) {
       "\"exec_shard_size\": 0}");
   ASSERT_TRUE(value.has_value());
   EXPECT_FALSE(ParseHelloResponse(*value).has_value());  // zero shard size
+  // Geometry that is not a whole number in [0, 2^53], and a missing size.
+  const char* bad_geometry[] = {
+      "\"n\": -5, \"file_bytes\": 100",
+      "\"n\": 60, \"m\": 6.5, \"file_bytes\": 100",
+      "\"n\": 60, \"file_bytes\": -100",
+      "\"n\": 60, \"file_bytes\": 18014398509481984",
+      "\"n\": 60, \"file_bytes\": 100, \"lease_ms\": 0.5",
+      "\"n\": 60",
+  };
+  for (const char* members : bad_geometry) {
+    value = obs::ParseJson(
+        std::string("{\"ok\": true, \"v\": 1, \"db\": \"x\", "
+                    "\"metric\": \"match\", \"exec_shard_size\": 256, ") +
+        members + "}");
+    ASSERT_TRUE(value.has_value()) << members;
+    EXPECT_FALSE(ParseHelloResponse(*value).has_value()) << members;
+  }
+  value = obs::ParseJson(
+      "{\"ok\": true, \"v\": 1.5, \"db\": \"x\", \"metric\": \"match\", "
+      "\"n\": 60, \"file_bytes\": 100, \"exec_shard_size\": 256}");
+  ASSERT_TRUE(value.has_value());
+  EXPECT_FALSE(ParseHelloResponse(*value).has_value());  // fractional "v"
 }
 
 TEST(PollReplyTest, TaskRoundTripsWithResumeState) {
@@ -198,6 +240,7 @@ TEST(PollReplyTest, TaskRoundTripsWithResumeState) {
   task.end_record = 1024;
   task.resume_done = 1;
   task.resume_partials = {{0.5, -0.0}};
+  task.offsets = {4096, 9001};
   task.patterns = {testutil::P({0, -1, 2})};
   std::optional<obs::JsonValue> value = obs::ParseJson(TaskResponse(task));
   ASSERT_TRUE(value.has_value());
@@ -212,6 +255,7 @@ TEST(PollReplyTest, TaskRoundTripsWithResumeState) {
   EXPECT_EQ(reply->task->end_record, 1024u);
   ASSERT_EQ(reply->task->resume_partials.size(), 1u);
   EXPECT_EQ(BitsOf(reply->task->resume_partials[0][1]), BitsOf(-0.0));
+  EXPECT_EQ(reply->task->offsets, task.offsets);
   ASSERT_EQ(reply->task->patterns.size(), 1u);
 }
 
@@ -246,6 +290,40 @@ TEST(PollReplyTest, RejectsCorruptTasks) {
       "\"resume_partials\": [], \"patterns\": [[0]]}}");
   ASSERT_TRUE(bad.has_value());
   EXPECT_FALSE(ParsePollReply(*bad).has_value());
+  // Numbers that are not whole numbers in [0, 2^53], offsets that do not
+  // increase, and pattern symbols no SymbolId holds.
+  const char* bad_members[] = {
+      "\"epoch\": 2.5, \"begin\": 0, \"end\": 9, \"offsets\": [6, 90]",
+      "\"epoch\": 1, \"begin\": -256, \"end\": 9, \"offsets\": [6, 90]",
+      "\"epoch\": 1, \"begin\": 0, \"end\": 9.5, \"offsets\": [6, 90]",
+      "\"epoch\": 1, \"begin\": 0, \"end\": 9, \"offsets\": [6, 90.5]",
+      "\"epoch\": 1, \"begin\": 0, \"end\": 9, \"offsets\": [-6, 90]",
+      "\"epoch\": 1, \"begin\": 0, \"end\": 9, \"offsets\": [90, 6]",
+      "\"epoch\": 1, \"begin\": 0, \"end\": 9, \"offsets\": 6",
+      "\"epoch\": 1, \"begin\": 0, \"end\": 9, \"offsets\": [6, 90], "
+      "\"patterns\": [[4294967295]]",
+      "\"epoch\": 1, \"begin\": 0, \"end\": 9, \"offsets\": [6, 90], "
+      "\"patterns\": [[0.5]]",
+  };
+  for (const char* members : bad_members) {
+    const std::string line =
+        std::string("{\"ok\": true, \"task\": {\"scan\": 1, \"shard\": 0, "
+                    "\"resume_done\": 0, \"resume_partials\": [], ") +
+        members +
+        (std::strstr(members, "patterns") == nullptr
+             ? ", \"patterns\": [[0]]}}"
+             : "}}");
+    bad = obs::ParseJson(line);
+    ASSERT_TRUE(bad.has_value()) << line;
+    EXPECT_FALSE(ParsePollReply(*bad).has_value()) << line;
+  }
+  // The same task with whole numbers parses.
+  std::optional<obs::JsonValue> good = obs::ParseJson(
+      "{\"ok\": true, \"task\": {\"scan\": 1, \"shard\": 0, \"epoch\": 1, "
+      "\"begin\": 0, \"end\": 9, \"resume_done\": 0, "
+      "\"resume_partials\": [], \"offsets\": [6, 90], \"patterns\": [[0]]}}");
+  ASSERT_TRUE(good.has_value());
+  EXPECT_TRUE(ParsePollReply(*good).has_value());
 }
 
 }  // namespace

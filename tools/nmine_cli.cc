@@ -550,32 +550,15 @@ int CmdInfo(const Flags& flags) {
     std::fprintf(stderr, "info: %s\n", error.ToString().c_str());
     return 1;
   }
-  size_t min_len = SIZE_MAX;
-  size_t max_len = 0;
-  SymbolId max_symbol = -1;
-  Status scan_status = db->Scan(
-      [&](const SequenceRecord& r) {
-        min_len = std::min(min_len, r.symbols.size());
-        max_len = std::max(max_len, r.symbols.size());
-        for (SymbolId s : r.symbols) max_symbol = std::max(max_symbol, s);
-      },
-      /*restart=*/[&] {
-        min_len = SIZE_MAX;
-        max_len = 0;
-        max_symbol = -1;
-      });
-  if (!scan_status.ok()) {
-    std::fprintf(stderr, "info: %s\n", scan_status.ToString().c_str());
-    return 2;
-  }
   std::printf("sequences:     %zu\n", db->NumSequences());
   std::printf("total symbols: %llu\n",
               static_cast<unsigned long long>(db->TotalSymbols()));
   if (db->NumSequences() > 0) {
-    std::printf("lengths:       %zu .. %zu (avg %.1f)\n", min_len, max_len,
+    std::printf("lengths:       %zu .. %zu (avg %.1f)\n", db->min_length(),
+                db->max_length(),
                 static_cast<double>(db->TotalSymbols()) /
                     static_cast<double>(db->NumSequences()));
-    std::printf("alphabet:      >= %d symbols\n", max_symbol + 1);
+    std::printf("alphabet:      >= %d symbols\n", db->max_symbol() + 1);
   }
   return 0;
 }
@@ -658,9 +641,9 @@ int CmdMine(const Flags& flags) {
 
   // Optional fault-injection drill: Retrying(FaultInjecting(disk)), so the
   // injected faults exercise the same retry path as real ones. The plan
-  // applies to mining scans only (the alphabet probe below runs directly
-  // on disk), which keeps drill scan indices deterministic: index 0 is the
-  // first mining scan.
+  // applies to mining scans only (Open's pre-scan runs directly on disk),
+  // which keeps drill scan indices deterministic: index 0 is the first
+  // mining scan.
   std::unique_ptr<FaultInjectingDatabase> injector;
   std::unique_ptr<RetryingDatabase> retrier;
   const SequenceDatabase* mine_db = db.get();
@@ -680,43 +663,27 @@ int CmdMine(const Flags& flags) {
     mine_db = retrier.get();
   }
 
-  // Determine the alphabet size from the data when only implicit matrices
-  // are requested.
-  SymbolId max_symbol = -1;
-  Status probe_status = db->Scan(
-      [&](const SequenceRecord& r) {
-        for (SymbolId s : r.symbols) max_symbol = std::max(max_symbol, s);
-      },
-      /*restart=*/[&] { max_symbol = -1; });
-  if (!probe_status.ok()) {
-    std::fprintf(stderr, "mine: %s\n", probe_status.ToString().c_str());
-    return 2;
+  // Open learned the alphabet: the matrix must cover every symbol in the
+  // data.
+  const double alpha =
+      flags.Has("uniform-alpha") ? flags.GetDouble("uniform-alpha", 0.1) : -1.0;
+  if (flags.Has("uniform-alpha") && !(alpha >= 0.0 && alpha <= 1.0)) {
+    std::fprintf(stderr, "mine: bad --uniform-alpha '%s' (want 0..1)\n",
+                 flags.Get("uniform-alpha", "").c_str());
+    return 1;
   }
-  size_t m = static_cast<size_t>(max_symbol + 1);
-
-  std::optional<CompatibilityMatrix> c;
-  if (flags.Has("matrix")) {
-    MatrixIoResult merr;
-    c = ReadCompatibilityMatrixFile(flags.Get("matrix", ""), &merr);
-    if (!c.has_value()) {
-      std::fprintf(stderr, "mine: %s\n", merr.message.c_str());
-      if (merr.code == MatrixIoCode::kNotStochastic) {
-        std::fprintf(stderr,
-                     "mine: every column of a compatibility matrix must sum "
-                     "to 1 (Definition 3.4); re-normalize the file\n");
-      }
-      return 1;
-    }
-    if (c->size() < m) {
+  MatrixIoResult merr;
+  std::optional<CompatibilityMatrix> c = ResolveCompatibilityMatrix(
+      flags.Get("matrix", ""), alpha,
+      static_cast<size_t>(db->max_symbol() + 1), &merr);
+  if (!c.has_value()) {
+    std::fprintf(stderr, "mine: %s\n", merr.message.c_str());
+    if (merr.code == MatrixIoCode::kNotStochastic) {
       std::fprintf(stderr,
-                   "mine: matrix is %zux%zu but the data uses %zu symbols\n",
-                   c->size(), c->size(), m);
-      return 1;
+                   "mine: every column of a compatibility matrix must sum "
+                   "to 1 (Definition 3.4); re-normalize the file\n");
     }
-  } else if (flags.Has("uniform-alpha")) {
-    c = UniformNoiseMatrix(m, flags.GetDouble("uniform-alpha", 0.1));
-  } else {
-    c = CompatibilityMatrix::Identity(m);
+    return 1;
   }
 
   Metric metric =
