@@ -1,14 +1,17 @@
-// Microbenchmarks for the hot paths: sliding-window match computation,
+// Microbenchmarks for the hot paths: the scalar reference match loop,
 // trie-batched counting vs naive counting, the Phase-1 symbol scan, disk
 // decode, and the varint codec. Each scenario runs a fixed amount of work per
 // repetition, so the harness's median/MAD over reps is directly
 // comparable across builds; the smoke subset is the CI perf gate.
 //
-// The match loop (micro.sequence_match) deliberately exercises code with
-// NO profiler instrumentation inside it: SequenceMatch carries no scopes,
-// so this scenario doubles as the guard that leaving NMINE_PROFILE_SCOPE
-// in the library costs nothing on the innermost loops (the disabled-state
-// cost of a scope is one relaxed atomic load, and there are none here).
+// micro.sequence_match times SequenceMatch, the scalar reference of
+// Definition 3.6 (the max of SegmentMatch over the windows). It does not
+// depend on the active match kernel, so it has no *_simd twin; the kernel
+// is exercised by micro.trie_batch_count_simd. The loop deliberately
+// carries NO profiler instrumentation, so this scenario doubles as the
+// guard that leaving NMINE_PROFILE_SCOPE in the library costs nothing on
+// the innermost loops (the disabled-state cost of a scope is one relaxed
+// atomic load, and there are none here).
 #include <unistd.h>
 
 #include <cstdint>
@@ -147,11 +150,11 @@ void RunNaiveSharedPrefixes(const bench::BenchContext&) {
 }
 
 /// Runs `fn` under the widest kernel this build and host support, then
-/// restores the harness-selected kernel. The *_simd scenarios force the
-/// vector kernel regardless of --simd, so one run always produces the
-/// (baseline-kernel, vector-kernel) pair the speedup gate compares; on
-/// hosts without a vector unit they degenerate to the scalar scenario and
-/// the pair shows ~1x.
+/// restores the harness-selected kernel. micro.trie_batch_count_simd
+/// forces the vector kernel regardless of --simd, so one run always
+/// produces the (baseline-kernel, vector-kernel) pair the speedup gate
+/// compares; on hosts without a vector unit it degenerates to the scalar
+/// scenario and the pair shows ~1x.
 void RunWithWidestKernel(const bench::BenchContext& ctx,
                          void (*fn)(const bench::BenchContext&)) {
   SimdLevel previous = ActiveMatchKernel().level();
@@ -160,10 +163,6 @@ void RunWithWidestKernel(const bench::BenchContext& ctx,
   SetActiveMatchKernel(widest, nullptr);
   fn(ctx);
   SetActiveMatchKernel(previous, nullptr);
-}
-
-void RunSequenceMatchSimd(const bench::BenchContext& ctx) {
-  RunWithWidestKernel(ctx, RunSequenceMatch);
 }
 
 void RunTrieBatchCountSimd(const bench::BenchContext& ctx) {
@@ -282,8 +281,6 @@ void RunHalfwayGeneration(const bench::BenchContext&) {
 int main(int argc, char** argv) {
   using nmine::bench::RegisterScenario;
   RegisterScenario("micro.sequence_match", nmine::RunSequenceMatch,
-                   {.smoke = true});
-  RegisterScenario("micro.sequence_match_simd", nmine::RunSequenceMatchSimd,
                    {.smoke = true});
   RegisterScenario("micro.trie_batch_count", nmine::RunTrieBatchCount,
                    {.smoke = true});

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <utility>
 
 #include "nmine/core/check.h"
@@ -151,11 +150,6 @@ double CompatibilityMatrix::MaxInColumn(SymbolId observed) const {
   return column_max_[static_cast<size_t>(observed)];
 }
 
-CompatibilityMatrix::LogView CompatibilityMatrix::LogRows() const {
-  EnsureIndex();
-  return {log_rows_.data(), m_, max_abs_log_};
-}
-
 void CompatibilityMatrix::EnsureIndex() const {
   // Double-checked: parallel scan workers may race to the first lookup.
   // The acquire load pairs with the release store so a reader that sees
@@ -166,25 +160,13 @@ void CompatibilityMatrix::EnsureIndex() const {
   column_nonzeros_.assign(m_, {});
   row_nonzeros_.assign(m_, {});
   column_max_.assign(m_, 0.0);
-  log_rows_.assign(m_ * m_, 0.0f);
-  max_abs_log_ = 0.0f;
   for (size_t i = 0; i < m_; ++i) {
     for (size_t j = 0; j < m_; ++j) {
       double v = data_[i * m_ + j];
-      if (v != 0.0) {
-        column_nonzeros_[j].push_back(
-            {static_cast<SymbolId>(i), v});
-        row_nonzeros_[i].push_back({static_cast<SymbolId>(j), v});
-        if (v > column_max_[j]) column_max_[j] = v;
-      }
-      // Log mirror: -inf marks a zero entry, so a window containing it
-      // sums to -inf and is screened out without special-casing.
-      float lv = v == 0.0 ? -std::numeric_limits<float>::infinity()
-                          : static_cast<float>(std::log(v));
-      log_rows_[i * m_ + j] = lv;
-      if (v != 0.0 && std::abs(lv) > max_abs_log_) {
-        max_abs_log_ = std::abs(lv);
-      }
+      if (v == 0.0) continue;
+      column_nonzeros_[j].push_back({static_cast<SymbolId>(i), v});
+      row_nonzeros_[i].push_back({static_cast<SymbolId>(j), v});
+      if (v > column_max_[j]) column_max_[j] = v;
     }
   }
   index_built_.store(true, std::memory_order_release);

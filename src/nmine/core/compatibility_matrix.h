@@ -103,24 +103,6 @@ class CompatibilityMatrix {
   /// The largest entry in the column for `observed`.
   double MaxInColumn(SymbolId observed) const;
 
-  /// The matrix in log space, as the SIMD match kernels consume it.
-  struct LogView {
-    /// m x m row-major single-precision logs: rows[true * m + observed] ==
-    /// logf(C(true, observed)), -inf for zero entries.
-    const float* rows = nullptr;
-    size_t m = 0;
-    /// max |log C| over the finite (non-zero) entries; the kernels derive
-    /// their screening guard band from it (see DESIGN.md section 16).
-    float max_abs_log = 0.0f;
-  };
-
-  /// Single-precision log mirror of the matrix, built lazily with the
-  /// sparse indexes (same thread-safety contract as ColumnNonZeros). Log
-  /// products over a window become float additions with no underflow
-  /// rescaling; the match kernels use this as a conservative screen and
-  /// re-derive exact values from the double entries.
-  LogView LogRows() const;
-
  private:
   void EnsureIndex() const;
 
@@ -135,8 +117,6 @@ class CompatibilityMatrix {
   mutable std::vector<std::vector<Entry>> column_nonzeros_;
   mutable std::vector<std::vector<Entry>> row_nonzeros_;
   mutable std::vector<double> column_max_;
-  mutable std::vector<float> log_rows_;
-  mutable float max_abs_log_ = 0.0f;
 };
 
 }  // namespace nmine

@@ -2,15 +2,10 @@
 
 #include <cassert>
 
-#include "nmine/core/match_kernel.h"
-
 namespace nmine {
 
-// SegmentMatch is the semantics reference for the whole kernel stack: the
-// SIMD kernels' exact re-evaluation path (detail::ExactWindowProduct) is
-// this loop — same factor order, same zero short-circuit — which is what
-// makes mined pattern sets bit-identical across --simd levels. Keep the
-// two in lockstep; MatchKernelTest.SegmentMatchIsTheExactReference pins it.
+// The window trie (lattice/pattern_counter.cc) multiplies in this loop's
+// factor order; keep the two in lockstep.
 double SegmentMatch(const CompatibilityMatrix& c, const Pattern& p,
                     const Sequence& seq, size_t offset) {
   assert(offset + p.length() <= seq.size());
@@ -29,12 +24,12 @@ double SegmentMatch(const CompatibilityMatrix& c, const Pattern& p,
 double SequenceMatch(const CompatibilityMatrix& c, const Pattern& p,
                      const Sequence& seq) {
   if (seq.size() < p.length()) return 0.0;
-  // Single-pattern entry to the process-wide match kernel (scalar or SIMD,
-  // chosen by --simd / runtime dispatch). The prepared pattern's buffers
-  // are reused per thread so steady-state calls allocate nothing.
-  thread_local PreparedPattern prep;
-  prep.Prepare(c, p);
-  return ActiveMatchKernel().BestMatch(prep, seq);
+  double best = 0.0;
+  for (size_t offset = 0; offset + p.length() <= seq.size(); ++offset) {
+    const double match = SegmentMatch(c, p, seq, offset);
+    if (match > best) best = match;
+  }
+  return best;
 }
 
 double SequenceSupport(const Pattern& p, const Sequence& seq) {

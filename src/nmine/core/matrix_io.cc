@@ -1,8 +1,10 @@
 #include "nmine/core/matrix_io.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace nmine {
@@ -49,10 +51,20 @@ std::optional<CompatibilityMatrix> ParseCompatibilityMatrix(
                 "first token must be the alphabet size m, got '" + tokens[0] +
                     "'");
   }
-  size_t m = parsed_m;
-  if (tokens.size() != 1 + m * m) {
+  // The largest symbol, m - 1, must be a SymbolId. That also bounds m * m
+  // by 2^62, so the entry count below cannot wrap.
+  if (parsed_m - 1 >
+      static_cast<unsigned long>(std::numeric_limits<SymbolId>::max())) {
     return fail(MatrixIoCode::kParseError,
-                "expected " + std::to_string(m * m) + " entries for m = " +
+                "alphabet size m = " + tokens[0] +
+                    " is too large: symbol ids end at " +
+                    std::to_string(std::numeric_limits<SymbolId>::max()));
+  }
+  const size_t m = parsed_m;
+  const uint64_t entries = static_cast<uint64_t>(m) * m;
+  if (tokens.size() - 1 != entries) {
+    return fail(MatrixIoCode::kParseError,
+                "expected " + std::to_string(entries) + " entries for m = " +
                     std::to_string(m) + ", found " +
                     std::to_string(tokens.size() - 1));
   }

@@ -50,8 +50,13 @@ class Parser {
     SkipSpace();
     if (pos_ >= text_.size()) return std::nullopt;
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) return std::nullopt;
+      ++depth_;
+      std::optional<JsonValue> out = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return out;
+    }
     if (c == '"') return ParseString();
     if (c == 't' || c == 'f') return ParseBool();
     if (c == 'n') {
@@ -205,6 +210,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace

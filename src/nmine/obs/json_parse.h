@@ -42,8 +42,16 @@ struct JsonValue {
   }
 };
 
+/// Deepest nesting of arrays and objects ParseJson accepts: `[[1]]` nests
+/// 2 deep. The parser recurses once per level, so without a bound one
+/// line of `[` could exhaust the thread's stack; deeper input is a syntax
+/// error like any other. Everything nmine writes nests at most 5 deep
+/// (JsonNestingTest.EmittedDocumentsNestWellBelowTheLimit).
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parses `text` as one JSON document (surrounding whitespace allowed).
-/// Returns nullopt on any syntax error.
+/// Returns nullopt on any syntax error, including nesting deeper than
+/// kMaxJsonDepth.
 std::optional<JsonValue> ParseJson(const std::string& text);
 
 /// Reads and parses a whole file; nullopt on IO or syntax error.

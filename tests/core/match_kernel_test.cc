@@ -30,21 +30,13 @@ struct KernelGuard {
   }
 };
 
-/// The naive Definition-3.6 loop, written independently of the kernel
-/// stack: the oracle every kernel (including scalar) is judged against.
-double NaiveBest(const CompatibilityMatrix& c, const Pattern& p,
+/// Definition 3.6 from the scalar reference: the max of SegmentMatch over
+/// every window, 0 when the sequence is shorter than the pattern.
+double WindowMax(const CompatibilityMatrix& c, const Pattern& p,
                  const Sequence& seq) {
-  if (seq.size() < p.length()) return 0.0;
   double best = 0.0;
   for (size_t offset = 0; offset + p.length() <= seq.size(); ++offset) {
-    double match = 1.0;
-    for (size_t i = 0; i < p.length(); ++i) {
-      SymbolId sym = p[i];
-      if (IsWildcard(sym)) continue;
-      match *= c.Column(seq[offset + i])[static_cast<size_t>(sym)];
-      if (match == 0.0) break;
-    }
-    if (match > best) best = match;
+    best = std::max(best, SegmentMatch(c, p, seq, offset));
   }
   return best;
 }
@@ -83,12 +75,14 @@ Pattern RandomPattern(Rng& rng, size_t length, size_t m,
   return Pattern(body);
 }
 
-/// Runs every compiled-and-supported kernel over random (patterns,
-/// sequences) drawn for `c` and checks all of them bitwise against the
-/// scalar kernel, and the scalar kernel against the naive oracle. The
-/// window-trie step (ProductMax) is checked on the same rounds.
+/// Runs each round's random (patterns, sequence) drawn for `c` through
+/// the window trie under every compiled-and-supported kernel and checks
+/// every value bitwise against SegmentMatch's window max (and
+/// SequenceMatch, which must be that max). The window-trie step
+/// (ProductMax) is checked directly on the same rounds.
 void CheckCorpus(const CompatibilityMatrix& c, double wildcard_prob,
                  uint64_t seed) {
+  KernelGuard guard;
   Rng rng(seed);
   const size_t m = c.size();
   std::vector<const MatchKernel*> kernels = CompiledKernels();
@@ -107,19 +101,24 @@ void CheckCorpus(const CompatibilityMatrix& c, double wildcard_prob,
     const size_t seq_len = rng.UniformInt(70);
     Sequence seq = RandomSequence(rng, seq_len, m);
 
+    std::vector<double> expected(patterns.size());
     for (size_t i = 0; i < patterns.size(); ++i) {
-      PreparedPattern prep;
-      prep.Prepare(c, patterns[i]);
-      const double scalar_best = kernels[0]->BestMatch(prep, seq);
-      EXPECT_EQ(scalar_best, NaiveBest(c, patterns[i], seq))
-          << "scalar kernel diverges from the naive oracle (pattern " << i
+      expected[i] = WindowMax(c, patterns[i], seq);
+      EXPECT_EQ(SequenceMatch(c, patterns[i], seq), expected[i])
+          << "SequenceMatch diverges from SegmentMatch (pattern " << i
           << ", round " << round << ")";
-      for (size_t ki = 1; ki < kernels.size(); ++ki) {
-        // Bit-identity, not tolerance: the SIMD screen must re-derive
-        // every surviving window with the exact scalar product.
-        EXPECT_EQ(kernels[ki]->BestMatch(prep, seq), scalar_best)
-            << kernels[ki]->name() << " diverges from scalar (pattern " << i
-            << ", round " << round << ", seq_len " << seq.size() << ")";
+    }
+    const PatternTrie trie(patterns, &c);
+    for (const MatchKernel* k : kernels) {
+      ASSERT_TRUE(SetActiveMatchKernel(k->level(), nullptr));
+      const std::vector<double> best = trie.Best(seq);
+      for (size_t i = 0; i < patterns.size(); ++i) {
+        // Bit-identity, not tolerance: the trie multiplies in
+        // SegmentMatch's factor order on every kernel.
+        EXPECT_EQ(best[i], expected[i])
+            << k->name() << " trie diverges from SegmentMatch (pattern "
+            << i << ", round " << round << ", seq_len " << seq.size()
+            << ")";
       }
     }
 
@@ -169,9 +168,7 @@ TEST(MatchKernelTest, SparseMatrixCorpusBitIdentical) {
 
 TEST(MatchKernelTest, NearUnderflowTinyProbabilitiesBitIdentical) {
   // Entries so small that products of a dozen factors sink to ~1e-250:
-  // the screen's guard-band argument needs normal doubles, so near the
-  // subnormal range ScreenThreshold must disable screening rather than
-  // risk a wrong reject. Bit-identity must survive that regime.
+  // the trie's rows must carry such products exactly on every kernel.
   CompatibilityMatrix c(6);
   Rng rng(11);
   for (size_t i = 0; i < 6; ++i) {
@@ -189,21 +186,23 @@ TEST(MatchKernelTest, WildcardHeavyCorpusBitIdentical) {
 }
 
 TEST(MatchKernelTest, SequenceShorterThanPatternIsZeroOnEveryKernel) {
+  KernelGuard guard;
   CompatibilityMatrix c = Figure2Matrix();
-  PreparedPattern prep0;
-  prep0.Prepare(c, P({0, 1, 2}));
-  PreparedPattern prep1;
-  prep1.Prepare(c, P({0, -1, -1, 1}));
+  const std::vector<Pattern> patterns = {P({0, 1, 2}), P({0, -1, -1, 1})};
+  const PatternTrie trie(patterns, &c);
   Sequence seq = {0, 1};
+  for (const Pattern& p : patterns) {
+    EXPECT_EQ(SequenceMatch(c, p, seq), 0.0);
+  }
   for (const MatchKernel* k : CompiledKernels()) {
-    EXPECT_EQ(k->BestMatch(prep0, seq), 0.0) << k->name();
-    EXPECT_EQ(k->BestMatch(prep1, seq), 0.0) << k->name();
+    ASSERT_TRUE(SetActiveMatchKernel(k->level(), nullptr));
+    EXPECT_EQ(trie.Best(seq), std::vector<double>({0.0, 0.0})) << k->name();
   }
 }
 
 TEST(MatchKernelTest, SegmentMatchIsTheExactReference) {
-  // The kernels' exact re-evaluation path must be SegmentMatch's loop;
-  // pin the equivalence through the public single-window API.
+  // SequenceMatch is the max of SegmentMatch over the windows; pin the
+  // equivalence through the public single-window API.
   CompatibilityMatrix c = Figure2Matrix();
   Sequence s = {0, 1, 1, 2, 3, 0};
   Pattern p = P({0, 1});
@@ -216,26 +215,23 @@ TEST(MatchKernelTest, SegmentMatchIsTheExactReference) {
 }
 
 TEST(MatchKernelTest, ThresholdAcceptRejectAgreesAcrossKernels) {
+  KernelGuard guard;
   // A mining threshold placed exactly on the best match value: the
   // accept/reject decision (match >= tau) must agree across kernels,
   // which requires the match values themselves to be bitwise equal.
   CompatibilityMatrix c = Figure2Matrix();
   Sequence s = {0, 1, 1, 2, 3, 0};
-  PreparedPattern prep0;
-  prep0.Prepare(c, P({0, 1}));
-  PreparedPattern prep1;
-  prep1.Prepare(c, P({0, 1, 1}));
-  const MatchKernel* scalar = GetMatchKernel(SimdLevel::kScalar);
-  std::vector<double> scalar_best = {scalar->BestMatch(prep0, s),
-                                     scalar->BestMatch(prep1, s)};
-  EXPECT_DOUBLE_EQ(scalar_best[0], 0.72);
-  const double tau = scalar_best[0];  // threshold exactly at the best match
+  const std::vector<Pattern> patterns = {P({0, 1}), P({0, 1, 1})};
+  const PatternTrie trie(patterns, &c);
+  const std::vector<double> reference = {SequenceMatch(c, patterns[0], s),
+                                         SequenceMatch(c, patterns[1], s)};
+  EXPECT_DOUBLE_EQ(reference[0], 0.72);
+  const double tau = reference[0];  // threshold exactly at the best match
   for (const MatchKernel* k : CompiledKernels()) {
-    std::vector<double> best = {k->BestMatch(prep0, s),
-                                k->BestMatch(prep1, s)};
+    ASSERT_TRUE(SetActiveMatchKernel(k->level(), nullptr));
+    const std::vector<double> best = trie.Best(s);
     EXPECT_TRUE(best[0] >= tau) << k->name();
-    EXPECT_EQ(best[0], scalar_best[0]) << k->name();
-    EXPECT_EQ(best[1], scalar_best[1]) << k->name();
+    EXPECT_EQ(best, reference) << k->name();
     EXPECT_FALSE(best[1] >= tau) << k->name();
   }
 }

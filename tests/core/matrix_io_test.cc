@@ -54,6 +54,30 @@ TEST(MatrixIoTest, RejectsWrongEntryCount) {
   EXPECT_NE(error.message.find("expected 4 entries"), std::string::npos);
 }
 
+TEST(MatrixIoTest, RejectsAlphabetPastTheLargestSymbolId) {
+  // m = 2^32: 1 + m * m wraps to 1 in 64 bits, so a file holding only the
+  // size must be refused before the entry count is compared.
+  MatrixIoResult error;
+  EXPECT_FALSE(ParseCompatibilityMatrix("4294967296\n", &error).has_value());
+  EXPECT_EQ(error.code, MatrixIoCode::kParseError);
+  EXPECT_NE(error.message.find("too large"), std::string::npos);
+  // m = 2^31 + 1 would need symbol id 2^31, one past INT32_MAX.
+  EXPECT_FALSE(ParseCompatibilityMatrix("2147483649\n1\n", &error)
+                   .has_value());
+  EXPECT_EQ(error.code, MatrixIoCode::kParseError);
+  EXPECT_NE(error.message.find("too large"), std::string::npos);
+  // "-1" reads as ULONG_MAX through strtoul.
+  EXPECT_FALSE(ParseCompatibilityMatrix("-1\n", &error).has_value());
+  EXPECT_EQ(error.code, MatrixIoCode::kParseError);
+  // m = 2^31 is the largest allowed; its 2^62 entries are counted exactly.
+  EXPECT_FALSE(ParseCompatibilityMatrix("2147483648\n1\n", &error)
+                   .has_value());
+  EXPECT_EQ(error.code, MatrixIoCode::kParseError);
+  EXPECT_NE(error.message.find("expected 4611686018427387904 entries"),
+            std::string::npos)
+      << error.message;
+}
+
 TEST(MatrixIoTest, RejectsBadNumber) {
   MatrixIoResult error;
   EXPECT_FALSE(

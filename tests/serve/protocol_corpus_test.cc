@@ -190,6 +190,29 @@ TEST_F(ProtocolCorpusServerTest, GarbageNeverWedgesTheConnection) {
   EXPECT_TRUE(value->Get("ok")->bool_value);
 }
 
+TEST_F(ProtocolCorpusServerTest, DeeplyNestedLineIsRefusedTyped) {
+  // One line of `[` just under the line cap. The parser recurses once per
+  // level, so without its kMaxJsonDepth bound this line would overflow
+  // the connection thread's stack and kill the server.
+  const std::string deep(kMaxRequestLineBytes - 1, '[');
+  PersistentConnection conn;
+  ASSERT_TRUE(conn.Connect(server_.port()));
+  ASSERT_TRUE(conn.SendLine(deep));
+  std::optional<std::string> reply = conn.ReadLine();
+  ASSERT_TRUE(reply.has_value());
+  std::optional<obs::JsonValue> value = obs::ParseJson(*reply);
+  ASSERT_TRUE(value.has_value()) << *reply;
+  EXPECT_FALSE(value->Get("ok")->bool_value);
+  EXPECT_EQ(value->Get("error")->string_value, "INVALID_ARGUMENT");
+  // The same connection, and the server, still answer a ping.
+  ASSERT_TRUE(conn.SendLine("{\"op\": \"ping\"}"));
+  std::optional<std::string> pong = conn.ReadLine();
+  ASSERT_TRUE(pong.has_value());
+  value = obs::ParseJson(*pong);
+  ASSERT_TRUE(value.has_value());
+  EXPECT_TRUE(value->Get("ok")->bool_value);
+}
+
 TEST_F(ProtocolCorpusServerTest, OversizedLineIsSheddedTyped) {
   PersistentConnection flooder;
   ASSERT_TRUE(flooder.Connect(server_.port()));

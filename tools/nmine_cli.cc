@@ -27,11 +27,9 @@
 //                  (default auto = widest kernel both this build and this
 //                  CPU support; requesting an unavailable level is an
 //                  error). Mined pattern sets are bit-identical across
-//                  levels: batch counts multiply every window's factors in
-//                  the scalar order, and the single-pattern screen
-//                  re-derives survivors with the exact scalar product. The
-//                  active kernel is reported in /statusz ("simd_kernel")
-//                  and bench fingerprints.
+//                  levels: every count multiplies each window's factors in
+//                  the scalar order. The active kernel is reported in
+//                  /statusz ("simd_kernel") and bench fingerprints.
 //
 // Observability (every command accepts these; see README "Observability"):
 //   --log-level trace|debug|info|warn|error|off   leveled stderr logging
