@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdio>
+#include <utility>
 
 namespace nmine {
 namespace {
@@ -20,7 +21,9 @@ Alphabet Alphabet::Anonymous(size_t m) {
   std::vector<std::string> names;
   names.reserve(m);
   for (size_t i = 0; i < m; ++i) {
-    names.push_back("d" + std::to_string(i + 1));
+    std::string name = "d";
+    name += std::to_string(i + 1);
+    names.push_back(std::move(name));
   }
   return Alphabet(names);
 }

@@ -68,6 +68,14 @@ class CompatibilityMatrix {
     return col_data_.data() + static_cast<size_t>(observed) * m_;
   }
 
+  /// Contiguous row for `true_sym`: Row(t)[d] == C(t, d) for every
+  /// observed symbol d. A view of the row-major entries, not a copy: the
+  /// window trie gathers its factor rows C(t, seq[j]) from it. Callers
+  /// handle the wildcard (factor 1.0) before indexing.
+  const double* Row(SymbolId true_sym) const {
+    return data_.data() + static_cast<size_t>(true_sym) * m_;
+  }
+
   /// Sets C(true_sym, observed) = value. Invalidates cached indexes.
   void Set(SymbolId true_sym, SymbolId observed, double value);
 

@@ -41,14 +41,19 @@ CpuFeatures DetectCpuFeatures() {
 
 namespace {
 
-class ScalarMatchKernel final : public MatchKernel {
- public:
-  SimdLevel level() const override { return SimdLevel::kScalar; }
+struct ScalarSteps {
+  __attribute__((always_inline)) static void GatherRow(const double* row,
+                                                       const SymbolId* seq,
+                                                       size_t n, double* out) {
+    for (size_t j = 0; j < n; ++j) out[j] = row[seq[j]];
+  }
 
-  double ProductMax(const double* a, const double* b, size_t n,
-                    double* out) const override {
-    // Two independent max chains, pairable by the compiler; a max of the
-    // same values is the same in any order.
+  // Two independent max chains, pairable by the compiler; a max of the
+  // same values is the same in any order.
+  __attribute__((always_inline)) static double ProductMax(const double* a,
+                                                          const double* b,
+                                                          size_t n,
+                                                          double* out) {
     double best0 = 0.0;
     double best1 = 0.0;
     size_t i = 0;
@@ -69,29 +74,50 @@ class ScalarMatchKernel final : public MatchKernel {
   }
 };
 
-#if defined(NMINE_HAVE_AVX2)
-class Avx2MatchKernel final : public MatchKernel {
+NMINE_WALK_ALIGNED void WalkTrieScalar(const WindowTrie& trie,
+                                       const SymbolId* seq, size_t n,
+                                       const WindowTrieBuffers& buffers,
+                                       double* best) {
+  detail::WalkTrie<ScalarSteps>(trie, seq, n, buffers, best);
+}
+
+void GatherRowScalar(const double* row, const SymbolId* seq, size_t n,
+                     double* out) {
+  ScalarSteps::GatherRow(row, seq, n, out);
+}
+
+double ProductMaxScalar(const double* a, const double* b, size_t n,
+                        double* out) {
+  return ScalarSteps::ProductMax(a, b, n, out);
+}
+
+/// A kernel is its level and the three functions of its translation unit.
+template <SimdLevel kLevel,
+          void (*kWalkTrie)(const WindowTrie&, const SymbolId*, size_t,
+                            const WindowTrieBuffers&, double*),
+          void (*kGatherRow)(const double*, const SymbolId*, size_t, double*),
+          double (*kProductMax)(const double*, const double*, size_t,
+                                double*)>
+class IsaKernel final : public MatchKernel {
  public:
-  SimdLevel level() const override { return SimdLevel::kAvx2; }
+  SimdLevel level() const override { return kLevel; }
+
+  void WalkTrie(const WindowTrie& trie, const SymbolId* seq, size_t n,
+                const WindowTrieBuffers& buffers,
+                double* best) const override {
+    kWalkTrie(trie, seq, n, buffers, best);
+  }
+
+  void GatherRow(const double* row, const SymbolId* seq, size_t n,
+                 double* out) const override {
+    kGatherRow(row, seq, n, out);
+  }
 
   double ProductMax(const double* a, const double* b, size_t n,
                     double* out) const override {
-    return detail::ProductMaxAvx2(a, b, n, out);
+    return kProductMax(a, b, n, out);
   }
 };
-#endif  // NMINE_HAVE_AVX2
-
-#if defined(NMINE_HAVE_NEON)
-class NeonMatchKernel final : public MatchKernel {
- public:
-  SimdLevel level() const override { return SimdLevel::kNeon; }
-
-  double ProductMax(const double* a, const double* b, size_t n,
-                    double* out) const override {
-    return detail::ProductMaxNeon(a, b, n, out);
-  }
-};
-#endif  // NMINE_HAVE_NEON
 
 std::atomic<const MatchKernel*>& ActiveKernelSlot() {
   static std::atomic<const MatchKernel*> slot{nullptr};
@@ -101,13 +127,17 @@ std::atomic<const MatchKernel*>& ActiveKernelSlot() {
 }  // namespace
 
 const MatchKernel* GetMatchKernel(SimdLevel level) {
-  static const ScalarMatchKernel scalar;
+  static const IsaKernel<SimdLevel::kScalar, WalkTrieScalar, GatherRowScalar,
+                         ProductMaxScalar>
+      scalar;
   switch (level) {
     case SimdLevel::kScalar:
       return &scalar;
     case SimdLevel::kAvx2: {
 #if defined(NMINE_HAVE_AVX2)
-      static const Avx2MatchKernel avx2;
+      static const IsaKernel<SimdLevel::kAvx2, detail::WalkTrieAvx2,
+                             detail::GatherRowAvx2, detail::ProductMaxAvx2>
+          avx2;
       return &avx2;
 #else
       return nullptr;
@@ -115,7 +145,9 @@ const MatchKernel* GetMatchKernel(SimdLevel level) {
     }
     case SimdLevel::kNeon: {
 #if defined(NMINE_HAVE_NEON)
-      static const NeonMatchKernel neon;
+      static const IsaKernel<SimdLevel::kNeon, detail::WalkTrieNeon,
+                             detail::GatherRowNeon, detail::ProductMaxNeon>
+          neon;
       return &neon;
 #else
       return nullptr;

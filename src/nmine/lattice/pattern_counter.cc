@@ -14,7 +14,7 @@ namespace nmine {
 
 PatternTrie::PatternTrie(const std::vector<Pattern>& patterns,
                          const CompatibilityMatrix* c)
-    : c_(c), num_patterns_(patterns.size()) {
+    : num_patterns_(patterns.size()) {
   // Lexicographic order (the wildcard, -1, sorts first) lists the trie in
   // DFS preorder: each pattern adds nodes for the positions past its
   // common prefix with the previous one, and duplicates are adjacent, so
@@ -41,7 +41,7 @@ PatternTrie::PatternTrie(const std::vector<Pattern>& patterns,
       nodes_[path.back()].end = static_cast<uint32_t>(nodes_.size());
     }
     for (size_t d = common; d < body.size(); ++d) {
-      Node node;
+      WindowTrie::Node node;
       node.depth = static_cast<uint32_t>(d + 1);
       const SymbolId sym = body[d];
       if (!IsWildcard(sym)) {
@@ -56,7 +56,7 @@ PatternTrie::PatternTrie(const std::vector<Pattern>& patterns,
       path.push_back(static_cast<uint32_t>(nodes_.size()));
       nodes_.push_back(node);
     }
-    Node& last = nodes_[path.back()];
+    WindowTrie::Node& last = nodes_[path.back()];
     if (last.num_patterns == 0) {
       last.first_pattern = static_cast<uint32_t>(pattern_ids_.size());
     }
@@ -67,6 +67,9 @@ PatternTrie::PatternTrie(const std::vector<Pattern>& patterns,
   }
   for (uint32_t open : path) {
     nodes_[open].end = static_cast<uint32_t>(nodes_.size());
+  }
+  if (c != nullptr) {
+    for (SymbolId sym : row_syms_) matrix_rows_.push_back(c->Row(sym));
   }
   ones_.assign(kTileWindows, 1.0);
 }
@@ -79,79 +82,23 @@ PatternTrie::Scratch PatternTrie::MakeScratch() const {
   return scratch;
 }
 
-// FillFactors and Best are aligned to a cache line so that where their hot
-// loops fall, and with it the trie's speed, does not move with the size of
-// unrelated code linked before this file: shifting them by 20 KB cost
-// sample_deep and disk_scan 8-12% of their mining CPU.
-__attribute__((aligned(64))) void PatternTrie::FillFactors(
-    const SymbolId* seq, size_t len, double* factors) const {
-  const size_t stride = kTileWindows + max_depth_;
-  if (c_ == nullptr) {
-    for (size_t r = 0; r < row_syms_.size(); ++r) {
-      double* row = factors + r * stride;
-      for (size_t j = 0; j < len; ++j) {
-        row[j] = seq[j] == row_syms_[r] ? 1.0 : 0.0;
-      }
-    }
-    return;
-  }
-  // Position-major: one matrix column per observed symbol, read once.
-  for (size_t j = 0; j < len; ++j) {
-    const double* col = c_->Column(seq[j]);
-    for (size_t r = 0; r < row_syms_.size(); ++r) {
-      factors[r * stride + j] = col[static_cast<size_t>(row_syms_[r])];
-    }
-  }
-}
-
-__attribute__((aligned(64))) void PatternTrie::Best(const Sequence& seq,
-                                                    Scratch* scratch,
-                                                    double* best) const {
-  std::fill(best, best + num_patterns_, 0.0);
-  const MatchKernel& kernel = ActiveMatchKernel();
-  const size_t n = seq.size();
-  const size_t stride = kTileWindows + max_depth_;
-  // rows[d] is the depth-d row of the current root path; a wildcard edge
-  // aliases its parent's row, so a write never hits a row still read.
-  const double** rows = scratch->path_rows.data();
-  rows[0] = ones_.data();
-  for (size_t t0 = 0; t0 < n; t0 += kTileWindows) {
-    // A depth-d window starting at t0 + w reads positions up to
-    // t0 + w + d - 1, so the tile needs kTileWindows + max_depth_ - 1
-    // positions at most.
-    FillFactors(seq.data() + t0, std::min(stride - 1, n - t0),
-                scratch->factors.data());
-    for (size_t i = 0; i < nodes_.size();) {
-      const Node& node = nodes_[i];
-      const size_t d = node.depth;
-      if (t0 + d > n) {  // no window of this depth starts in the tile
-        i = node.end;
-        continue;
-      }
-      if (node.row < 0) {
-        // Patterns never end on `*`, so nothing is recorded here.
-        rows[d] = rows[d - 1];
-        ++i;
-        continue;
-      }
-      double* out = scratch->rows.data() + (d - 1) * kTileWindows;
-      const double peak = kernel.ProductMax(
-          rows[d - 1],
-          scratch->factors.data() + static_cast<size_t>(node.row) * stride +
-              d - 1,
-          std::min(kTileWindows, n - d + 1 - t0), out);
-      if (peak == 0.0) {  // every window is dead: skip the subtree
-        i = node.end;
-        continue;
-      }
-      rows[d] = out;
-      for (uint32_t k = 0; k < node.num_patterns; ++k) {
-        double& slot = best[pattern_ids_[node.first_pattern + k]];
-        if (peak > slot) slot = peak;
-      }
-      ++i;
-    }
-  }
+void PatternTrie::Best(const Sequence& seq, Scratch* scratch,
+                       double* best) const {
+  WindowTrie trie;
+  trie.nodes = nodes_.data();
+  trie.num_nodes = nodes_.size();
+  trie.pattern_ids = pattern_ids_.data();
+  trie.num_patterns = num_patterns_;
+  trie.row_syms = row_syms_.data();
+  trie.matrix_rows = matrix_rows_.empty() ? nullptr : matrix_rows_.data();
+  trie.num_rows = row_syms_.size();
+  trie.ones = ones_.data();
+  trie.max_depth = max_depth_;
+  ActiveMatchKernel().WalkTrie(
+      trie, seq.data(), seq.size(),
+      {scratch->factors.data(), scratch->rows.data(),
+       scratch->path_rows.data()},
+      best);
 }
 
 std::vector<double> PatternTrie::Best(const Sequence& seq) const {

@@ -8,6 +8,7 @@
 
 #include "nmine/core/compatibility_matrix.h"
 #include "nmine/core/match.h"
+#include "nmine/core/match_kernel.h"
 #include "nmine/core/pattern.h"
 #include "nmine/db/sequence_database.h"
 #include "nmine/exec/policy.h"
@@ -22,24 +23,24 @@ namespace nmine {
 /// The batch is a trie keyed by pattern positions (the eternal symbol is
 /// an ordinary edge label), flattened in DFS preorder. Per sequence the
 /// windows are processed in tiles of kTileWindows. For each batch symbol s
-/// a factor row holds C(s, seq[j]) (0/1 for exact supports); each node's
-/// row then holds the partial product of every window of the tile,
+/// a factor row holds C(s, seq[j]) (0/1 for exact supports), gathered from
+/// the matrix's row for s; each node's row then holds the partial product
+/// of every window of the tile,
 ///   row[w] = parent_row[w] * C(sym, seq[w + depth - 1]),
 /// which is SegmentMatch's factor order, so values are bit-identical to
 /// calling SequenceMatch per pattern (the naive oracle used in tests).
 /// Wildcard edges reuse the parent row; the patterns ending at a node
 /// take the max over its row, and a node whose row is all zero skips its
-/// subtree for the tile. The one per-ISA step is MatchKernel::ProductMax.
+/// subtree for the tile. The walk is MatchKernel::WalkTrie of the active
+/// kernel, read once per sequence.
 class PatternTrie {
  public:
-  /// Windows per tile: node rows and factor rows stay cache-resident
-  /// however long the sequence is.
-  static constexpr size_t kTileWindows = 128;
+  static constexpr size_t kTileWindows = WindowTrie::kTileWindows;
 
   /// Builds the trie over `patterns` (non-empty; duplicates allowed —
   /// they share a node and all receive results). `c` == nullptr counts
   /// binary supports, otherwise matches under `c`, which must outlive the
-  /// trie.
+  /// trie unmodified (the trie keeps pointers to its rows).
   PatternTrie(const std::vector<Pattern>& patterns,
               const CompatibilityMatrix* c);
 
@@ -64,22 +65,12 @@ class PatternTrie {
   std::vector<double> Best(const Sequence& seq) const;
 
  private:
-  /// One trie node in DFS preorder: its subtree is [self, end).
-  struct Node {
-    uint32_t depth = 0;          // pattern positions on the root path
-    int32_t row = -1;            // factor row of the edge symbol; -1 = `*`
-    uint32_t end = 0;            // one past the last node of the subtree
-    uint32_t first_pattern = 0;  // into pattern_ids_
-    uint32_t num_patterns = 0;   // patterns ending at this node
-  };
-
-  void FillFactors(const SymbolId* seq, size_t len, double* factors) const;
-
-  const CompatibilityMatrix* c_;
-  std::vector<Node> nodes_;
+  std::vector<WindowTrie::Node> nodes_;
   std::vector<uint32_t> pattern_ids_;  // grouped by ending node
   std::vector<SymbolId> row_syms_;     // batch symbol of each factor row
-  std::vector<double> ones_;           // the root row
+  // c->Row(row_syms_[r]) per factor row; empty for a support trie.
+  std::vector<const double*> matrix_rows_;
+  std::vector<double> ones_;  // the root row
   size_t max_depth_ = 0;
   size_t num_patterns_ = 0;
 };

@@ -427,7 +427,6 @@ void MiningServer::RunOne(uint64_t id) {
   std::string checkpoint_path;
   const runtime::RunControl* run = nullptr;
   obs::TraceContext trace;
-  uint64_t root_span_id = 0;
   int64_t start_tus = 0;
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
@@ -445,7 +444,6 @@ void MiningServer::RunOne(uint64_t id) {
     run = &job.run_control;
     trace.trace_hi = job.trace_hi;
     trace.trace_lo = job.trace_lo;
-    root_span_id = job.root_span_id;
     start_tus = job.start_tus;
     // queued -> admitted: the queue-wait edge closes now; emit it
     // immediately so a running job's trace already shows its wait.

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -183,6 +185,109 @@ TEST(MatchKernelTest, NearUnderflowTinyProbabilitiesBitIdentical) {
 TEST(MatchKernelTest, WildcardHeavyCorpusBitIdentical) {
   CheckCorpus(UniformNoiseMatrix(10, 0.3), /*wildcard_prob=*/0.5,
               /*seed=*/404);
+}
+
+/// An m x m matrix of random entries, about a third of them zero. Not
+/// column-stochastic: the trie and SegmentMatch only multiply entries.
+CompatibilityMatrix RandomEntries(size_t m, Rng& rng) {
+  CompatibilityMatrix c(m);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      c.Set(static_cast<SymbolId>(i), static_cast<SymbolId>(j),
+            rng.Bernoulli(0.3) ? 0.0 : rng.UniformDouble());
+    }
+  }
+  return c;
+}
+
+TEST(MatchKernelTest, GatherRowCopiesMatrixEntriesAtEveryTileLength) {
+  // m = 300, so gather indices run far apart and above one byte. Every
+  // fill length a tile can ask for, 0 to kTileWindows + max_depth - 1
+  // (max_depth 14, the longest PatternCounterProperty pattern), must copy
+  // C(s, seq[j]) bit for bit and write nothing past the row.
+  const size_t m = 300;
+  const size_t max_len = PatternTrie::kTileWindows + 14 - 1;
+  Rng rng(505);
+  const CompatibilityMatrix c = RandomEntries(m, rng);
+  const Sequence seq = RandomSequence(rng, max_len, m);
+  const double kCanary = -1.0;
+  for (const MatchKernel* k : CompiledKernels()) {
+    for (SymbolId s : {0, 7, 255, 256, 299}) {
+      for (size_t len = 0; len <= max_len; ++len) {
+        std::vector<double> out(len + 4, kCanary);
+        k->GatherRow(c.Row(s), seq.data(), len, out.data());
+        for (size_t j = 0; j < len; ++j) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(out[j]),
+                    std::bit_cast<uint64_t>(c(s, seq[j])))
+              << k->name() << " row " << s << " length " << len
+              << " position " << j;
+        }
+        for (size_t j = len; j < out.size(); ++j) {
+          ASSERT_EQ(out[j], kCanary)
+              << k->name() << " wrote past a length-" << len << " row";
+        }
+      }
+    }
+  }
+}
+
+TEST(MatchKernelTest, TrieBuiltUnderOneKernelWalksUnderAnother) {
+  KernelGuard guard;
+  // Batch symbols from a sparse set of ids above 255 in a 300-symbol
+  // matrix, and sequences of every length up to two tiles plus the
+  // deepest pattern's reach: every fill length of a first and a second
+  // tile, zero factors that skip subtrees, matches and supports. The
+  // kernel is read per walk, so a trie built under one kernel must give
+  // the reference values under every other.
+  const size_t m = 300;
+  const size_t max_depth = 9;
+  Rng rng(606);
+  const CompatibilityMatrix c = RandomEntries(m, rng);
+  const std::vector<SymbolId> symbols = {256, 261, 270, 283, 299, 3};
+  auto draw = [&] { return symbols[rng.UniformInt(symbols.size())]; };
+  std::vector<Pattern> patterns;
+  for (size_t i = 0; i < 16; ++i) {
+    const size_t length = i == 0 ? max_depth : 1 + rng.UniformInt(max_depth);
+    std::vector<SymbolId> body(length);
+    for (size_t d = 0; d < length; ++d) {
+      const bool interior = d > 0 && d + 1 < length;
+      body[d] = interior && rng.Bernoulli(0.2) ? kWildcard : draw();
+    }
+    patterns.push_back(Pattern(body));
+  }
+  const size_t max_len = 2 * PatternTrie::kTileWindows + max_depth;
+  Sequence full(max_len);
+  for (SymbolId& s : full) {
+    s = rng.Bernoulli(0.8) ? draw() : static_cast<SymbolId>(rng.UniformInt(m));
+  }
+
+  const std::vector<const MatchKernel*> kernels = CompiledKernels();
+  for (const MatchKernel* built : kernels) {
+    ASSERT_TRUE(SetActiveMatchKernel(built->level(), nullptr));
+    const PatternTrie matches(patterns, &c);
+    const PatternTrie supports(patterns, nullptr);
+    PatternTrie::Scratch match_scratch = matches.MakeScratch();
+    PatternTrie::Scratch support_scratch = supports.MakeScratch();
+    std::vector<double> best(patterns.size());
+    for (size_t len = 0; len <= max_len; ++len) {
+      const Sequence seq(full.begin(), full.begin() + len);
+      for (const MatchKernel* walked : kernels) {
+        ASSERT_TRUE(SetActiveMatchKernel(walked->level(), nullptr));
+        matches.Best(seq, &match_scratch, best.data());
+        for (size_t i = 0; i < patterns.size(); ++i) {
+          ASSERT_EQ(best[i], WindowMax(c, patterns[i], seq))
+              << "built " << built->name() << ", walked " << walked->name()
+              << ": " << patterns[i].ToString() << " on length " << len;
+        }
+        supports.Best(seq, &support_scratch, best.data());
+        for (size_t i = 0; i < patterns.size(); ++i) {
+          ASSERT_EQ(best[i], SequenceSupport(patterns[i], seq))
+              << "built " << built->name() << ", walked " << walked->name()
+              << ": " << patterns[i].ToString() << " on length " << len;
+        }
+      }
+    }
+  }
 }
 
 TEST(MatchKernelTest, SequenceShorterThanPatternIsZeroOnEveryKernel) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -144,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, TrieVsNaiveProperty,
 // ---- PatternCounterProperty: the window trie against the naive oracle,
 // bit for bit (EXPECT_EQ on doubles, no tolerance) ----
 
-enum class Regime { kDense, kSparse, kBlosum, kSupport };
+enum class Regime { kDense, kSparse, kBlosum, kSupport, kLargeAlphabet };
 
 const char* RegimeName(Regime regime) {
   switch (regime) {
@@ -156,6 +157,8 @@ const char* RegimeName(Regime regime) {
       return "blosum";
     case Regime::kSupport:
       return "support";
+    case Regime::kLargeAlphabet:
+      return "large_alphabet";
   }
   return "?";
 }
@@ -184,8 +187,10 @@ struct ActiveKernelGuard {
 };
 
 /// A batch with lengths 1-14, interior wildcards, shared prefixes (a
-/// pattern extended from an earlier one) and exact duplicates.
-std::vector<Pattern> PropertyBatch(Rng& rng, size_t m) {
+/// pattern extended from an earlier one) and exact duplicates, over the
+/// symbols in `alphabet`.
+std::vector<Pattern> PropertyBatch(Rng& rng,
+                                   const std::vector<SymbolId>& alphabet) {
   std::vector<Pattern> patterns;
   const size_t count = 1 + rng.UniformInt(40);
   while (patterns.size() < count) {
@@ -203,7 +208,7 @@ std::vector<Pattern> PropertyBatch(Rng& rng, size_t m) {
       const bool interior = !body.empty() && body.size() + 1 < target;
       body.push_back(interior && rng.Bernoulli(0.3)
                          ? kWildcard
-                         : static_cast<SymbolId>(rng.UniformInt(m)));
+                         : alphabet[rng.UniformInt(alphabet.size())]);
     }
     std::optional<Pattern> p = Pattern::Trimmed(body);
     if (p.has_value()) patterns.push_back(*p);
@@ -211,9 +216,11 @@ std::vector<Pattern> PropertyBatch(Rng& rng, size_t m) {
   return patterns;
 }
 
-/// Records whose lengths cover the empty sequence, sequences shorter than
-/// most patterns, and every tile boundary the trie crosses.
-std::vector<SequenceRecord> PropertyRecords(Rng& rng, size_t m) {
+/// Records over the symbols in `alphabet` whose lengths cover the empty
+/// sequence, sequences shorter than most patterns, and every tile boundary
+/// the trie crosses.
+std::vector<SequenceRecord> PropertyRecords(
+    Rng& rng, const std::vector<SymbolId>& alphabet) {
   const size_t t = PatternTrie::kTileWindows;
   std::vector<size_t> lengths = {0,     1,     t - 1, t,         t + 1,
                                  t + 13, t + 14, 2 * t, 2 * t + 7};
@@ -222,7 +229,8 @@ std::vector<SequenceRecord> PropertyRecords(Rng& rng, size_t m) {
   for (size_t len : lengths) {
     SequenceRecord r;
     r.id = static_cast<SequenceId>(records.size());
-    r.symbols = RandomSequence(len, m, &rng);
+    r.symbols = RandomSequence(len, alphabet.size(), &rng);
+    for (SymbolId& sym : r.symbols) sym = alphabet[static_cast<size_t>(sym)];
     records.push_back(std::move(r));
   }
   return records;
@@ -266,11 +274,37 @@ TEST_P(PatternCounterProperty, WindowTrieIsBitIdenticalToNaiveOracle) {
       break;
     case Regime::kSupport:
       break;
+    case Regime::kLargeAlphabet:
+      matrix = SparseRandomMatrix(320, 0.15, 0.7, &rng);
+      break;
   }
   const CompatibilityMatrix* c = matrix.has_value() ? &*matrix : nullptr;
   const size_t m = c != nullptr ? c->size() : 6;
-  const std::vector<Pattern> patterns = PropertyBatch(rng, m);
-  const std::vector<SequenceRecord> records = PropertyRecords(rng, m);
+  std::vector<SymbolId> batch_symbols(m);
+  std::iota(batch_symbols.begin(), batch_symbols.end(), 0);
+  std::vector<SymbolId> record_symbols = batch_symbols;
+  if (regime == Regime::kLargeAlphabet) {
+    // A sparse set of far-apart ids, mostly above 255: factor rows gather
+    // from distant matrix entries, and most products are zero, so whole
+    // subtrees are skipped. Records also hold symbols outside the batch.
+    batch_symbols.clear();
+    while (batch_symbols.size() < 8) {
+      const SymbolId sym = static_cast<SymbolId>(
+          batch_symbols.size() < 2 ? rng.UniformInt(256)
+                                   : 256 + rng.UniformInt(m - 256));
+      if (std::find(batch_symbols.begin(), batch_symbols.end(), sym) ==
+          batch_symbols.end()) {
+        batch_symbols.push_back(sym);
+      }
+    }
+    record_symbols = batch_symbols;
+    for (int i = 0; i < 4; ++i) {
+      record_symbols.push_back(static_cast<SymbolId>(rng.UniformInt(m)));
+    }
+  }
+  const std::vector<Pattern> patterns = PropertyBatch(rng, batch_symbols);
+  const std::vector<SequenceRecord> records =
+      PropertyRecords(rng, record_symbols);
 
   std::vector<std::vector<double>> oracle;
   for (const SequenceRecord& r : records) {
@@ -312,7 +346,8 @@ TEST_P(PatternCounterProperty, WindowTrieIsBitIdenticalToNaiveOracle) {
 INSTANTIATE_TEST_SUITE_P(
     Regimes, PatternCounterProperty,
     ::testing::Combine(::testing::Values(Regime::kDense, Regime::kSparse,
-                                         Regime::kBlosum, Regime::kSupport),
+                                         Regime::kBlosum, Regime::kSupport,
+                                         Regime::kLargeAlphabet),
                        ::testing::Range<uint64_t>(0, 8)),
     [](const ::testing::TestParamInfo<std::tuple<Regime, uint64_t>>& info) {
       return std::string(RegimeName(std::get<0>(info.param))) + "_" +
