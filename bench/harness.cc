@@ -77,7 +77,7 @@ double NowSecondsSince(std::chrono::steady_clock::time_point start) {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--reps=N] [--warmup=N] [--threads=N]\n"
-               "          [--simd=auto|avx2|neon|scalar]\n"
+               "          [--simd=auto|avx512|avx2|neon|scalar]\n"
                "          [--filter=SUBSTRING] [--smoke] [--list]\n"
                "          [--out-dir=DIR]\n",
                argv0);
@@ -124,6 +124,7 @@ BuildFingerprint CurrentFingerprint() {
   CpuFeatures features = DetectCpuFeatures();
   std::string feats;
   if (features.avx2) feats += "avx2";
+  if (features.avx512) feats += feats.empty() ? "avx512" : "+avx512";
   if (features.neon) feats += feats.empty() ? "neon" : "+neon";
   fp.cpu_features = feats.empty() ? "none" : feats;
   return fp;

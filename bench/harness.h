@@ -64,7 +64,7 @@ struct HarnessDefaults {
 ///   --warmup=N    untimed warmup executions per scenario
 ///   --threads=N   worker threads handed to scenarios via
 ///                 BenchContext::threads (default 1; 0 = hardware)
-///   --simd=LEVEL  match kernel for M(P,s): auto|avx2|neon|scalar
+///   --simd=LEVEL  match kernel for M(P,s): auto|avx512|avx2|neon|scalar
 ///                 (default auto; the active kernel is stamped into every
 ///                 snapshot's fingerprint as "simd_kernel")
 ///   --filter=SUB  only scenarios whose name contains SUB

@@ -23,6 +23,8 @@ const char* SimdLevelName(SimdLevel level) {
       return "avx2";
     case SimdLevel::kNeon:
       return "neon";
+    case SimdLevel::kAvx512:
+      return "avx512";
   }
   return "scalar";
 }
@@ -31,6 +33,8 @@ CpuFeatures DetectCpuFeatures() {
   CpuFeatures f;
 #if defined(__x86_64__) || defined(__i386__)
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
+  f.avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512vl") != 0;
 #elif defined(__aarch64__) && defined(__linux__)
   f.neon = (getauxval(AT_HWCAP) & HWCAP_ASIMD) != 0;
 #elif defined(__aarch64__)
@@ -143,6 +147,17 @@ const MatchKernel* GetMatchKernel(SimdLevel level) {
       return nullptr;
 #endif
     }
+    case SimdLevel::kAvx512: {
+#if defined(NMINE_HAVE_AVX512)
+      static const IsaKernel<SimdLevel::kAvx512, detail::WalkTrieAvx512,
+                             detail::GatherRowAvx512,
+                             detail::ProductMaxAvx512>
+          avx512;
+      return &avx512;
+#else
+      return nullptr;
+#endif
+    }
     case SimdLevel::kNeon: {
 #if defined(NMINE_HAVE_NEON)
       static const IsaKernel<SimdLevel::kNeon, detail::WalkTrieNeon,
@@ -169,6 +184,8 @@ bool LevelUsable(SimdLevel level, const CpuFeatures& features) {
       return true;
     case SimdLevel::kAvx2:
       return features.avx2 && KernelCompiled(SimdLevel::kAvx2);
+    case SimdLevel::kAvx512:
+      return features.avx512 && KernelCompiled(SimdLevel::kAvx512);
     case SimdLevel::kNeon:
       return features.neon && KernelCompiled(SimdLevel::kNeon);
   }
@@ -181,7 +198,9 @@ bool ResolveSimdLevel(const std::string& flag, const CpuFeatures& features,
                       SimdLevel* out, std::string* error) {
   if (flag.empty() || flag == "auto") {
     // Widest first; never an ISA the host lacks or the build omitted.
-    if (LevelUsable(SimdLevel::kAvx2, features)) {
+    if (LevelUsable(SimdLevel::kAvx512, features)) {
+      *out = SimdLevel::kAvx512;
+    } else if (LevelUsable(SimdLevel::kAvx2, features)) {
       *out = SimdLevel::kAvx2;
     } else if (LevelUsable(SimdLevel::kNeon, features)) {
       *out = SimdLevel::kNeon;
@@ -195,11 +214,14 @@ bool ResolveSimdLevel(const std::string& flag, const CpuFeatures& features,
     requested = SimdLevel::kScalar;
   } else if (flag == "avx2") {
     requested = SimdLevel::kAvx2;
+  } else if (flag == "avx512") {
+    requested = SimdLevel::kAvx512;
   } else if (flag == "neon") {
     requested = SimdLevel::kNeon;
   } else {
     if (error != nullptr) {
-      *error = "bad --simd '" + flag + "' (want auto|avx2|neon|scalar)";
+      *error =
+          "bad --simd '" + flag + "' (want auto|avx512|avx2|neon|scalar)";
     }
     return false;
   }

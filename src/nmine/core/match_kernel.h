@@ -16,15 +16,18 @@ enum class SimdLevel {
   kScalar = 0,
   kAvx2 = 1,
   kNeon = 2,
+  kAvx512 = 3,
 };
 
-/// "scalar", "avx2", "neon" — static storage (safe for RunStatusBoard).
+/// "scalar", "avx2", "neon", "avx512" — static storage (safe for
+/// RunStatusBoard).
 const char* SimdLevelName(SimdLevel level);
 
 /// Vector features of a host, as probed (DetectCpuFeatures) or mocked
 /// (dispatch unit tests).
 struct CpuFeatures {
   bool avx2 = false;
+  bool avx512 = false;  // both AVX-512F and AVX-512VL
   bool neon = false;
 };
 
@@ -36,10 +39,11 @@ CpuFeatures DetectCpuFeatures();
 /// units are only compiled on matching architectures).
 bool KernelCompiled(SimdLevel level);
 
-/// Resolves a --simd flag value ("auto", "scalar", "avx2", "neon")
-/// against `features`: "auto" picks the widest kernel that is both
-/// compiled in and supported by `features` (never an ISA the host lacks);
-/// an explicit ISA request fails with a diagnostic when unavailable.
+/// Resolves a --simd flag value ("auto", "scalar", "avx2", "avx512",
+/// "neon") against `features`: "auto" picks the widest kernel that is both
+/// compiled in and supported by `features` (avx512 > avx2 > neon > scalar;
+/// never an ISA the host lacks); an explicit ISA request fails with a
+/// diagnostic when unavailable.
 /// Returns false and sets *error on an unknown value or an unsatisfiable
 /// request.
 bool ResolveSimdLevel(const std::string& flag, const CpuFeatures& features,

@@ -10,25 +10,31 @@ namespace detail {
 
 // The window-trie walk shared by the kernel dispatcher (match_kernel.cc,
 // the scalar kernel) and the per-ISA translation units
-// (match_kernel_avx2.cc / _neon.cc).
+// (match_kernel_avx2.cc / _avx512.cc / _neon.cc).
 //
 // The per-ISA files are compiled with wider instruction sets enabled
-// (-mavx2), so they must not instantiate anything with external linkage
-// from the wider library: the linker could pick the ISA-flagged copy for
-// the whole binary and leak vector encodings into the portable build. The
-// walk is therefore a template with internal linkage (anonymous namespace)
-// that calls nothing out of line but its Steps, and each per-ISA file
-// exports only the free functions declared below.
+// (-mavx2, -mavx512f -mavx512vl), so they must not instantiate anything
+// with external linkage from the wider library: the linker could pick the
+// ISA-flagged copy for the whole binary and leak vector encodings into the
+// portable build. The walk is therefore a template with internal linkage
+// (anonymous namespace) that calls nothing out of line but its Steps, and
+// each per-ISA file exports only the free functions declared below.
 
 /// MatchKernel::WalkTrie, GatherRow and ProductMax of each ISA. Defined
 /// only in their translation units; the dispatcher gates on
-/// NMINE_HAVE_AVX2 / NMINE_HAVE_NEON.
+/// NMINE_HAVE_AVX2 / NMINE_HAVE_AVX512 / NMINE_HAVE_NEON.
 void WalkTrieAvx2(const WindowTrie& trie, const SymbolId* seq, size_t n,
                   const WindowTrieBuffers& buffers, double* best);
 void GatherRowAvx2(const double* row, const SymbolId* seq, size_t n,
                    double* out);
 double ProductMaxAvx2(const double* a, const double* b, size_t n,
                       double* out);
+void WalkTrieAvx512(const WindowTrie& trie, const SymbolId* seq, size_t n,
+                    const WindowTrieBuffers& buffers, double* best);
+void GatherRowAvx512(const double* row, const SymbolId* seq, size_t n,
+                     double* out);
+double ProductMaxAvx512(const double* a, const double* b, size_t n,
+                        double* out);
 void WalkTrieNeon(const WindowTrie& trie, const SymbolId* seq, size_t n,
                   const WindowTrieBuffers& buffers, double* best);
 void GatherRowNeon(const double* row, const SymbolId* seq, size_t n,

@@ -45,14 +45,8 @@ double WindowMax(const CompatibilityMatrix& c, const Pattern& p,
 
 std::vector<const MatchKernel*> CompiledKernels() {
   std::vector<const MatchKernel*> kernels;
-  CpuFeatures host = DetectCpuFeatures();
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    const MatchKernel* k = GetMatchKernel(level);
-    if (k == nullptr) continue;
-    if (level == SimdLevel::kAvx2 && !host.avx2) continue;
-    if (level == SimdLevel::kNeon && !host.neon) continue;
-    kernels.push_back(k);
+  for (SimdLevel level : testutil::RunnableKernels()) {
+    kernels.push_back(GetMatchKernel(level));
   }
   return kernels;
 }
@@ -98,8 +92,9 @@ void CheckCorpus(const CompatibilityMatrix& c, double wildcard_prob,
       patterns.push_back(RandomPattern(rng, 1 + rng.UniformInt(12), m,
                                        wildcard_prob));
     }
-    // Lengths straddle the vector block width (8 on AVX2) so full blocks,
-    // tails, and sequences shorter than every pattern are all exercised.
+    // Lengths straddle the vector block widths (8 on AVX2, 16 on AVX-512)
+    // so full blocks, tails, and sequences shorter than every pattern are
+    // all exercised.
     const size_t seq_len = rng.UniformInt(70);
     Sequence seq = RandomSequence(rng, seq_len, m);
 
@@ -226,6 +221,66 @@ TEST(MatchKernelTest, GatherRowCopiesMatrixEntriesAtEveryTileLength) {
           ASSERT_EQ(out[j], kCanary)
               << k->name() << " wrote past a length-" << len << " row";
         }
+      }
+    }
+  }
+}
+
+TEST(MatchKernelTest, ProductMaxMatchesScalarAtEveryLengthUpToForty) {
+  // Every length 0-40 covers each kernel's full blocks (16 and 8 windows
+  // on AVX-512, 8 and 4 on AVX2), the steps after them and every tail
+  // width, at each start offset within a cache line. The peak is placed in
+  // each lane in turn, so a tail lane that loses its value shows, and the
+  // all-zero row checks that dead lanes cannot raise the max above 0.
+  // (GatherRowCopiesMatrixEntriesAtEveryTileLength covers the other step.)
+  const size_t max_len = 40;
+  const size_t max_offset = 8;
+  const size_t span = max_offset + max_len;
+  const double kCanary = -1.0;
+  Rng rng(707);
+  std::vector<double> a(span), b(span), zeros(span, 0.0);
+  for (size_t j = 0; j < span; ++j) {
+    a[j] = rng.UniformDouble();
+    b[j] = rng.Bernoulli(0.2) ? 0.0 : rng.UniformDouble();
+  }
+  const MatchKernel* scalar = GetMatchKernel(SimdLevel::kScalar);
+  for (const MatchKernel* k : CompiledKernels()) {
+    for (size_t offset = 0; offset < max_offset; ++offset) {
+      for (size_t len = 0; len <= max_len; ++len) {
+        for (size_t peak_at = 0; peak_at <= len; ++peak_at) {
+          // 2 x 2 beats every other product (< 1); peak_at == len leaves
+          // the rows as drawn.
+          std::vector<double> lhs = a, rhs = b;
+          if (peak_at < len) {
+            lhs[offset + peak_at] = 2.0;
+            rhs[offset + peak_at] = 2.0;
+          }
+          std::vector<double> want(len + 4, kCanary);
+          std::vector<double> got(len + 4, kCanary);
+          const double want_peak = scalar->ProductMax(
+              lhs.data() + offset, rhs.data() + offset, len, want.data());
+          const double got_peak = k->ProductMax(
+              lhs.data() + offset, rhs.data() + offset, len, got.data());
+          if (peak_at < len) {
+            ASSERT_EQ(want_peak, 4.0);
+          }
+          ASSERT_EQ(std::bit_cast<uint64_t>(got_peak),
+                    std::bit_cast<uint64_t>(want_peak))
+              << k->name() << " ProductMax length " << len << " offset "
+              << offset << " peak at " << peak_at;
+          for (size_t j = 0; j < got.size(); ++j) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(got[j]),
+                      std::bit_cast<uint64_t>(want[j]))
+                << k->name() << " ProductMax length " << len
+                << " position " << j;
+          }
+        }
+        std::vector<double> out_zero(len + 4, kCanary);
+        EXPECT_EQ(k->ProductMax(zeros.data(), b.data() + offset, len,
+                                out_zero.data()),
+                  0.0)
+            << k->name() << " length " << len;
+        EXPECT_EQ(out_zero[len], kCanary) << k->name() << " length " << len;
       }
     }
   }
@@ -386,8 +441,63 @@ TEST(MatchKernelDispatchTest, ExplicitRequestForUnsupportedIsaFails) {
   EXPECT_FALSE(ResolveSimdLevel("neon", none, &level, &error));
   EXPECT_FALSE(error.empty());
   error.clear();
+  EXPECT_FALSE(ResolveSimdLevel("avx512", none, &level, &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
   EXPECT_FALSE(ResolveSimdLevel("sse9", none, &level, &error));
   EXPECT_NE(error.find("sse9"), std::string::npos);
+}
+
+TEST(MatchKernelDispatchTest, AutoPicksAvx512OnlyOnAnAvx512Host) {
+  SimdLevel level = SimdLevel::kScalar;
+  std::string error;
+  // avx512 and avx2 both set: auto takes the widest compiled kernel.
+  CpuFeatures both;
+  both.avx2 = true;
+  both.avx512 = true;
+  ASSERT_TRUE(ResolveSimdLevel("auto", both, &level, &error));
+  if (KernelCompiled(SimdLevel::kAvx512)) {
+    EXPECT_EQ(level, SimdLevel::kAvx512);
+  } else if (KernelCompiled(SimdLevel::kAvx2)) {
+    EXPECT_EQ(level, SimdLevel::kAvx2);
+  } else {
+    EXPECT_EQ(level, SimdLevel::kScalar);
+  }
+  // An AVX2-only host still gets avx2, never avx512.
+  CpuFeatures avx2_host;
+  avx2_host.avx2 = true;
+  ASSERT_TRUE(ResolveSimdLevel("auto", avx2_host, &level, &error));
+  EXPECT_NE(level, SimdLevel::kAvx512);
+  if (KernelCompiled(SimdLevel::kAvx2)) {
+    EXPECT_EQ(level, SimdLevel::kAvx2);
+  }
+  // An explicit avx512 request on that host is refused with a message.
+  error.clear();
+  EXPECT_FALSE(ResolveSimdLevel("avx512", avx2_host, &level, &error));
+  EXPECT_NE(error.find("avx512"), std::string::npos) << error;
+  // ... and accepted where the mocked host has it and the build does too.
+  error.clear();
+  EXPECT_EQ(ResolveSimdLevel("avx512", both, &level, &error),
+            KernelCompiled(SimdLevel::kAvx512))
+      << error;
+  if (KernelCompiled(SimdLevel::kAvx512)) {
+    EXPECT_EQ(level, SimdLevel::kAvx512);
+  }
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx512), "avx512");
+}
+
+TEST(MatchKernelDispatchTest, ActiveKernelIsTheWidestTheHostRuns) {
+  KernelGuard guard;
+  // The real host: with AVX-512F and VL reported and the kernel compiled
+  // in, the process-wide kernel is avx512.
+  const CpuFeatures host = DetectCpuFeatures();
+  SimdLevel level = SimdLevel::kScalar;
+  ASSERT_TRUE(ResolveSimdLevel("auto", host, &level, nullptr));
+  ASSERT_TRUE(SetActiveMatchKernel(level, nullptr));
+  if (host.avx512 && KernelCompiled(SimdLevel::kAvx512)) {
+    EXPECT_STREQ(ActiveMatchKernelName(), "avx512");
+  }
+  EXPECT_STREQ(ActiveMatchKernelName(), SimdLevelName(level));
 }
 
 TEST(MatchKernelDispatchTest, EmptyFlagMeansAuto) {

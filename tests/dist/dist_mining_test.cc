@@ -247,9 +247,10 @@ TEST_F(DistMiningTest, BitIdenticalToSoloAtOneTwoAndFourWorkers) {
         << error;
     std::vector<std::unique_ptr<WorkerHarness>> workers;
     for (int i = 0; i < num_workers; ++i) {
+      std::string id = "w";
+      id += std::to_string(i);
       workers.push_back(std::make_unique<WorkerHarness>());
-      workers.back()->Start(coordinator.port(),
-                            "w" + std::to_string(i), /*throttle_ms=*/0);
+      workers.back()->Start(coordinator.port(), id, /*throttle_ms=*/0);
     }
     serve::JobResult result = coordinator.Run();
     for (auto& worker : workers) {
@@ -421,7 +422,9 @@ TEST_F(DistMiningTest, ZombieWithStaleEpochIsFencedAndNeverCounted) {
     poison.append("[");
     for (size_t i = 0; i < width; ++i) {
       if (i > 0) poison.append(", ");
-      poison.append("\"" + EncodeDoubleBits(999.0) + "\"");
+      poison += '"';
+      poison += EncodeDoubleBits(999.0);
+      poison += '"';
     }
     poison.append("]");
   }

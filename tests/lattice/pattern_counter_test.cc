@@ -22,6 +22,7 @@ using testutil::Figure4Database;
 using testutil::NaiveMatches;
 using testutil::NaiveSupports;
 using testutil::P;
+using testutil::RunnableKernels;
 
 TEST(PatternTrieTest, SinglePatternMatchesSequenceMatch) {
   CompatibilityMatrix c = Figure2Matrix();
@@ -161,20 +162,6 @@ const char* RegimeName(Regime regime) {
       return "large_alphabet";
   }
   return "?";
-}
-
-/// Kernels this build compiled and this host can run; scalar first.
-std::vector<SimdLevel> RunnableKernels() {
-  std::vector<SimdLevel> levels;
-  const CpuFeatures host = DetectCpuFeatures();
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (!KernelCompiled(level)) continue;
-    if (level == SimdLevel::kAvx2 && !host.avx2) continue;
-    if (level == SimdLevel::kNeon && !host.neon) continue;
-    levels.push_back(level);
-  }
-  return levels;
 }
 
 /// Restores the auto-resolved kernel when a forced-kernel test ends.

@@ -148,7 +148,8 @@ TEST_F(TracerTest, RingCapacityBoundsBufferAndCountsDrops) {
   uint64_t dropped_before = Tracer::Global().dropped();
   for (int i = 0; i < 10; ++i) {
     TraceEvent e;
-    e.name = "e" + std::to_string(i);
+    e.name = "e";
+    e.name += std::to_string(i);
     e.category = "test";
     e.ts_us = i;
     Tracer::Global().AddComplete(std::move(e));

@@ -189,7 +189,9 @@ TEST_F(JournalReplayTest, CompactionDropsOnlyTheOldestTerminalJobs) {
   JobResult done_result;
   done_result.ok = true;
   for (uint64_t id = 1; id <= total; ++id) {
-    ASSERT_TRUE(SubmitJob(journal.get(), id, "t" + std::to_string(id)).ok());
+    std::string tag = "t";
+    tag += std::to_string(id);
+    ASSERT_TRUE(SubmitJob(journal.get(), id, tag).ok());
     ASSERT_TRUE(journal->AppendResult(id, done_result).ok());
     ASSERT_TRUE(journal->AppendState(id, JobState::kDone).ok());
   }

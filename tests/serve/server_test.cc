@@ -376,8 +376,10 @@ TEST_F(MiningServerTest, LiveBoardKeepsWhatARestartWouldRecover) {
     ASSERT_TRUE(server.Start(options, &error)) << error;
     uint64_t last = 0;
     for (int i = 0; i < kJobs; ++i) {
-      std::optional<obs::JsonValue> ack = Ask(
-          server.port(), SubmitLine("alice", "t" + std::to_string(i), failing));
+      std::string tag = "t";
+      tag += std::to_string(i);
+      std::optional<obs::JsonValue> ack =
+          Ask(server.port(), SubmitLine("alice", tag, failing));
       ASSERT_TRUE(ack.has_value());
       ASSERT_TRUE(ack->Get("ok")->bool_value) << i;
       last = static_cast<uint64_t>(ack->GetNumber("id", 0.0));

@@ -108,6 +108,20 @@ int SettledThreadCount(int target) {
   return count;
 }
 
+std::vector<SimdLevel> RunnableKernels() {
+  std::vector<SimdLevel> levels;
+  const CpuFeatures host = DetectCpuFeatures();
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2,
+                          SimdLevel::kAvx512, SimdLevel::kNeon}) {
+    if (!KernelCompiled(level)) continue;
+    if (level == SimdLevel::kAvx2 && !host.avx2) continue;
+    if (level == SimdLevel::kAvx512 && !host.avx512) continue;
+    if (level == SimdLevel::kNeon && !host.neon) continue;
+    levels.push_back(level);
+  }
+  return levels;
+}
+
 int ProcessThreadCount() {
   std::ifstream in("/proc/self/status");
   std::string line;

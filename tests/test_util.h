@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "nmine/core/compatibility_matrix.h"
+#include "nmine/core/match_kernel.h"
 #include "nmine/lattice/candidate_gen.h"
 #include "nmine/core/pattern.h"
 #include "nmine/db/in_memory_database.h"
@@ -40,6 +41,9 @@ std::vector<Pattern> EnumeratePatterns(size_t m,
 /// Naive support counter oracle.
 std::vector<double> NaiveSupports(const std::vector<SequenceRecord>& records,
                                   const std::vector<Pattern>& patterns);
+
+/// Kernels this build compiled and this host can run; scalar first.
+std::vector<SimdLevel> RunnableKernels();
 
 /// The `Threads:` count of /proc/self/status, or -1 where it is missing.
 int ProcessThreadCount();

@@ -14,7 +14,7 @@
 //       [--algorithm collapse|levelwise|maxminer|toivonen|depthfirst]
 //       [--threshold T] [--max-span K] [--max-gap G] [--max-level K]
 //       [--sample N] [--delta D] [--seed S] [--threads N]
-//       [--simd auto|avx2|neon|scalar]
+//       [--simd auto|avx512|avx2|neon|scalar]
 //       [--calibrate none|expected|survival] [--csv]
 //
 // Parallelism:

@@ -8,7 +8,7 @@
 //   nmine_server --state-dir DIR [--port P] [--queue-capacity N]
 //       [--max-running N] [--shed-retry-after S] [--statusz-port P]
 //       [--port-file FILE] [--log-level L] [--trace] [--trace-buffer N]
-//       [--simd auto|avx2|neon|scalar]
+//       [--simd auto|avx512|avx2|neon|scalar]
 //
 // Flags:
 //   --state-dir DIR        job journal + per-job run checkpoints (required;
