@@ -67,6 +67,7 @@ void RunFig15(const bench::BenchContext& ctx) {
     // size of the ambiguous region (the paper's Figure 15(a) effect).
     options.max_counters_per_scan = 150;
     options.seed = 5;
+    options.num_threads = ctx.threads;
 
     BorderCollapseMiner miner(Metric::kMatch, options);
     test.ResetScanCount();

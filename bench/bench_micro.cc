@@ -181,8 +181,9 @@ void RunSymbolScan(const bench::BenchContext&) {
 
 /// Phase 1 at Fig. 15's largest alphabet: m = 5000 with a sparse matrix
 /// (each symbol compatible with ~10% of the others), 300 records of
-/// length 100-140. Every column takes the nonzero-list fold.
-void RunSymbolScanSparse(const bench::BenchContext&) {
+/// length 100-140. Every column takes the nonzero-list fold, sharded
+/// across --threads workers.
+void RunSymbolScanSparse(const bench::BenchContext& ctx) {
   constexpr size_t kM = 5000;
   static const CompatibilityMatrix c = [] {
     Rng rng(6);
@@ -198,7 +199,9 @@ void RunSymbolScanSparse(const bench::BenchContext&) {
     return GenerateDatabase(config, &rng);
   }();
   Rng rng(4);
-  SymbolScanResult result = ScanSymbolsAndSample(db, c, 0, &rng);
+  exec::ExecPolicy exec;
+  exec.num_threads = ctx.threads;
+  SymbolScanResult result = ScanSymbolsAndSample(db, c, 0, &rng, exec);
   KeepAlive(result);
 }
 

@@ -231,9 +231,13 @@ TEST_P(SymbolScanProperty, SupportEqualsNaiveAlgorithm41) {
   }
 }
 
-// short-read:1:300 delivers 300 records and fails once, mid-wave at both
-// shard sizes; the retried scan restarts the reducer and rewinds the
-// generator, so it must equal the fault-free oracle.
+// short-read:1:300 delivers 300 records and fails once; the retried scan
+// restarts the reducer and rewinds the generator, so it must equal the
+// fault-free oracle. At 4 threads the match fold of the m = 300 cases is
+// sharded, so the fault lands mid-wave and the restart drops buffered
+// waves. Every other case folds on the scanning thread, where 4 threads
+// checks that num_threads does not change Phase 1's result
+// (tests/exec/thread_pool_test.cc covers the parallel restart directly).
 TEST_P(SymbolScanProperty, RestartMidScanGivesTheFaultFreeResult) {
   const size_t shard = 16;
   const size_t sample = 50;
@@ -265,6 +269,10 @@ TEST_P(SymbolScanProperty, RestartMidScanGivesTheFaultFreeResult) {
     }
   }
 }
+
+// The m = 300 cases take the sharded match fold and the smaller ones the
+// serial fold, so both paths stay under the oracle.
+static_assert(kMinShardedFoldAlphabet > 65 && kMinShardedFoldAlphabet <= 300);
 
 INSTANTIATE_TEST_SUITE_P(
     Regimes, SymbolScanProperty,
