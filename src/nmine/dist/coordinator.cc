@@ -22,19 +22,6 @@ namespace nmine {
 namespace dist {
 namespace {
 
-/// Process-wide pointer behind /shardz — the ActiveServer pattern from
-/// serve: a leaked mutex (the endpoint outlives every coordinator) guards
-/// it; Start publishes, Stop retracts.
-std::mutex& ActiveCoordinatorMutex() {
-  static std::mutex* m = new std::mutex();
-  return *m;
-}
-
-Coordinator*& ActiveCoordinator() {
-  static Coordinator* coordinator = nullptr;
-  return coordinator;
-}
-
 /// Owner name of a shard the coordinator counts itself. No worker may use
 /// it: a poll re-grants the shards its worker name owns.
 constexpr char kLocalOwner[] = "coordinator";
@@ -132,22 +119,8 @@ bool Coordinator::Start(const Options& options, std::string* error) {
 
   running_.store(true, std::memory_order_release);
 
-  {
-    std::lock_guard<std::mutex> lock(ActiveCoordinatorMutex());
-    ActiveCoordinator() = this;
-  }
-  static bool shardz_registered = [] {
-    net::StatusServer::RegisterEndpoint("/shardz", [] {
-      std::lock_guard<std::mutex> lock(ActiveCoordinatorMutex());
-      Coordinator* coordinator = ActiveCoordinator();
-      if (coordinator == nullptr) {
-        return std::string("{\"error\": \"no coordinator running\"}\n");
-      }
-      return coordinator->ShardzJson();
-    });
-    return true;
-  }();
-  (void)shardz_registered;
+  shardz_ = net::StatusServer::RegisterEndpoint(
+      "/shardz", [this] { return ShardzJson(); });
 
   NMINE_LOG(kInfo, "dist")
       .Msg("coordinator listening")
@@ -198,11 +171,8 @@ void Coordinator::Stop() {
     scan_cv_.notify_all();
     result_cv_.notify_all();
   }
+  net::StatusServer::Unregister(shardz_);
   transport_.Stop();
-  {
-    std::lock_guard<std::mutex> lock(ActiveCoordinatorMutex());
-    if (ActiveCoordinator() == this) ActiveCoordinator() = nullptr;
-  }
   NMINE_LOG(kInfo, "dist").Msg("coordinator stopped");
 }
 

@@ -58,9 +58,10 @@ namespace dist {
 ///    fingerprint over (metric, patterns) and adopts the journaled shard
 ///    progress, so worker output from the previous life is not recounted.
 ///
-/// Introspection: /shardz on the status server (per-shard owner, epoch,
-/// lease age, reassignments, progress), dist.* metrics, and grant /
-/// reassign / fence spans in the tracer.
+/// Introspection: /shardz on the status server while the coordinator runs
+/// (per-shard owner, epoch, lease age, reassignments, progress; 404 after
+/// Stop), dist.* metrics, and grant / reassign / fence spans in the
+/// tracer.
 class Coordinator {
  public:
   struct Options {
@@ -167,6 +168,7 @@ class Coordinator {
   net::LineServer transport_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
+  uint64_t shardz_ = 0;  // /shardz registration, removed by Stop
 
   runtime::RunControl run_control_;
   uint64_t trace_hi_ = 0;

@@ -35,17 +35,8 @@ bool ParsePartials(const obs::JsonValue& value,
   return true;
 }
 
-/// Member `name` of `object` through ReadWholeNumber; an absent member
-/// reads as `fallback`.
-bool GetWholeNumber(const obs::JsonValue& object, const char* name,
-                    uint64_t fallback, uint64_t* out) {
-  const obs::JsonValue* v = object.Get(name);
-  if (v == nullptr) {
-    *out = fallback;
-    return true;
-  }
-  return ReadWholeNumber(*v, out);
-}
+using obs::GetWholeNumber;
+using obs::ReadWholeNumber;
 
 /// Whether `value` carries exactly kProtocolVersion in its "v".
 bool SpeaksOurVersion(const obs::JsonValue& value) {
@@ -73,15 +64,6 @@ void AppendPartials(const std::vector<std::vector<double>>& partials,
 }
 
 }  // namespace
-
-bool ReadWholeNumber(const obs::JsonValue& value, uint64_t* out) {
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-  if (!value.is_number()) return false;
-  const double d = value.number_value;
-  if (!(d >= 0.0 && d <= kMaxExact) || d != std::floor(d)) return false;
-  *out = static_cast<uint64_t>(d);
-  return true;
-}
 
 std::string EncodeDoubleBits(double value) {
   uint64_t bits = 0;

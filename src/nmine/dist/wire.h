@@ -42,12 +42,6 @@ inline constexpr int kProtocolVersion = 1;
 /// — but still a cap: a wedged peer cannot grow a buffer without bound.
 inline constexpr size_t kMaxFrameBytes = 8u << 20;
 
-/// Reads a JSON number that is a whole number in [0, 2^53], the range a
-/// double holds exactly. False on anything else (negative, fractional,
-/// too large, not a number); every count, id and offset on this wire
-/// goes through it.
-bool ReadWholeNumber(const obs::JsonValue& value, uint64_t* out);
-
 /// Renders `value`'s bit pattern as 16 lowercase hex digits.
 std::string EncodeDoubleBits(double value);
 

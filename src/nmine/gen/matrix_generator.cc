@@ -1,6 +1,8 @@
 #include "nmine/gen/matrix_generator.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 
 #include "nmine/core/check.h"
 
@@ -28,6 +30,14 @@ std::optional<CompatibilityMatrix> ResolveCompatibilityMatrix(
     MatrixIoResult* error) {
   *error = MatrixIoResult();
   if (matrix_path.empty()) {
+    if (std::isnan(uniform_alpha) || uniform_alpha > 1.0) {
+      char message[80];
+      std::snprintf(message, sizeof(message),
+                    "uniform noise level alpha = %g is outside [0, 1]",
+                    uniform_alpha);
+      *error = {false, MatrixIoCode::kParseError, message};
+      return std::nullopt;
+    }
     if (uniform_alpha >= 0.0) return UniformNoiseMatrix(m, uniform_alpha);
     return CompatibilityMatrix::Identity(m);
   }

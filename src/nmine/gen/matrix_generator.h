@@ -22,7 +22,9 @@ CompatibilityMatrix UniformNoiseMatrix(size_t m, double alpha);
 /// at `matrix_path` when it is set, else UniformNoiseMatrix(m,
 /// uniform_alpha) when uniform_alpha >= 0, else the identity. A file that
 /// does not read is nullopt with `*error` filled as ReadCompatibilityMatrix-
-/// File does; one smaller than m x m is nullopt with code kTooSmall.
+/// File does; one smaller than m x m is nullopt with code kTooSmall. With
+/// no file, an alpha above 1 or NaN is nullopt with code kParseError: it
+/// arrives from requests, and UniformNoiseMatrix would abort on it.
 std::optional<CompatibilityMatrix> ResolveCompatibilityMatrix(
     const std::string& matrix_path, double uniform_alpha, size_t m,
     MatrixIoResult* error);

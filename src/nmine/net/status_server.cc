@@ -29,29 +29,34 @@ struct Response {
   std::string body;
 };
 
-/// Process-wide extra endpoints (RegisterEndpoint). Guarded by a leaked
-/// mutex so registration from static initializers and dispatch from accept
-/// workers never race; lookups copy the handler out under the lock.
-std::mutex& ExtraEndpointsMutex() {
+/// Process-wide extra endpoints and /healthz contributors, each with the
+/// id of its registration. A leaked mutex guards them, so registration
+/// from static initializers and dispatch from accept workers never race;
+/// handlers run under it, which is what lets Unregister promise that no
+/// handler is still running once it returns.
+std::mutex& RegistryMutex() {
   static std::mutex* m = new std::mutex();
   return *m;
 }
 
 using QueryHandler = std::function<std::string(const std::string&)>;
-
-std::map<std::string, QueryHandler>& ExtraEndpoints() {
-  static auto* map = new std::map<std::string, QueryHandler>();
-  return *map;
-}
-
-/// Process-wide /healthz contributors (RegisterHealthSignal), same
-/// locking discipline as the endpoint map.
 using HealthSignal = std::function<std::string(std::vector<std::string>*)>;
 
-std::map<std::string, HealthSignal>& HealthSignals() {
-  static auto* map = new std::map<std::string, HealthSignal>();
+/// Handlers by path (or contributors by name), each with its id.
+template <typename Fn>
+using Registry = std::map<std::string, std::pair<uint64_t, Fn>>;
+
+Registry<QueryHandler>& ExtraEndpoints() {
+  static auto* map = new Registry<QueryHandler>();
   return *map;
 }
+
+Registry<HealthSignal>& HealthSignals() {
+  static auto* map = new Registry<HealthSignal>();
+  return *map;
+}
+
+std::atomic<uint64_t> g_next_registration{1};
 
 /// Poll-over-poll baseline for the "scan retries climbing" health signal:
 /// the previous /healthz poll's db.scan.retries value, or -1 before the
@@ -111,14 +116,10 @@ Response Dispatch(const std::string& method, const std::string& path,
   } else if (path == "/flightz") {
     r.body = obs::FlightRecorder::Global().SnapshotJson();
   } else {
-    QueryHandler handler;
-    {
-      std::lock_guard<std::mutex> lock(ExtraEndpointsMutex());
-      auto it = ExtraEndpoints().find(path);
-      if (it != ExtraEndpoints().end()) handler = it->second;
-    }
-    if (handler) {
-      r.body = handler(query);
+    std::lock_guard<std::mutex> lock(RegistryMutex());
+    auto it = ExtraEndpoints().find(path);
+    if (it != ExtraEndpoints().end()) {
+      r.body = it->second.second(query);
       return r;
     }
     r.status = 404;
@@ -133,26 +134,40 @@ Response Dispatch(const std::string& method, const std::string& path,
 
 StatusServer::~StatusServer() { Stop(); }
 
-void StatusServer::RegisterEndpoint(const std::string& path,
-                                    std::function<std::string()> handler) {
-  std::lock_guard<std::mutex> lock(ExtraEndpointsMutex());
-  ExtraEndpoints()[path] = [handler = std::move(handler)](
-                               const std::string&) { return handler(); };
+uint64_t StatusServer::RegisterEndpoint(const std::string& path,
+                                        std::function<std::string()> handler) {
+  return RegisterQueryEndpoint(
+      path, [handler = std::move(handler)](const std::string&) {
+        return handler();
+      });
 }
 
-void StatusServer::RegisterQueryEndpoint(
+uint64_t StatusServer::RegisterQueryEndpoint(
     const std::string& path,
     std::function<std::string(const std::string& query)> handler) {
-  std::lock_guard<std::mutex> lock(ExtraEndpointsMutex());
-  ExtraEndpoints()[path] = std::move(handler);
+  const uint64_t id = g_next_registration.fetch_add(1);
+  std::lock_guard<std::mutex> lock(RegistryMutex());
+  ExtraEndpoints()[path] = {id, std::move(handler)};
+  return id;
 }
 
-void StatusServer::RegisterHealthSignal(
+uint64_t StatusServer::RegisterHealthSignal(
     const std::string& name,
     std::function<std::string(std::vector<std::string>* reasons)>
         contributor) {
-  std::lock_guard<std::mutex> lock(ExtraEndpointsMutex());
-  HealthSignals()[name] = std::move(contributor);
+  const uint64_t id = g_next_registration.fetch_add(1);
+  std::lock_guard<std::mutex> lock(RegistryMutex());
+  HealthSignals()[name] = {id, std::move(contributor)};
+  return id;
+}
+
+void StatusServer::Unregister(uint64_t id) {
+  auto registered_as_id = [id](const auto& entry) {
+    return entry.second.first == id;
+  };
+  std::lock_guard<std::mutex> lock(RegistryMutex());
+  std::erase_if(ExtraEndpoints(), registered_as_id);
+  std::erase_if(HealthSignals(), registered_as_id);
 }
 
 std::string StatusServer::HealthzBody() {
@@ -177,16 +192,13 @@ std::string StatusServer::HealthzBody() {
 
   // Registered contributors (e.g. the serving layer's queue staleness
   // signal) add their reasons and optional extra body members.
-  std::vector<HealthSignal> signals;
-  {
-    std::lock_guard<std::mutex> lock(ExtraEndpointsMutex());
-    signals.reserve(HealthSignals().size());
-    for (const auto& [name, fn] : HealthSignals()) signals.push_back(fn);
-  }
   std::vector<std::string> extra_members;
-  for (const HealthSignal& signal : signals) {
-    std::string member = signal(&reasons);
-    if (!member.empty()) extra_members.push_back(std::move(member));
+  {
+    std::lock_guard<std::mutex> lock(RegistryMutex());
+    for (const auto& [name, signal] : HealthSignals()) {
+      std::string member = signal.second(&reasons);
+      if (!member.empty()) extra_members.push_back(std::move(member));
+    }
   }
 
   std::string body = "{\"status\": ";

@@ -31,9 +31,10 @@ namespace net {
 ///   /profilez  obs::Profiler::Global().SnapshotJson()
 ///   /flightz   obs::FlightRecorder::Global().SnapshotJson()
 ///
-/// Subsystems can add process-wide endpoints with RegisterEndpoint (the
-/// serving layer registers /jobsz this way); registered paths are served
-/// by every StatusServer in the process.
+/// Components add process-wide endpoints with RegisterEndpoint (the
+/// mining server registers /jobsz and /tracez, the coordinator /shardz)
+/// and remove them with Unregister when they stop; registered paths are
+/// served by every StatusServer in the process.
 ///
 /// The listener and its poll-driven accept loop are a net::TcpListener,
 /// which runs on a thread it owns, so the server never steals a scan
@@ -74,17 +75,17 @@ class StatusServer {
   }
 
   /// Registers (or replaces) a process-wide GET endpoint, e.g. "/jobsz".
-  /// `handler` returns the JSON body; it is invoked on the server's accept
-  /// worker and must be safe to call from any thread at any time.
-  /// Registrations are permanent (like metrics registry entries).
-  static void RegisterEndpoint(const std::string& path,
-                               std::function<std::string()> handler);
+  /// `handler` returns the JSON body; it runs on a server's accept worker
+  /// under the registry lock, so it must not register or unregister.
+  /// Returns the registration's id for Unregister.
+  static uint64_t RegisterEndpoint(const std::string& path,
+                                   std::function<std::string()> handler);
 
   /// Like RegisterEndpoint, but the handler receives the raw query string
   /// (the text after '?', without it; empty when absent), e.g.
   /// GET /tracez?id=abc -> handler("id=abc"). Registering the same path
   /// via either overload replaces the previous handler.
-  static void RegisterQueryEndpoint(
+  static uint64_t RegisterQueryEndpoint(
       const std::string& path,
       std::function<std::string(const std::string& query)> handler);
 
@@ -92,11 +93,18 @@ class StatusServer {
   /// render the contributor may push degradation reason strings into
   /// `reasons` and may return one extra JSON object member (e.g.
   /// "\"queue\": {...}" — no leading comma, or empty for none) spliced
-  /// into the body. Keyed by `name`; re-registering replaces.
-  static void RegisterHealthSignal(
+  /// into the body. Keyed by `name`; re-registering replaces. Runs under
+  /// the registry lock like an endpoint handler.
+  static uint64_t RegisterHealthSignal(
       const std::string& name,
       std::function<std::string(std::vector<std::string>* reasons)>
           contributor);
+
+  /// Removes registration `id` unless a later one replaced it; the path
+  /// then answers 404. Handlers run under the registry lock, so once this
+  /// returns the handler is not running and never runs again: a component
+  /// may unregister in Stop and then tear down what its handler reads.
+  static void Unregister(uint64_t id);
 
   /// Computes the /healthz body — {"status": "ok"|"degraded", "uptime_s":
   /// ..., "reasons": [...]} — and updates the poll-over-poll retry

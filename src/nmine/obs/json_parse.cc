@@ -1,6 +1,7 @@
 #include "nmine/obs/json_parse.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -226,6 +227,25 @@ std::optional<JsonValue> ParseJsonFile(const std::string& path) {
   buf << in.rdbuf();
   if (!in.good() && !in.eof()) return std::nullopt;
   return ParseJson(buf.str());
+}
+
+bool ReadWholeNumber(const JsonValue& value, uint64_t* out) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!value.is_number()) return false;
+  const double d = value.number_value;
+  if (!(d >= 0.0 && d <= kMaxExact) || d != std::floor(d)) return false;
+  *out = static_cast<uint64_t>(d);
+  return true;
+}
+
+bool GetWholeNumber(const JsonValue& object, const char* name,
+                    uint64_t fallback, uint64_t* out) {
+  const JsonValue* v = object.Get(name);
+  if (v == nullptr) {
+    *out = fallback;
+    return true;
+  }
+  return ReadWholeNumber(*v, out);
 }
 
 }  // namespace obs

@@ -1,6 +1,7 @@
 #ifndef NMINE_OBS_JSON_PARSE_H_
 #define NMINE_OBS_JSON_PARSE_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -56,6 +57,17 @@ std::optional<JsonValue> ParseJson(const std::string& text);
 
 /// Reads and parses a whole file; nullopt on IO or syntax error.
 std::optional<JsonValue> ParseJsonFile(const std::string& path);
+
+/// Reads a JSON number that is a whole number in [0, 2^53], the range a
+/// double holds exactly. False on anything else (negative, fractional,
+/// too large, not a number): every count, id and offset a decoder casts
+/// to an integer goes through it, so no cast is out of range.
+bool ReadWholeNumber(const JsonValue& value, uint64_t* out);
+
+/// Member `name` of `object` through ReadWholeNumber; an absent member
+/// reads as `fallback`.
+bool GetWholeNumber(const JsonValue& object, const char* name,
+                    uint64_t fallback, uint64_t* out);
 
 }  // namespace obs
 }  // namespace nmine

@@ -38,6 +38,22 @@ std::optional<JobState> ParseJobState(const std::string& text) {
   return std::nullopt;
 }
 
+namespace {
+
+/// Member `name` of `object` through obs::GetWholeNumber (absent keeps
+/// `*field`), naming the member in `*error` when it does not read.
+bool ReadCount(const obs::JsonValue& object, const char* name,
+               uint64_t* field, std::string* error) {
+  if (obs::GetWholeNumber(object, name, *field, field)) return true;
+  if (error != nullptr) {
+    *error = std::string("job spec \"") + name +
+             "\" must be a whole number in [0, 2^53]";
+  }
+  return false;
+}
+
+}  // namespace
+
 void JobSpec::AppendJson(std::string* out) const {
   out->append("{\"db\": ");
   obs::AppendJsonString(db_path, out);
@@ -93,43 +109,47 @@ std::optional<JobSpec> JobSpec::FromJson(const obs::JsonValue& value,
     return std::nullopt;
   }
   spec.db_path = db->string_value;
-  const obs::JsonValue* v;
-  if ((v = value.Get("algorithm")) != nullptr && v->is_string()) {
-    spec.algorithm = v->string_value;
-  }
-  if ((v = value.Get("metric")) != nullptr && v->is_string()) {
-    spec.metric = v->string_value;
-  }
-  if ((v = value.Get("matrix")) != nullptr && v->is_string()) {
-    spec.matrix_path = v->string_value;
-  }
-  if ((v = value.Get("fault_plan")) != nullptr && v->is_string()) {
-    spec.fault_plan = v->string_value;
+  for (auto [name, field] : {std::pair{"algorithm", &spec.algorithm},
+                             std::pair{"metric", &spec.metric},
+                             std::pair{"matrix", &spec.matrix_path},
+                             std::pair{"fault_plan", &spec.fault_plan}}) {
+    const obs::JsonValue* v = value.Get(name);
+    if (v != nullptr && v->is_string()) *field = v->string_value;
   }
   spec.uniform_alpha = value.GetNumber("uniform_alpha", spec.uniform_alpha);
   spec.threshold = value.GetNumber("threshold", spec.threshold);
-  spec.max_span = static_cast<uint64_t>(
-      value.GetNumber("max_span", static_cast<double>(spec.max_span)));
-  spec.max_gap = static_cast<uint64_t>(
-      value.GetNumber("max_gap", static_cast<double>(spec.max_gap)));
-  spec.max_level = static_cast<uint64_t>(
-      value.GetNumber("max_level", static_cast<double>(spec.max_level)));
-  spec.sample_size = static_cast<uint64_t>(
-      value.GetNumber("sample", static_cast<double>(spec.sample_size)));
   spec.delta = value.GetNumber("delta", spec.delta);
-  spec.seed = static_cast<uint64_t>(
-      value.GetNumber("seed", static_cast<double>(spec.seed)));
-  spec.num_threads = static_cast<uint64_t>(
-      value.GetNumber("threads", static_cast<double>(spec.num_threads)));
-  spec.scan_retries = static_cast<int64_t>(
-      value.GetNumber("scan_retries", static_cast<double>(spec.scan_retries)));
   spec.retry_backoff_ms =
       value.GetNumber("retry_backoff_ms", spec.retry_backoff_ms);
-  spec.retry_budget = static_cast<int64_t>(
-      value.GetNumber("retry_budget", static_cast<double>(spec.retry_budget)));
   spec.deadline_s = value.GetNumber("deadline_s", spec.deadline_s);
-  spec.memory_budget = static_cast<uint64_t>(
-      value.GetNumber("memory_budget", static_cast<double>(spec.memory_budget)));
+  // Counts are cast to integers, so each must be whole and in range. A
+  // negative retry budget is unlimited, as AppendJson writes it.
+  uint64_t scan_retries = static_cast<uint64_t>(spec.scan_retries);
+  uint64_t retry_budget = 0;
+  const obs::JsonValue* budget = value.Get("retry_budget");
+  const bool unlimited =
+      budget == nullptr || (budget->is_number() && budget->number_value < 0);
+  if (!ReadCount(value, "max_span", &spec.max_span, error) ||
+      !ReadCount(value, "max_gap", &spec.max_gap, error) ||
+      !ReadCount(value, "max_level", &spec.max_level, error) ||
+      !ReadCount(value, "sample", &spec.sample_size, error) ||
+      !ReadCount(value, "seed", &spec.seed, error) ||
+      !ReadCount(value, "threads", &spec.num_threads, error) ||
+      !ReadCount(value, "scan_retries", &scan_retries, error) ||
+      !ReadCount(value, "memory_budget", &spec.memory_budget, error) ||
+      (!unlimited && !ReadCount(value, "retry_budget", &retry_budget, error))) {
+    return std::nullopt;
+  }
+  spec.scan_retries = static_cast<int64_t>(scan_retries);
+  spec.retry_budget = unlimited ? -1 : static_cast<int64_t>(retry_budget);
+  if (spec.num_threads > kMaxJobThreads) {
+    if (error != nullptr) {
+      *error = "job spec asks for " + std::to_string(spec.num_threads) +
+               " threads; at most " + std::to_string(kMaxJobThreads) +
+               " are served";
+    }
+    return std::nullopt;
+  }
 
   if (FindMiner(spec.algorithm) == nullptr) {
     if (error != nullptr) *error = "unknown algorithm '" + spec.algorithm + "'";
@@ -196,7 +216,9 @@ std::optional<JobResult> JobResult::FromJson(const obs::JsonValue& value) {
                                row.array[1].string_value);
     }
   }
-  result.scans = static_cast<int64_t>(value.GetNumber("scans", 0.0));
+  uint64_t scans = 0;
+  if (!obs::GetWholeNumber(value, "scans", 0, &scans)) return std::nullopt;
+  result.scans = static_cast<int64_t>(scans);
   if ((v = value.Get("truncated")) != nullptr) {
     result.truncated = v->bool_value;
   }
@@ -218,6 +240,21 @@ JobResult TypedError(const Status& status) {
 
 }  // namespace
 
+MinerOptions MinerOptionsFor(const JobSpec& spec) {
+  MinerOptions options;
+  options.min_threshold = spec.threshold;
+  options.space.max_span = static_cast<size_t>(spec.max_span);
+  options.space.max_gap = static_cast<size_t>(spec.max_gap);
+  options.max_level = static_cast<size_t>(
+      spec.max_level == 0 ? spec.max_span : spec.max_level);
+  options.sample_size = static_cast<size_t>(spec.sample_size);
+  options.delta = spec.delta;
+  options.seed = spec.seed;
+  options.num_threads = static_cast<size_t>(spec.num_threads);
+  options.memory_budget_bytes = static_cast<size_t>(spec.memory_budget);
+  return options;
+}
+
 JobInputs::JobInputs() = default;
 JobInputs::~JobInputs() = default;
 
@@ -227,9 +264,8 @@ const SequenceDatabase& JobInputs::mining_db() const {
 }
 
 std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error) {
-  // Mirrors nmine_cli's CmdMine step for step: same defaults, same open,
-  // same matrix resolution — so the chaos drill can diff server output
-  // against a solo CLI run byte for byte.
+  // The one open path of `nmine_cli mine`, the server and the
+  // coordinator, so the chaos drills can diff their outputs byte for byte.
   auto inputs = std::make_unique<JobInputs>();
   RetryPolicy retry;
   retry.max_attempts = 1 + static_cast<int>(std::max<int64_t>(
@@ -273,11 +309,6 @@ std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error) {
 }
 
 JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
-                 const runtime::RunControl* run) {
-  return RunJob(spec, checkpoint_path, run, RunJobHooks());
-}
-
-JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
                  const runtime::RunControl* run, const RunJobHooks& hooks) {
   Status error;
   std::unique_ptr<JobInputs> inputs = OpenJobInputs(spec, &error);
@@ -289,17 +320,7 @@ JobResult MineJob(const JobSpec& spec, const JobInputs& inputs,
                   const std::string& checkpoint_path,
                   const runtime::RunControl* run, const RunJobHooks& hooks) {
   Metric metric = spec.metric == "support" ? Metric::kSupport : Metric::kMatch;
-  MinerOptions options;
-  options.min_threshold = spec.threshold;
-  options.space.max_span = static_cast<size_t>(spec.max_span);
-  options.space.max_gap = static_cast<size_t>(spec.max_gap);
-  options.max_level = static_cast<size_t>(
-      spec.max_level == 0 ? spec.max_span : spec.max_level);
-  options.sample_size = static_cast<size_t>(spec.sample_size);
-  options.delta = spec.delta;
-  options.seed = spec.seed;
-  options.num_threads = static_cast<size_t>(spec.num_threads);
-  options.memory_budget_bytes = static_cast<size_t>(spec.memory_budget);
+  MinerOptions options = MinerOptionsFor(spec);
   options.run_control = run;
   options.run_checkpoint_path = checkpoint_path;
   if (hooks.phase3_count) {

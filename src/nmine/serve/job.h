@@ -13,6 +13,7 @@
 #include "nmine/core/metric.h"
 #include "nmine/core/pattern.h"
 #include "nmine/core/status.h"
+#include "nmine/mining/miner_options.h"
 #include "nmine/obs/json_parse.h"
 #include "nmine/runtime/run_control.h"
 
@@ -43,10 +44,15 @@ enum class JobState {
 const char* ToString(JobState state);
 std::optional<JobState> ParseJobState(const std::string& text);
 
+/// Most threads one job may ask for. The shared pool grows to a job's
+/// thread count and never shrinks, so a remote request must not size it.
+inline constexpr uint64_t kMaxJobThreads = 256;
+
 /// One mining request, the unit of admission, journaling, and execution.
-/// Field names and defaults mirror `nmine_cli mine` so a job run by the
-/// server is bit-identical to the same flags run solo (the chaos drill
-/// diffs the two).
+/// `nmine_cli mine`, `nmine_client submit` and `nmine_coordinator` all
+/// read their job flags into this one struct, so a job run by the server
+/// is bit-identical to the same flags run solo (the chaos drill diffs the
+/// two).
 struct JobSpec {
   std::string db_path;               // required
   std::string algorithm = "collapse";
@@ -73,7 +79,10 @@ struct JobSpec {
   void AppendJson(std::string* out) const;
 
   /// Parses a spec from a JSON object. Unknown members are ignored
-  /// (forward compatibility); a missing/empty `db` is an error.
+  /// (forward compatibility); a missing/empty `db` is an error, and so is
+  /// a count that is not a whole number in range (obs::ReadWholeNumber)
+  /// or `threads` above kMaxJobThreads. A negative `retry_budget` reads as
+  /// unlimited.
   static std::optional<JobSpec> FromJson(const obs::JsonValue& value,
                                          std::string* error);
 };
@@ -142,6 +151,11 @@ struct RunJobHooks {
       phase3_count;
 };
 
+/// The miner options `spec` asks for: thresholds, pattern space, sample,
+/// seed, threads and memory budget. The caller adds the run control, the
+/// checkpoint path and any hook.
+MinerOptions MinerOptionsFor(const JobSpec& spec);
+
 /// What a job mines, opened once: the database under the spec's retry
 /// policy and retry budget, the fault-plan wrappers when the spec has a
 /// plan, and the compatibility matrix sized by the alphabet Open learned.
@@ -181,9 +195,8 @@ JobResult MineJob(const JobSpec& spec, const JobInputs& inputs,
 /// OpenJobInputs then MineJob: the file is read once to open it plus once
 /// per charged scan.
 JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
-                 const runtime::RunControl* run);
-JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
-                 const runtime::RunControl* run, const RunJobHooks& hooks);
+                 const runtime::RunControl* run,
+                 const RunJobHooks& hooks = RunJobHooks());
 
 }  // namespace serve
 }  // namespace nmine

@@ -18,19 +18,6 @@ namespace nmine {
 namespace serve {
 namespace {
 
-/// Process-wide pointer behind the /jobsz endpoint. A leaked mutex (the
-/// endpoint handler outlives every server) guards it; Start publishes,
-/// Shutdown retracts before any member state is torn down.
-std::mutex& ActiveServerMutex() {
-  static std::mutex* m = new std::mutex();
-  return *m;
-}
-
-MiningServer*& ActiveServer() {
-  static MiningServer* server = nullptr;
-  return server;
-}
-
 int64_t NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -159,39 +146,18 @@ bool MiningServer::Start(const Options& options, std::string* error) {
 
   running_.store(true, std::memory_order_release);
 
-  {
-    std::lock_guard<std::mutex> lock(ActiveServerMutex());
-    ActiveServer() = this;
-  }
-  static bool jobsz_registered = [] {
-    net::StatusServer::RegisterEndpoint("/jobsz", [] {
-      std::lock_guard<std::mutex> lock(ActiveServerMutex());
-      MiningServer* server = ActiveServer();
-      if (server == nullptr) {
-        return std::string("{\"error\": \"no mining server running\"}\n");
-      }
-      return server->JobszJson();
-    });
-    net::StatusServer::RegisterQueryEndpoint(
-        "/tracez", [](const std::string& query) {
-          std::lock_guard<std::mutex> lock(ActiveServerMutex());
-          MiningServer* server = ActiveServer();
-          if (server == nullptr) {
-            return std::string(
-                "{\"error\": \"no mining server running\"}\n");
-          }
-          return server->TracezJson(query);
-        });
-    net::StatusServer::RegisterHealthSignal(
-        "serve.queue", [](std::vector<std::string>* reasons) {
-          std::lock_guard<std::mutex> lock(ActiveServerMutex());
-          MiningServer* server = ActiveServer();
-          if (server == nullptr) return std::string();
-          return server->HealthQueueMember(reasons);
-        });
-    return true;
-  }();
-  (void)jobsz_registered;
+  // Owned registrations: Shutdown removes them before any member state
+  // is torn down, and no handler still runs once it has.
+  endpoints_ = {
+      net::StatusServer::RegisterEndpoint("/jobsz",
+                                          [this] { return JobszJson(); }),
+      net::StatusServer::RegisterQueryEndpoint(
+          "/tracez",
+          [this](const std::string& query) { return TracezJson(query); }),
+      net::StatusServer::RegisterHealthSignal(
+          "serve.queue", [this](std::vector<std::string>* reasons) {
+            return HealthQueueMember(reasons);
+          })};
 
   // One owned thread per executor, joined at shutdown: a serving process
   // must never let its executors starve (or be starved by) the scan
@@ -217,6 +183,8 @@ void MiningServer::Stop() { Shutdown(/*graceful=*/false); }
 
 void MiningServer::Shutdown(bool graceful) {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  for (uint64_t id : endpoints_) net::StatusServer::Unregister(id);
+  endpoints_.clear();
   if (graceful) draining_.store(true, std::memory_order_release);
   stopping_.store(true, std::memory_order_release);
 
@@ -241,10 +209,6 @@ void MiningServer::Shutdown(bool graceful) {
   for (std::thread& executor : executors_) executor.join();
   executors_.clear();
   transport_.Stop();
-  {
-    std::lock_guard<std::mutex> lock(ActiveServerMutex());
-    if (ActiveServer() == this) ActiveServer() = nullptr;
-  }
   NMINE_LOG(kInfo, "serve")
       .Msg(graceful ? "mining server drained" : "mining server stopped")
       .Num("jobs_tracked", static_cast<int64_t>(jobs_.size()));

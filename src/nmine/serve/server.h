@@ -51,7 +51,8 @@ namespace serve {
 /// interrupted} counters, the serve.queue.depth gauge, and the
 /// serve.job.queue_wait_ms / serve.job.run_ms lifecycle histograms. The
 /// job board is exported process-wide as /jobsz (and, with tracing on,
-/// per-job traces as /tracez) via StatusServer::RegisterEndpoint.
+/// per-job traces as /tracez) via StatusServer::RegisterEndpoint while the
+/// server runs; after Stop or Drain those paths answer 404.
 ///
 /// Tracing (Options::tracing): every job is bound to a 128-bit trace id
 /// through its whole lifecycle — received, journaled, queued, admitted,
@@ -94,8 +95,8 @@ class MiningServer {
   MiningServer& operator=(const MiningServer&) = delete;
 
   /// Opens (or recovers) the state dir, binds the socket, starts the
-  /// accept loop and executors, and registers /jobsz. False with *error
-  /// set on any setup failure.
+  /// accept loop and executors, and registers /jobsz and /tracez. False
+  /// with *error set on any setup failure.
   bool Start(const Options& options, std::string* error);
 
   /// Graceful drain (SIGTERM path): stop admitting (submits get a typed
@@ -184,6 +185,8 @@ class MiningServer {
   uint64_t next_id_ = 1;
 
   std::vector<std::thread> executors_;
+  /// This server's /jobsz, /tracez and /healthz registrations.
+  std::vector<uint64_t> endpoints_;
 };
 
 }  // namespace serve

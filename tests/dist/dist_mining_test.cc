@@ -30,6 +30,7 @@
 #include "nmine/dist/coordinator.h"
 #include "nmine/dist/worker.h"
 #include "nmine/exec/thread_pool.h"
+#include "nmine/net/status_server.h"
 #include "nmine/gen/workload.h"
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/metrics.h"
@@ -288,6 +289,27 @@ TEST_F(DistMiningTest, StartStopLeavesNoThreadBehind) {
   for (int i = 1; i <= 20; ++i) cycle(i);
   EXPECT_EQ(exec::ThreadPool::Shared().num_workers(), pool_before);
   EXPECT_EQ(testutil::SettledThreadCount(threads_before), threads_before);
+}
+
+TEST_F(DistMiningTest, ShardzAnswers404AfterStop) {
+  net::StatusServer statusz;
+  std::string error;
+  ASSERT_TRUE(statusz.Start(net::StatusServer::Options(), &error)) << error;
+  Coordinator coordinator;
+  ASSERT_TRUE(coordinator.Start(
+      CoordinatorOptions("state", /*lease_ms=*/2000, /*records_per_task=*/256),
+      &error))
+      << error;
+  std::optional<testutil::HttpResult> r =
+      testutil::HttpGet(statusz.port(), "/shardz");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, 200);
+  EXPECT_TRUE(obs::ParseJson(r->body).has_value()) << r->body;
+  coordinator.Stop();
+  r = testutil::HttpGet(statusz.port(), "/shardz");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, 404);
+  statusz.Stop();
 }
 
 TEST_F(DistMiningTest, DeadWorkersShardIsReassignedAndResumed) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 namespace nmine {
 namespace {
 
@@ -27,6 +30,28 @@ TEST(UniformNoiseMatrixTest, TotalNoiseIsUniform) {
       EXPECT_NEAR(c(i, j), 0.25, 1e-12);
     }
   }
+}
+
+TEST(ResolveCompatibilityMatrixTest, AlphaOutsideTheUnitIntervalIsATypedError) {
+  // A job's alpha arrives from requests: above 1 or NaN is an error the
+  // caller reports, never UniformNoiseMatrix's abort.
+  for (double alpha : {1.5, std::nan("")}) {
+    MatrixIoResult error;
+    EXPECT_FALSE(ResolveCompatibilityMatrix("", alpha, 5, &error).has_value())
+        << alpha;
+    EXPECT_FALSE(error.ok);
+    EXPECT_EQ(error.code, MatrixIoCode::kParseError);
+    EXPECT_NE(error.message.find("outside [0, 1]"), std::string::npos)
+        << error.message;
+  }
+  MatrixIoResult error;
+  std::optional<CompatibilityMatrix> c =
+      ResolveCompatibilityMatrix("", 1.0, 5, &error);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_DOUBLE_EQ((*c)(0, 0), 0.0);
+  c = ResolveCompatibilityMatrix("", -1.0, 5, &error);  // < 0: identity
+  ASSERT_TRUE(c.has_value());
+  EXPECT_DOUBLE_EQ((*c)(0, 0), 1.0);
 }
 
 TEST(SparseRandomMatrixTest, ColumnsAreStochastic) {

@@ -1,78 +1,25 @@
 #include "nmine/net/status_server.h"
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
-#include <cstring>
+#include <atomic>
+#include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/metrics.h"
 #include "nmine/runtime/run_status.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace net {
 namespace {
 
-struct HttpResult {
-  int status = 0;
-  std::string content_type;
-  std::string body;
-};
-
-/// Raw-socket GET against 127.0.0.1:port — the same thing the CI smoke
-/// drill does with curl, without depending on curl.
-std::optional<HttpResult> HttpGet(uint16_t port, const std::string& path,
-                                  const std::string& method = "GET") {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return std::nullopt;
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  const std::string request =
-      method + " " + path + " HTTP/1.0\r\nHost: localhost\r\n\r\n";
-  size_t done = 0;
-  while (done < request.size()) {
-    ssize_t w = ::send(fd, request.data() + done, request.size() - done, 0);
-    if (w <= 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    done += static_cast<size_t>(w);
-  }
-  std::string raw;
-  char buf[4096];
-  ssize_t r;
-  while ((r = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    raw.append(buf, static_cast<size_t>(r));
-  }
-  ::close(fd);
-
-  HttpResult result;
-  size_t header_end = raw.find("\r\n\r\n");
-  if (header_end == std::string::npos) return std::nullopt;
-  const std::string headers = raw.substr(0, header_end);
-  result.body = raw.substr(header_end + 4);
-  if (std::sscanf(headers.c_str(), "HTTP/1.0 %d", &result.status) != 1) {
-    return std::nullopt;
-  }
-  size_t ct = headers.find("Content-Type: ");
-  if (ct != std::string::npos) {
-    size_t eol = headers.find("\r\n", ct);
-    result.content_type = headers.substr(ct + 14, eol - ct - 14);
-  }
-  return result;
-}
+using testutil::HttpGet;
+using testutil::HttpResult;
 
 class StatusServerTest : public ::testing::Test {
  protected:
@@ -283,6 +230,55 @@ TEST_F(StatusServerTest, HealthSignalContributesReasonAndMember) {
   doc = PollHealthz(server_.port());
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->Get("test_member"), nullptr);
+}
+
+TEST_F(StatusServerTest, UnregisterRemovesOnlyItsOwnRegistration) {
+  const uint64_t first = StatusServer::RegisterEndpoint(
+      "/test_ownz", [] { return std::string("{\"owner\": 1}\n"); });
+  const uint64_t second = StatusServer::RegisterEndpoint(
+      "/test_ownz", [] { return std::string("{\"owner\": 2}\n"); });
+  // The replaced registration's owner stops: the path keeps the newer one.
+  StatusServer::Unregister(first);
+  std::optional<HttpResult> r = HttpGet(server_.port(), "/test_ownz");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, 200);
+  EXPECT_EQ(r->body, "{\"owner\": 2}\n");
+
+  StatusServer::Unregister(second);
+  r = HttpGet(server_.port(), "/test_ownz");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, 404);
+
+  const uint64_t signal = StatusServer::RegisterHealthSignal(
+      "test.owned", [](std::vector<std::string>* reasons) {
+        reasons->push_back("test_owned_tripped");
+        return std::string();
+      });
+  std::optional<obs::JsonValue> doc = PollHealthz(server_.port());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_TRUE(HasReason(*doc, "test_owned_tripped"));
+  StatusServer::Unregister(signal);
+  doc = PollHealthz(server_.port());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_FALSE(HasReason(*doc, "test_owned_tripped"));
+}
+
+TEST_F(StatusServerTest, UnregisterWaitsForARunningHandler) {
+  // A component unregisters in Stop and then tears down what its handler
+  // reads, so Unregister must not return while the handler still runs.
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+  const uint64_t id = StatusServer::RegisterEndpoint("/test_slowz", [&] {
+    entered.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    finished.store(true);
+    return std::string("{}\n");
+  });
+  std::thread client([this] { (void)HttpGet(server_.port(), "/test_slowz"); });
+  while (!entered.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  StatusServer::Unregister(id);
+  EXPECT_TRUE(finished.load());
+  client.join();
 }
 
 TEST(StatusServerLifecycleTest, StopIsIdempotentAndRestartable) {

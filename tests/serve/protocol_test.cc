@@ -199,6 +199,39 @@ TEST(ProtocolTest, SpecJsonRoundTripsExactly) {
   EXPECT_EQ(back->memory_budget, spec.memory_budget);
 }
 
+TEST(ProtocolTest, SpecRefusesCountsThatDoNotCastExactly) {
+  // Each count is cast to an integer: a negative, fractional, huge or
+  // non-numeric value is refused by name instead of cast.
+  const char* refused[][2] = {
+      {"max_span", "-1"},   {"max_gap", "2.5"},        {"max_level", "1e300"},
+      {"sample", "-0.5"},   {"seed", "\"42\""},        {"threads", "1e20"},
+      {"threads", "257"},   {"scan_retries", "-2"},    {"memory_budget", "1.5"},
+      {"retry_budget", "0.5"}};
+  for (const auto& [member, number] : refused) {
+    const std::string line = std::string("{\"db\": \"x\", \"") + member +
+                             "\": " + number + "}";
+    std::optional<obs::JsonValue> value = obs::ParseJson(line);
+    ASSERT_TRUE(value.has_value()) << line;
+    std::string error;
+    EXPECT_FALSE(JobSpec::FromJson(*value, &error).has_value()) << line;
+    EXPECT_NE(error.find(member), std::string::npos) << error;
+  }
+  // The thread cap is a constant: at the cap the spec reads, and a
+  // negative retry budget reads as unlimited, as AppendJson writes it.
+  std::optional<obs::JsonValue> value = obs::ParseJson(
+      "{\"db\": \"x\", \"threads\": 256, \"retry_budget\": -1}");
+  ASSERT_TRUE(value.has_value());
+  std::string error;
+  std::optional<JobSpec> spec = JobSpec::FromJson(*value, &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->num_threads, kMaxJobThreads);
+  EXPECT_EQ(spec->retry_budget, -1);
+  // A result's scan count is cast the same way.
+  value = obs::ParseJson("{\"ok\": true, \"scans\": -1}");
+  ASSERT_TRUE(value.has_value());
+  EXPECT_FALSE(JobResult::FromJson(*value).has_value());
+}
+
 TEST(ProtocolTest, ResultJsonRoundTripsExactly) {
   JobResult result;
   result.ok = true;

@@ -303,6 +303,82 @@ TEST_F(MiningServerTest, JobFaultsAreIsolatedAndTyped) {
   server.Drain();
 }
 
+TEST_F(MiningServerTest, AlphaAboveOneFailsTypedAndRecoveryDoesNotAbort) {
+  // An alpha above 1 reached UniformNoiseMatrix's check and aborted the
+  // whole server; a restart re-admitted the job and aborted again. It must
+  // fail alone, with a typed error, in a server that keeps serving.
+  JobSpec bad = QuickSpec();
+  bad.uniform_alpha = 2.0;
+  MiningServer::Options admit_only = ServerOptions();
+  admit_only.max_running = 0;
+  uint64_t id = 0;
+  {
+    MiningServer server;
+    std::string error;
+    ASSERT_TRUE(server.Start(admit_only, &error)) << error;
+    std::optional<obs::JsonValue> ack =
+        Ask(server.port(), SubmitLine("alice", "alpha2", bad));
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_TRUE(ack->Get("ok")->bool_value);
+    id = static_cast<uint64_t>(ack->GetNumber("id", 0.0));
+    server.Stop();
+  }
+  // The restart re-admits the journaled job and runs it.
+  for (int life = 0; life < 2; ++life) {
+    MiningServer server;
+    std::string error;
+    ASSERT_TRUE(server.Start(ServerOptions(), &error)) << error;
+    std::optional<obs::JsonValue> done = Wait(server.port(), id);
+    ASSERT_TRUE(done.has_value()) << "life " << life;
+    EXPECT_EQ(done->Get("state")->string_value, "failed");
+    JobResult result = ResultOf(*done);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error_code, "INVALID_ARGUMENT");
+    EXPECT_NE(result.message.find("outside [0, 1]"), std::string::npos)
+        << result.message;
+    std::optional<obs::JsonValue> ping =
+        Ask(server.port(), "{\"op\": \"ping\"}\n");
+    ASSERT_TRUE(ping.has_value());
+    EXPECT_TRUE(ping->Get("ok")->bool_value);
+    server.Stop();
+  }
+}
+
+TEST_F(MiningServerTest, EndpointsAnswer404AfterStopButKeepAnotherServers) {
+  net::StatusServer statusz;
+  std::string error;
+  ASSERT_TRUE(statusz.Start(net::StatusServer::Options(), &error)) << error;
+  MiningServer first;
+  ASSERT_TRUE(first.Start(ServerOptions(), &error)) << error;
+  MiningServer::Options second_options = ServerOptions();
+  second_options.state_dir = dir_ + "/state2";
+  MiningServer second;
+  ASSERT_TRUE(second.Start(second_options, &error)) << error;
+
+  // The later Start serves /jobsz; stopping the earlier server leaves it.
+  first.Stop();
+  std::optional<testutil::HttpResult> r =
+      testutil::HttpGet(statusz.port(), "/jobsz");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, 200);
+  std::optional<obs::JsonValue> board = obs::ParseJson(r->body);
+  ASSERT_TRUE(board.has_value()) << r->body;
+  EXPECT_EQ(board->Get("version")->string_value, "nmine.jobsz.v1");
+
+  second.Stop();
+  for (const char* path : {"/jobsz", "/tracez"}) {
+    r = testutil::HttpGet(statusz.port(), path);
+    ASSERT_TRUE(r.has_value()) << path;
+    EXPECT_EQ(r->status, 404) << path;
+  }
+  // Its /healthz contributor is gone with it.
+  std::optional<obs::JsonValue> healthz =
+      obs::ParseJson(net::StatusServer::HealthzBody());
+  ASSERT_TRUE(healthz.has_value());
+  EXPECT_EQ(healthz->Get("queue"), nullptr);
+  statusz.Stop();
+}
+
 TEST_F(MiningServerTest, FinishedConnectionsReleaseTheirThreads) {
   // Every connection runs on its own thread. A long-lived server that
   // scripts poll must release each finished connection's thread — and its
@@ -466,8 +542,9 @@ TEST_F(MiningServerTest, JobFinishingLastIsKeptWhateverItsId) {
     slow_id = static_cast<uint64_t>(ack->GetNumber("id", 0.0));
     uint64_t last_fast = 0;
     for (int i = 0; i < kFast; ++i) {
-      ack = Ask(server.port(),
-                SubmitLine("bob", "f" + std::to_string(i), failing));
+      std::string tag = "f";  // not "f" + ...: GCC 12 -Wrestrict misfires
+      tag += std::to_string(i);
+      ack = Ask(server.port(), SubmitLine("bob", tag, failing));
       ASSERT_TRUE(ack.has_value());
       ASSERT_TRUE(ack->Get("ok")->bool_value) << i;
       last_fast = static_cast<uint64_t>(ack->GetNumber("id", 0.0));

@@ -1,6 +1,13 @@
 #include "test_util.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -129,6 +136,54 @@ int ProcessThreadCount() {
     if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
   }
   return -1;
+}
+
+std::optional<HttpResult> HttpGet(uint16_t port, const std::string& path,
+                                  const std::string& method) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return std::nullopt;
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return std::nullopt;
+  }
+  const std::string request =
+      method + " " + path + " HTTP/1.0\r\nHost: localhost\r\n\r\n";
+  size_t done = 0;
+  while (done < request.size()) {
+    ssize_t w = ::send(fd, request.data() + done, request.size() - done, 0);
+    if (w <= 0) {
+      ::close(fd);
+      return std::nullopt;
+    }
+    done += static_cast<size_t>(w);
+  }
+  std::string raw;
+  char buf[4096];
+  ssize_t r;
+  while ((r = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    raw.append(buf, static_cast<size_t>(r));
+  }
+  ::close(fd);
+
+  HttpResult result;
+  size_t header_end = raw.find("\r\n\r\n");
+  if (header_end == std::string::npos) return std::nullopt;
+  const std::string headers = raw.substr(0, header_end);
+  result.body = raw.substr(header_end + 4);
+  if (std::sscanf(headers.c_str(), "HTTP/1.0 %d", &result.status) != 1) {
+    return std::nullopt;
+  }
+  size_t ct = headers.find("Content-Type: ");
+  if (ct != std::string::npos) {
+    size_t eol = headers.find("\r\n", ct);
+    result.content_type = headers.substr(ct + 14, eol - ct - 14);
+  }
+  return result;
 }
 
 }  // namespace testutil

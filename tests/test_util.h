@@ -1,6 +1,9 @@
 #ifndef NMINE_TESTS_TEST_UTIL_H_
 #define NMINE_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "nmine/core/compatibility_matrix.h"
@@ -53,6 +56,18 @@ int ProcessThreadCount();
 /// returns, because the kernel drops it from the count only after waking
 /// the joiner.
 int SettledThreadCount(int target);
+
+struct HttpResult {
+  int status = 0;
+  std::string content_type;
+  std::string body;
+};
+
+/// Raw-socket GET against 127.0.0.1:port — the same thing the CI smoke
+/// drill does with curl, without depending on curl. nullopt when the
+/// connection or the reply fails.
+std::optional<HttpResult> HttpGet(uint16_t port, const std::string& path,
+                                  const std::string& method = "GET");
 
 }  // namespace testutil
 }  // namespace nmine

@@ -87,6 +87,9 @@
 // SIGINT/SIGTERM trigger the same cooperative stop as --deadline: finish
 // the current scan boundary, flush the checkpoint, exit 3.
 //
+// Numeric flags are checked: a value that is not a number, or is out of
+// range (e.g. --threads above 256), is a usage error.
+//
 // Exit status: 0 on success, 1 on usage/IO errors, 2 when a database scan
 // or mining run failed at runtime (unrecoverable fault, corrupt data, or
 // an exhausted memory budget), 3 when the run was cancelled (signal) or
@@ -103,7 +106,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <memory>
@@ -113,13 +116,10 @@
 
 #include "nmine/bio/blosum.h"
 #include "nmine/bio/fasta.h"
-#include "nmine/core/match_kernel.h"
 #include "nmine/core/matrix_io.h"
 #include "nmine/core/status.h"
 #include "nmine/db/disk_database.h"
-#include "nmine/db/fault_injecting_database.h"
 #include "nmine/db/format.h"
-#include "nmine/db/retrying_database.h"
 #include "nmine/eval/calibration.h"
 #include "nmine/eval/table.h"
 #include "nmine/gen/matrix_generator.h"
@@ -136,17 +136,15 @@
 #include "nmine/obs/trace.h"
 #include "nmine/runtime/run_control.h"
 #include "nmine/runtime/run_status.h"
+#include "nmine/serve/job.h"
+#include "tools/tool_flags.h"
 
 namespace nmine {
 namespace {
 
-// Process-wide run control so the signal handler can reach it.
-// RunControl::RequestCancel is a relaxed atomic store — async-signal-safe.
+// Process-wide run control: the stop-signal handlers cancel it, and the
+// status board keeps pointing at it after CmdMine returns.
 runtime::RunControl g_run_control;
-
-extern "C" void HandleStopSignal(int /*signum*/) {
-  g_run_control.RequestCancel();
-}
 
 // Crash-dump path for the SIGSEGV/SIGABRT handlers. Written once during
 // flag parsing (before any handler can fire) into static storage, so the
@@ -168,57 +166,9 @@ extern "C" void HandleCrashSignal(int signum) {
   ::raise(signum);
 }
 
-/// Minimal --flag value parser: flags may appear in any order after the
-/// command and positional arguments.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string key = arg.substr(2);
-        size_t eq = key.find('=');
-        if (eq != std::string::npos) {
-          values_[key.substr(0, eq)].push_back(key.substr(eq + 1));
-        } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-          values_[key].push_back(argv[++i]);
-        } else {
-          values_[key].push_back("");  // boolean flag
-        }
-      } else {
-        positional_.push_back(arg);
-      }
-    }
-  }
+using tools::Flags;
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  std::string Get(const std::string& key, const std::string& dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : it->second.back();
-  }
-
-  double GetDouble(const std::string& key, double dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::atof(it->second.back().c_str());
-  }
-
-  long long GetInt(const std::string& key, long long dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::atoll(it->second.back().c_str());
-  }
-
-  std::vector<std::string> GetAll(const std::string& key) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? std::vector<std::string>{} : it->second;
-  }
-
-  const std::vector<std::string>& positional() const { return positional_; }
-
- private:
-  std::map<std::string, std::vector<std::string>> values_;
-  std::vector<std::string> positional_;
-};
+constexpr long long kMaxCount = std::numeric_limits<long long>::max();
 
 int Usage() {
   std::fprintf(stderr,
@@ -239,18 +189,10 @@ class ObsSession {
   explicit ObsSession(const Flags& flags)
       : metrics_out_(flags.Get("metrics-out", "")),
         trace_out_(flags.Get("trace-out", "")) {
-    std::string level_text = flags.Get("log-level", "off");
-    std::optional<obs::LogLevel> level = obs::ParseLogLevel(level_text);
-    if (!level.has_value()) {
-      std::fprintf(stderr,
-                   "bad --log-level '%s' (want "
-                   "trace|debug|info|warn|error|off)\n",
-                   level_text.c_str());
-      return;
-    }
+    if (!tools::SetLogLevel(flags, "off")) return;
     obs::Logger& logger = obs::Logger::Global();
-    logger.SetLevel(*level);
-    if (*level != obs::LogLevel::kOff) {
+    const obs::LogLevel level = logger.level();
+    if (level != obs::LogLevel::kOff) {
       logger.AddSink(std::make_unique<obs::TextSink>(&std::cerr));
     }
     std::string log_json = flags.Get("log-json", "");
@@ -262,7 +204,7 @@ class ObsSession {
         return;
       }
       // A JSON sink without an explicit level records everything.
-      if (*level == obs::LogLevel::kOff) {
+      if (level == obs::LogLevel::kOff) {
         logger.SetLevel(obs::LogLevel::kTrace);
       }
       logger.AddSink(std::move(sink));
@@ -272,7 +214,8 @@ class ObsSession {
     }
     if (flags.Has("progress")) {
       std::string value = flags.Get("progress", "");
-      double interval_s = value.empty() ? 5.0 : std::atof(value.c_str());
+      double interval_s =
+          value.empty() ? 5.0 : flags.GetDouble("progress", 5.0);
       if (interval_s <= 0.0) {
         std::fprintf(stderr, "bad --progress interval '%s' (want seconds > 0)\n",
                      value.c_str());
@@ -281,7 +224,7 @@ class ObsSession {
       // The heartbeat reads the profiler's current section, and must be
       // visible even when logging is otherwise off.
       obs::Profiler::Global().Enable();
-      if (*level == obs::LogLevel::kOff) {
+      if (level == obs::LogLevel::kOff) {
         if (logger.level() == obs::LogLevel::kOff) {
           logger.SetLevel(obs::LogLevel::kInfo);
         }
@@ -331,27 +274,7 @@ class ObsSession {
         return;
       }
     }
-    if (want_statusz) {
-      long long port = flags.GetInt("statusz-port", 0);
-      if (port < 0 || port > 65535) {
-        std::fprintf(stderr, "bad --statusz-port '%lld' (want 0..65535)\n",
-                     port);
-        return;
-      }
-      net::StatusServer::Options server_options;
-      server_options.port = static_cast<uint16_t>(port);
-      server_ = std::make_unique<net::StatusServer>();
-      std::string error;
-      if (!server_->Start(server_options, &error)) {
-        std::fprintf(stderr, "cannot start --statusz-port server: %s\n",
-                     error.c_str());
-        return;
-      }
-      // Printed unconditionally so scripts (and the CI drill) can pick up
-      // an ephemeral port without enabling logging.
-      std::fprintf(stderr, "statusz: listening on http://127.0.0.1:%u\n",
-                   server_->port());
-    }
+    if (!tools::StartStatusz(flags, &server_).has_value()) return;
     ok_ = true;
   }
 
@@ -369,9 +292,7 @@ class ObsSession {
                                        : "error";
       sampler_->FlushFinal(reason);
     }
-    if (server_ != nullptr) {
-      server_->Stop();
-    }
+    server_.Stop();
     if ((code == 2 || code == 3) && !flight_dump_path_.empty()) {
       if (obs::FlightRecorder::Global().DumpJsonFile(flight_dump_path_)) {
         std::fprintf(stderr, "flight recorder dumped to '%s'\n",
@@ -388,7 +309,7 @@ class ObsSession {
     // Failed-construction and early-usage-error paths that skip
     // Finalize(): make sure the server and sampler threads are down
     // before their objects die.
-    if (server_ != nullptr) server_->Stop();
+    server_.Stop();
     if (sampler_ != nullptr) sampler_->Stop();
     if (progress_thread_.joinable()) {
       {
@@ -446,7 +367,7 @@ class ObsSession {
   std::string trace_out_;
   std::string flight_dump_path_;
   std::unique_ptr<obs::TelemetrySampler> sampler_;
-  std::unique_ptr<net::StatusServer> server_;
+  net::StatusServer server_;
   bool progress_stop_ = false;
   std::mutex progress_mutex_;
   std::condition_variable progress_cv_;
@@ -475,11 +396,11 @@ int CmdGenerate(const Flags& flags) {
     return 1;
   }
   GeneratorConfig config;
-  config.num_sequences = static_cast<size_t>(flags.GetInt("sequences", 1000));
-  config.min_length = static_cast<size_t>(flags.GetInt("min-len", 50));
-  config.max_length = static_cast<size_t>(flags.GetInt("max-len", 100));
-  config.alphabet_size = static_cast<size_t>(flags.GetInt("alphabet", 20));
-  config.plant_probability = flags.GetDouble("plant-prob", 0.3);
+  config.num_sequences = flags.GetInt("sequences", 1000, 0, kMaxCount);
+  config.min_length = flags.GetInt("min-len", 50, 0, kMaxCount);
+  config.max_length = flags.GetInt("max-len", 100, 0, kMaxCount);
+  config.alphabet_size = flags.GetInt("alphabet", 20, 0, kMaxCount);
+  config.plant_probability = flags.GetDouble("plant-prob", 0.3, 0, 1);
   for (const std::string& text : flags.GetAll("plant")) {
     std::optional<Pattern> p = ParseIdPattern(text);
     if (!p.has_value()) {
@@ -489,10 +410,10 @@ int CmdGenerate(const Flags& flags) {
     }
     config.planted.push_back(std::move(*p));
   }
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
+  Rng rng(flags.GetInt("seed", 42, 0, kMaxCount));
   InMemorySequenceDatabase db = GenerateDatabase(config, &rng);
 
-  double alpha = flags.GetDouble("noise-alpha", 0.0);
+  double alpha = flags.GetDouble("noise-alpha", 0.0, 0, 1);
   if (alpha > 0.0) {
     db = ApplyUniformNoise(db, alpha, config.alphabet_size, &rng);
   }
@@ -570,10 +491,10 @@ int CmdMatrix(const Flags& flags) {
   std::optional<CompatibilityMatrix> c;
   if (flags.Has("identity")) {
     c = CompatibilityMatrix::Identity(
-        static_cast<size_t>(flags.GetInt("identity", 20)));
+        flags.GetInt("identity", 20, 0, kMaxCount));
   } else if (flags.Has("uniform-alpha")) {
-    c = UniformNoiseMatrix(static_cast<size_t>(flags.GetInt("alphabet", 20)),
-                           flags.GetDouble("uniform-alpha", 0.1));
+    c = UniformNoiseMatrix(flags.GetInt("alphabet", 20, 0, kMaxCount),
+                           flags.GetDouble("uniform-alpha", 0.1, 0, 1));
   } else if (flags.Has("blosum50")) {
     c = BlosumCompatibilityMatrix(flags.GetDouble("blosum50", 1.0));
   } else {
@@ -606,133 +527,34 @@ int CmdMine(const Flags& flags) {
     std::fprintf(stderr, "mine: database path required\n");
     return 1;
   }
-  // Retry policy shared by the disk database (real I/O faults) and the
-  // retrying decorator above the fault injector (drill faults).
-  RetryPolicy retry;
-  retry.max_attempts =
-      1 + static_cast<int>(std::max(0LL, flags.GetInt("scan-retries", 2)));
-  retry.initial_backoff_ms = flags.GetDouble("retry-backoff-ms", 5.0);
-
-  // Per-run retry budget shared by the disk layer and the drill retrier,
-  // so cumulative retries are capped no matter which layer performs them.
-  std::optional<RetryBudget> retry_budget;
-  if (flags.Has("retry-budget")) {
-    long long budget_value = flags.GetInt("retry-budget", -1);
-    if (budget_value < 0) {
-      std::fprintf(stderr, "mine: bad --retry-budget '%s' (want >= 0)\n",
-                   flags.Get("retry-budget", "").c_str());
-      return 1;
-    }
-    retry_budget.emplace(budget_value);
-  }
-
+  // The job flags, database, retry budget, fault plan and matrix go
+  // through the same code as a served or coordinated job, so the drills
+  // can diff the three byte for byte.
+  serve::JobSpec spec = tools::JobSpecFromFlags(flags);
+  spec.db_path = flags.positional()[0];
   Status error;
-  DiskSequenceDatabase::Options db_options;
-  db_options.retry = retry;
-  db_options.retry_budget = retry_budget.has_value() ? &*retry_budget : nullptr;
-  std::unique_ptr<DiskSequenceDatabase> db = DiskSequenceDatabase::Open(
-      flags.positional()[0], db_options, &error);
-  if (db == nullptr) {
+  std::unique_ptr<serve::JobInputs> inputs = serve::OpenJobInputs(spec, &error);
+  if (inputs == nullptr) {
     std::fprintf(stderr, "mine: %s\n", error.ToString().c_str());
     return 1;
   }
-
-  // Optional fault-injection drill: Retrying(FaultInjecting(disk)), so the
-  // injected faults exercise the same retry path as real ones. The plan
-  // applies to mining scans only (Open's pre-scan runs directly on disk),
-  // which keeps drill scan indices deterministic: index 0 is the first
-  // mining scan.
-  std::unique_ptr<FaultInjectingDatabase> injector;
-  std::unique_ptr<RetryingDatabase> retrier;
-  const SequenceDatabase* mine_db = db.get();
-  std::string fault_spec = flags.Get("fault-plan", "");
-  if (!fault_spec.empty()) {
-    std::string plan_error;
-    std::optional<FaultPlan> plan = FaultPlan::Parse(fault_spec, &plan_error);
-    if (!plan.has_value()) {
-      std::fprintf(stderr, "mine: %s\n", plan_error.c_str());
-      return 1;
-    }
-    injector =
-        std::make_unique<FaultInjectingDatabase>(db.get(), std::move(*plan));
-    retrier = std::make_unique<RetryingDatabase>(
-        injector.get(), retry, /*sleeper=*/nullptr,
-        retry_budget.has_value() ? &*retry_budget : nullptr);
-    mine_db = retrier.get();
-  }
-
-  // Open learned the alphabet: the matrix must cover every symbol in the
-  // data.
-  const double alpha =
-      flags.Has("uniform-alpha") ? flags.GetDouble("uniform-alpha", 0.1) : -1.0;
-  if (flags.Has("uniform-alpha") && !(alpha >= 0.0 && alpha <= 1.0)) {
-    std::fprintf(stderr, "mine: bad --uniform-alpha '%s' (want 0..1)\n",
-                 flags.Get("uniform-alpha", "").c_str());
-    return 1;
-  }
-  MatrixIoResult merr;
-  std::optional<CompatibilityMatrix> c = ResolveCompatibilityMatrix(
-      flags.Get("matrix", ""), alpha,
-      static_cast<size_t>(db->max_symbol() + 1), &merr);
-  if (!c.has_value()) {
-    std::fprintf(stderr, "mine: %s\n", merr.message.c_str());
-    if (merr.code == MatrixIoCode::kNotStochastic) {
-      std::fprintf(stderr,
-                   "mine: every column of a compatibility matrix must sum "
-                   "to 1 (Definition 3.4); re-normalize the file\n");
-    }
-    return 1;
-  }
+  const SequenceDatabase& mine_db = inputs->mining_db();
+  const CompatibilityMatrix& c = *inputs->matrix;
 
   Metric metric =
-      flags.Get("metric", "match") == "support" ? Metric::kSupport
-                                                : Metric::kMatch;
-  MinerOptions options;
-  options.min_threshold = flags.GetDouble("threshold", 0.1);
-  options.space.max_span = static_cast<size_t>(flags.GetInt("max-span", 10));
-  options.space.max_gap = static_cast<size_t>(flags.GetInt("max-gap", 0));
-  options.max_level = static_cast<size_t>(
-      flags.GetInt("max-level", static_cast<long long>(options.space.max_span)));
-  options.sample_size = static_cast<size_t>(flags.GetInt("sample", 1000));
-  options.delta = flags.GetDouble("delta", 1e-4);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.num_threads =
-      static_cast<size_t>(std::max(0LL, flags.GetInt("threads", 1)));
-  options.phase3_scan_retries =
-      static_cast<size_t>(std::max(0LL, flags.GetInt("phase3-retries", 1)));
+      spec.metric == "support" ? Metric::kSupport : Metric::kMatch;
+  MinerOptions options = serve::MinerOptionsFor(spec);
+  options.phase3_scan_retries = flags.GetInt("phase3-retries", 1, 0, kMaxCount);
   options.run_checkpoint_path = flags.Get("run-checkpoint", "");
-  options.memory_budget_bytes =
-      static_cast<size_t>(std::max(0LL, flags.GetInt("memory-budget", 0)));
 
   // Cooperative stop: SIGINT/SIGTERM and --deadline share one RunControl,
   // polled at scan/level/batch boundaries by every miner.
   options.run_control = &g_run_control;
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  double deadline_s = flags.GetDouble("deadline", 0.0);
-  if (flags.Has("deadline") && deadline_s <= 0.0) {
-    std::fprintf(stderr, "mine: bad --deadline '%s' (want seconds > 0)\n",
-                 flags.Get("deadline", "").c_str());
-    return 1;
-  }
-  if (deadline_s > 0.0) g_run_control.SetDeadlineAfter(deadline_s);
+  tools::CancelOnStopSignals(&g_run_control);
+  if (spec.deadline_s > 0.0) g_run_control.SetDeadlineAfter(spec.deadline_s);
+  if (!tools::SelectSimd(flags)) return 1;
 
-  // Match-kernel selection: resolve --simd against the real host (auto
-  // picks the widest kernel this build AND this CPU support) and install
-  // the process-wide kernel before any mining threads exist. Mined
-  // pattern sets are bit-identical across kernels; only speed changes.
-  std::string simd_flag = flags.Get("simd", "auto");
-  SimdLevel simd_level;
-  std::string simd_error;
-  if (!ResolveSimdLevel(simd_flag, DetectCpuFeatures(), &simd_level,
-                        &simd_error) ||
-      !SetActiveMatchKernel(simd_level, &simd_error)) {
-    std::fprintf(stderr, "mine: %s\n", simd_error.c_str());
-    return 1;
-  }
-  runtime::RunStatusBoard::Global().SetSimdKernel(SimdLevelName(simd_level));
-
-  std::string algorithm = flags.Get("algorithm", "collapse");
+  const std::string& algorithm = spec.algorithm;
   std::string calibrate = flags.Get("calibrate", "none");
 
   // Publish the run on the status board so /statusz and the telemetry
@@ -756,15 +578,15 @@ int CmdMine(const Flags& flags) {
     CalibrationMode mode = calibrate == "survival"
                                ? CalibrationMode::kDiagonalSurvival
                                : CalibrationMode::kExpectedDeflation;
-    MatchCalibration calibration(*c, mode);
+    MatchCalibration calibration(c, mode);
     double tau = options.min_threshold;
     result = LevelwiseMiner(metric, options)
-                 .MineWithThreshold(*mine_db, *c,
+                 .MineWithThreshold(mine_db, c,
                                     [&calibration, tau](const Pattern& p) {
                                       return calibration.ThresholdFor(p, tau);
                                     });
   } else if (miner != nullptr) {
-    result = miner->mine(metric, options, *mine_db, *c);
+    result = miner->mine(metric, options, mine_db, c);
   } else {
     std::fprintf(stderr, "mine: unknown --algorithm '%s'\n",
                  algorithm.c_str());
@@ -814,7 +636,7 @@ int CmdMine(const Flags& flags) {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
-  Flags flags(argc, argv, 2);
+  Flags flags("nmine_cli", argc, argv, 2);
   ObsSession obs_session(flags);
   if (!obs_session.ok()) return 1;
   if (command == "generate") return obs_session.Finalize(CmdGenerate(flags));

@@ -11,11 +11,11 @@
 //       peer: waits for the coordinator's single job, no --id)
 //   nmine_client jobs   --port P
 //
-// Job flags (forwarded into the job spec; same names and defaults as
-// `nmine_cli mine`): --algorithm --metric --matrix --uniform-alpha
-// --threshold --max-span --max-gap --max-level --sample --delta --seed
-// --threads --fault-plan --scan-retries --retry-backoff-ms --retry-budget
-// --deadline --memory-budget
+// Job flags (tools/tool_flags.h JobSpecFromFlags, shared with
+// `nmine_cli mine` and `nmine_coordinator`): --algorithm --metric
+// --matrix --uniform-alpha --threshold --max-span --max-gap --max-level
+// --sample --delta --seed --threads --fault-plan --scan-retries
+// --retry-backoff-ms --retry-budget --deadline --memory-budget
 //
 // Robustness flags:
 //   --timeout S   total wall-clock budget for the whole operation,
@@ -39,69 +39,30 @@
 //                 terminal state, fetch its trace ({"op": "trace"}) and
 //                 write the Chrome trace JSON to F (open in Perfetto)
 //
-// Exit status: 0 success; 1 usage/connection failure (timeout included);
-// 2 the job failed with a typed runtime error; 3 the job was cancelled or
-// hit its deadline.
+// Exit status: 0 success; 1 usage/connection failure (a bad number or the
+// timeout included); 2 the job failed with a typed runtime error; 3 the job
+// was cancelled or hit its deadline.
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
-#include <map>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "nmine/dist/wire.h"
-#include "nmine/eval/table.h"
 #include "nmine/net/retry.h"
 #include "nmine/net/transport.h"
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/json_util.h"
 #include "nmine/obs/trace_context.h"
 #include "nmine/serve/job.h"
+#include "tools/tool_flags.h"
 
 namespace nmine {
 namespace {
-
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string key = arg.substr(2);
-        size_t eq = key.find('=');
-        if (eq != std::string::npos) {
-          values_[key.substr(0, eq)] = key.substr(eq + 1);
-        } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-          values_[key] = argv[++i];
-        } else {
-          values_[key] = "";
-        }
-      }
-    }
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-  std::string Get(const std::string& key, const std::string& dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : it->second;
-  }
-  long long GetInt(const std::string& key, long long dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::atoll(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::atof(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 using Clock = std::chrono::steady_clock;
 
@@ -184,40 +145,6 @@ class Connection {
   net::ReconnectBackoff backoff_;
 };
 
-serve::JobSpec SpecFromFlags(const Flags& flags) {
-  serve::JobSpec spec;
-  spec.db_path = flags.Get("db", "");
-  spec.algorithm = flags.Get("algorithm", spec.algorithm);
-  spec.metric = flags.Get("metric", spec.metric);
-  spec.matrix_path = flags.Get("matrix", spec.matrix_path);
-  if (flags.Has("uniform-alpha")) {
-    spec.uniform_alpha = flags.GetDouble("uniform-alpha", 0.1);
-  }
-  spec.threshold = flags.GetDouble("threshold", spec.threshold);
-  spec.max_span = static_cast<uint64_t>(
-      flags.GetInt("max-span", static_cast<long long>(spec.max_span)));
-  spec.max_gap = static_cast<uint64_t>(
-      flags.GetInt("max-gap", static_cast<long long>(spec.max_gap)));
-  spec.max_level = static_cast<uint64_t>(
-      flags.GetInt("max-level", static_cast<long long>(spec.max_level)));
-  spec.sample_size = static_cast<uint64_t>(
-      flags.GetInt("sample", static_cast<long long>(spec.sample_size)));
-  spec.delta = flags.GetDouble("delta", spec.delta);
-  spec.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", static_cast<long long>(spec.seed)));
-  spec.num_threads = static_cast<uint64_t>(
-      flags.GetInt("threads", static_cast<long long>(spec.num_threads)));
-  spec.fault_plan = flags.Get("fault-plan", "");
-  spec.scan_retries = flags.GetInt("scan-retries", spec.scan_retries);
-  spec.retry_backoff_ms =
-      flags.GetDouble("retry-backoff-ms", spec.retry_backoff_ms);
-  spec.retry_budget = flags.GetInt("retry-budget", spec.retry_budget);
-  spec.deadline_s = flags.GetDouble("deadline", spec.deadline_s);
-  spec.memory_budget = static_cast<uint64_t>(
-      flags.GetInt("memory-budget", 0));
-  return spec;
-}
-
 /// Fetches job `job_id`'s trace ({"op": "trace", "id": N}) and writes the
 /// Chrome trace JSON to `path`. Best-effort: a failure warns on stderr but
 /// never changes the exit code — the mining result already happened.
@@ -263,50 +190,6 @@ void SaveTrace(Connection& connection, uint64_t job_id,
   std::fprintf(stderr, "trace written to %s\n", path.c_str());
 }
 
-/// Prints a terminal job result the way `nmine_cli mine --csv` prints a
-/// solo run (the drill diffs them), or the typed error (plus the job's
-/// trace_id, so a failure can be chased through /tracez). Returns the
-/// process exit code.
-int ReportResult(const obs::JsonValue& response, bool csv,
-                 const std::string& trace_id) {
-  const obs::JsonValue* result = response.Get("result");
-  if (result == nullptr) {
-    std::fprintf(stderr, "nmine_client: response carries no result\n");
-    return 1;
-  }
-  std::optional<serve::JobResult> job_result =
-      serve::JobResult::FromJson(*result);
-  if (!job_result.has_value()) {
-    std::fprintf(stderr, "nmine_client: malformed result payload\n");
-    return 1;
-  }
-  if (!job_result->ok) {
-    std::fprintf(stderr, "nmine_client: job failed: %s: %s\n",
-                 job_result->error_code.c_str(), job_result->message.c_str());
-    if (!trace_id.empty()) {
-      std::fprintf(stderr, "nmine_client: trace_id: %s\n", trace_id.c_str());
-    }
-    return job_result->error_code == "CANCELLED" ||
-                   job_result->error_code == "DEADLINE_EXCEEDED"
-               ? 3
-               : 2;
-  }
-  Table table({"pattern", "value"});
-  for (const auto& [pattern, value] : job_result->rows) {
-    table.AddRow({pattern, value});
-  }
-  if (csv) {
-    table.PrintCsv(std::cout);
-  } else {
-    std::printf("patterns: %zu   scans: %lld%s%s\n", job_result->rows.size(),
-                static_cast<long long>(job_result->scans),
-                job_result->truncated ? "   [TRUNCATED]" : "",
-                job_result->resumed_from_checkpoint ? "   [RESUMED]" : "");
-    table.Print(std::cout);
-  }
-  return 0;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: nmine_client <ping|submit|status|wait|jobs> --port P "
@@ -321,19 +204,19 @@ int Main(int argc, char** argv) {
       op != "jobs") {
     return Usage();
   }
-  Flags flags(argc, argv, 2);
-  long long port = flags.GetInt("port", 0);
-  if (port <= 0 || port > 65535) {
+  tools::Flags flags("nmine_client", argc, argv, 2);
+  if (!flags.Has("port")) {
     std::fprintf(stderr, "nmine_client: --port is required\n");
     return 1;
   }
+  const uint16_t port =
+      static_cast<uint16_t>(flags.GetInt("port", 0, 1, 65535));
   double timeout_s = flags.GetDouble("timeout", 30.0);
   if (timeout_s <= 0.0) {
     std::fprintf(stderr, "nmine_client: bad --timeout (want seconds > 0)\n");
     return 1;
   }
-  Connection connection(flags.Get("host", "127.0.0.1"),
-                        static_cast<uint16_t>(port),
+  Connection connection(flags.Get("host", "127.0.0.1"), port,
                         Clock::now() + std::chrono::duration_cast<
                                            Clock::duration>(
                                            std::chrono::duration<double>(
@@ -351,7 +234,7 @@ int Main(int argc, char** argv) {
   uint64_t job_id = 0;
   std::string trace_id;
   if (is_submit) {
-    serve::JobSpec spec = SpecFromFlags(flags);
+    serve::JobSpec spec = tools::JobSpecFromFlags(flags);
     if (spec.db_path.empty()) {
       std::fprintf(stderr, "nmine_client: submit needs --db\n");
       return 1;
@@ -398,7 +281,7 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "nmine_client: %s needs --id\n", op.c_str());
         return 1;
       }
-      job_id = static_cast<uint64_t>(flags.GetInt("id", 0));
+      job_id = flags.GetInt("id", 0, 0, std::numeric_limits<long long>::max());
       request = "{\"op\": \"" + op +
                 "\", \"id\": " + std::to_string(job_id) + "}\n";
     }
@@ -476,14 +359,22 @@ int Main(int argc, char** argv) {
       if (bound != nullptr && bound->is_string()) {
         trace_id = bound->string_value;
       }
+      const obs::JsonValue* payload = response->Get("result");
       if (op == "status") {
         std::printf("job %llu: %s\n",
                     static_cast<unsigned long long>(job_id),
                     state != nullptr ? state->string_value.c_str() : "?");
-        if (response->Get("result") == nullptr) return 0;
+        if (payload == nullptr) return 0;
       }
-      int code = ReportResult(*response, flags.Has("csv"), trace_id);
-      if (flags.Has("trace-out") && response->Get("result") != nullptr) {
+      std::optional<serve::JobResult> result =
+          payload != nullptr ? serve::JobResult::FromJson(*payload)
+                             : std::nullopt;
+      if (!result.has_value()) {
+        std::fprintf(stderr, "nmine_client: malformed result payload\n");
+        return 1;
+      }
+      int code = tools::ReportJobResult(flags, *result, trace_id);
+      if (flags.Has("trace-out")) {
         SaveTrace(connection, job_id, flags.Get("trace-out", ""));
       }
       return code;

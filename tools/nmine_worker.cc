@@ -22,95 +22,39 @@
 //   --log-level L     trace|debug|info|warn|error|off (default info)
 //
 // Exit status: 0 the coordinator finished its job and said shutdown (or a
-// stop signal landed); 1 usage error, fatal mismatch (wrong database), or
-// coordinator unreachable past --timeout-s.
+// stop signal landed); 1 usage error (a bad number included), fatal
+// mismatch (wrong database), or coordinator unreachable past --timeout-s.
 #include <unistd.h>
 
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <optional>
 #include <string>
 
 #include "nmine/dist/worker.h"
-#include "nmine/obs/logger.h"
+#include "tools/tool_flags.h"
 
 namespace nmine {
 namespace {
 
-runtime::RunControl* g_run = nullptr;
-
-void HandleStopSignal(int) {
-  if (g_run != nullptr) g_run->RequestCancel();  // signal-safe by design
-}
-
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string key = arg.substr(2);
-        size_t eq = key.find('=');
-        if (eq != std::string::npos) {
-          values_[key.substr(0, eq)] = key.substr(eq + 1);
-        } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-          values_[key] = argv[++i];
-        } else {
-          values_[key] = "";
-        }
-      }
-    }
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-  std::string Get(const std::string& key, const std::string& dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : it->second;
-  }
-  long long GetInt(const std::string& key, long long dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::atoll(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::atof(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  tools::Flags flags("nmine_worker", argc, argv, 1);
   if (!flags.Has("port")) {
     std::fprintf(stderr, "nmine_worker: --port is required\n");
     return 1;
   }
-  std::optional<obs::LogLevel> level =
-      obs::ParseLogLevel(flags.Get("log-level", "info"));
-  if (!level.has_value()) {
-    std::fprintf(stderr, "nmine_worker: bad --log-level '%s'\n",
-                 flags.Get("log-level", "").c_str());
-    return 1;
-  }
-  obs::Logger::Global().SetLevel(*level);
+  if (!tools::SetLogLevel(flags, "info")) return 1;
 
   runtime::RunControl run;
-  g_run = &run;
-  std::signal(SIGTERM, HandleStopSignal);
-  std::signal(SIGINT, HandleStopSignal);
+  tools::CancelOnStopSignals(&run);
 
   dist::DistWorker::Options options;
   options.host = flags.Get("host", "127.0.0.1");
-  options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
+  options.port = flags.GetPort("port");
   options.name = flags.Get("name", "");
   if (options.name.empty()) {
     options.name = "worker-" + std::to_string(::getpid());
   }
-  options.throttle_ms = std::max(0LL, flags.GetInt("throttle-ms", 0));
-  options.connect_timeout_s = flags.GetDouble("timeout-s", 30.0);
+  options.throttle_ms = flags.GetInt("throttle-ms", 0, 0);
+  options.connect_timeout_s = flags.GetDouble("timeout-s", 30.0, 0);
   options.run = &run;
 
   dist::DistWorker worker;
