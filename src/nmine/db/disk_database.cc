@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "nmine/core/check.h"
 #include "nmine/db/scan_telemetry.h"
+#include "nmine/obs/metrics.h"
 
 namespace nmine {
 namespace {
@@ -162,9 +164,15 @@ Status VarintError(BufferedVarintReader::VarintResult r, std::string what) {
   return TruncatedError(std::move(what));
 }
 
-/// Opens `path` for reading and reports its size. On success `*fd` is
-/// open and the caller owns it.
-Status OpenFile(const std::string& path, int* fd, uint64_t* file_bytes) {
+int64_t Nanos(const struct timespec& t) {
+  return static_cast<int64_t>(t.tv_sec) * 1'000'000'000 + t.tv_nsec;
+}
+
+/// Opens `path` for reading and reports its size and, when `identity` is
+/// non-null, its identity. On success `*fd` is open and the caller owns
+/// it.
+Status OpenFile(const std::string& path, int* fd, uint64_t* file_bytes,
+                DiskFileIdentity* identity = nullptr) {
   *fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (*fd < 0) {
     if (errno == ENOENT) {
@@ -179,7 +187,24 @@ Status OpenFile(const std::string& path, int* fd, uint64_t* file_bytes) {
     return Status::Unavailable("cannot stat: " + path);
   }
   *file_bytes = static_cast<uint64_t>(st.st_size);
+  if (identity != nullptr) {
+    struct timespec now;
+    ::clock_gettime(CLOCK_REALTIME, &now);
+    identity->device = static_cast<uint64_t>(st.st_dev);
+    identity->inode = static_cast<uint64_t>(st.st_ino);
+    identity->size = *file_bytes;
+    identity->mtime_ns = Nanos(st.st_mtim);
+    identity->ctime_ns = Nanos(st.st_ctim);
+    identity->seen_ns = Nanos(now);
+  }
   return Status::Ok();
+}
+
+/// The offsets and counts of an index describe the image Open validated;
+/// reading through them any other image would misdecode, so a changed
+/// file is a transient failure like truncation by a concurrent rewrite.
+Status ChangedSinceOpen(const std::string& path) {
+  return Status::Unavailable("database file changed since open: " + path);
 }
 
 /// Reads and checks magic and version, then the sequence count.
@@ -199,6 +224,27 @@ Status ReadHeader(BufferedVarintReader* reader, uint64_t* count) {
     return VarintError(vr, "sequence count");
   }
   return Status::Ok();
+}
+
+/// Reads only the header of `path` under `options`' retry policy:
+/// checks magic and version and reports the count, the size and, when
+/// `identity` is non-null, the identity of the file.
+Status ReadHeaderOnly(const std::string& path, const DiskReadOptions& options,
+                      uint64_t* count, uint64_t* size,
+                      DiskFileIdentity* identity) {
+  return RunScanWithRetry(
+      options.retry, options.sleeper, /*can_replay=*/true, "disk open header",
+      [&](int) {
+        ScanAttempt attempt;
+        int raw_fd = -1;
+        attempt.status = OpenFile(path, &raw_fd, size, identity);
+        if (!attempt.status.ok()) return attempt;
+        ScopedFd fd(raw_fd);
+        BufferedVarintReader reader(fd.get(), *size);
+        reader.SetLimit(kMaxHeaderBytes);
+        attempt.status = ReadHeader(&reader, count);
+        return attempt;
+      });
 }
 
 /// Decodes record `i` at the reader's position. A short read is
@@ -256,10 +302,33 @@ Status ReadRecord(BufferedVarintReader* reader, uint64_t i,
   return Status::Ok();
 }
 
+/// Decodes the `count` records after the header, passing each with its
+/// ordinal and byte offset to `on_record`, then rejects trailing garbage.
+template <typename OnRecord>
+Status StreamRecords(BufferedVarintReader* reader, uint64_t count,
+                     OnRecord on_record) {
+  SequenceRecord record;
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint64_t offset = reader->Tell();
+    Status read = ReadRecord(reader, i, /*end_inside_file=*/false, &record);
+    if (!read.ok()) return read;
+    on_record(i, offset, record);
+  }
+  if (!reader->AtEof()) {
+    return Status::DataLoss("trailing garbage after last record");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
-DiskSequenceDatabase::DiskSequenceDatabase(std::string path, Options options)
-    : path_(std::move(path)), options_(options) {}
+DiskSequenceDatabase::DiskSequenceDatabase(
+    std::string path, Options options,
+    std::shared_ptr<const FileLayout> layout)
+    : path_(std::move(path)),
+      options_(options),
+      layout_(std::move(layout)),
+      ranges_(path_, layout_->num_sequences, layout_->file_bytes, options_) {}
 
 std::unique_ptr<DiskSequenceDatabase> DiskSequenceDatabase::Open(
     const std::string& path, Status* error) {
@@ -268,27 +337,26 @@ std::unique_ptr<DiskSequenceDatabase> DiskSequenceDatabase::Open(
 
 std::unique_ptr<DiskSequenceDatabase> DiskSequenceDatabase::Open(
     const std::string& path, const Options& options, Status* error) {
-  std::unique_ptr<DiskSequenceDatabase> db(
-      new DiskSequenceDatabase(path, options));
-  FileLayout layout;
+  DiskFileIdentity identity;
+  return OpenValidated(path, options, &identity, error);
+}
+
+std::unique_ptr<DiskSequenceDatabase> DiskSequenceDatabase::OpenValidated(
+    const std::string& path, const Options& options,
+    DiskFileIdentity* identity, Status* error) {
+  auto layout = std::make_shared<FileLayout>();
   Status r = RunScanWithRetry(
       options.retry, options.sleeper, /*can_replay=*/true, "disk open",
       [&](int) {
-        layout = FileLayout();
+        *layout = FileLayout();
         ScanAttempt attempt;
-        attempt.status = db->StreamFile(/*visitor=*/nullptr, &layout,
-                                        &attempt.delivered_records);
+        attempt.status = LearnLayout(path, layout.get(), identity);
         return attempt;
       });
-  if (!r.ok()) {
-    if (error != nullptr) *error = r;
-    return nullptr;
-  }
-  db->layout_ = std::move(layout);
-  db->ranges_ = std::make_unique<DiskRangeReader>(
-      path, db->layout_.num_sequences, db->layout_.file_bytes, options);
-  if (error != nullptr) *error = Status::Ok();
-  return db;
+  if (error != nullptr) *error = r;
+  if (!r.ok()) return nullptr;
+  return std::unique_ptr<DiskSequenceDatabase>(
+      new DiskSequenceDatabase(path, options, std::move(layout)));
 }
 
 Status DiskSequenceDatabase::Scan(const Visitor& visitor,
@@ -296,28 +364,29 @@ Status DiskSequenceDatabase::Scan(const Visitor& visitor,
   CountScan();
   db_telemetry::RecordScanStarted();
   return RunScanWithRetry(
-      options_.retry, options_.sleeper,
-      /*can_replay=*/static_cast<bool>(restart), "disk scan", [&](int) {
+      options_.retry_full_scans ? options_.retry : RetryPolicy::NoRetry(),
+      options_.sleeper, /*can_replay=*/static_cast<bool>(restart),
+      "disk scan",
+      [&](int) {
         if (restart) restart();
         ScanAttempt attempt;
-        attempt.status = StreamFile(&visitor, /*layout=*/nullptr,
-                                    &attempt.delivered_records);
+        attempt.status = StreamFile(visitor, &attempt.delivered_records);
         return attempt;
       },
       options_.retry_budget);
 }
 
 uint64_t DiskSequenceDatabase::RecordOffset(size_t record) const {
-  if (record == layout_.num_sequences) return layout_.file_bytes;
-  NMINE_CHECK(record % kIndexStride == 0 && record < layout_.num_sequences,
+  if (record == layout_->num_sequences) return layout_->file_bytes;
+  NMINE_CHECK(record % kIndexStride == 0 && record < layout_->num_sequences,
               "RecordOffset needs an indexed record");
-  return layout_.record_offsets[record / kIndexStride];
+  return layout_->record_offsets[record / kIndexStride];
 }
 
 Status DiskSequenceDatabase::ScanRange(size_t begin_record, size_t end_record,
                                        const Visitor& visitor,
                                        const RestartFn& restart) const {
-  end_record = std::min(end_record, layout_.num_sequences);
+  end_record = std::min(end_record, layout_->num_sequences);
   if (begin_record >= end_record) return Status::Ok();
   // The indexed records around the range: the span starts at or before
   // begin_record and ends at or after end_record.
@@ -325,55 +394,64 @@ Status DiskSequenceDatabase::ScanRange(size_t begin_record, size_t end_record,
   span.begin_record = begin_record / kIndexStride * kIndexStride;
   span.end_record = std::min(
       (end_record + kIndexStride - 1) / kIndexStride * kIndexStride,
-      layout_.num_sequences);
+      layout_->num_sequences);
   span.begin_offset = RecordOffset(span.begin_record);
   span.end_offset = RecordOffset(span.end_record);
-  return ranges_->ScanWithin(span, begin_record, end_record, visitor,
+  return ranges_.ScanWithin(span, begin_record, end_record, visitor,
                              restart);
 }
 
-Status DiskSequenceDatabase::StreamFile(const Visitor* visitor,
-                                        FileLayout* layout,
-                                        bool* delivered_records) const {
-  if (delivered_records != nullptr) *delivered_records = false;
+Status DiskSequenceDatabase::LearnLayout(const std::string& path,
+                                         FileLayout* layout,
+                                         DiskFileIdentity* identity) {
   int raw_fd = -1;
   uint64_t file_bytes = 0;
-  Status opened = OpenFile(path_, &raw_fd, &file_bytes);
+  Status opened = OpenFile(path, &raw_fd, &file_bytes, identity);
   if (!opened.ok()) return opened;
   ScopedFd fd(raw_fd);
   BufferedVarintReader reader(fd.get(), file_bytes);
   uint64_t count = 0;
   Status header = ReadHeader(&reader, &count);
   if (!header.ok()) return header;
-  SequenceRecord record;
-  for (uint64_t i = 0; i < count; ++i) {
-    if (layout != nullptr && i % kIndexStride == 0) {
-      layout->record_offsets.push_back(reader.Tell());
-    }
-    Status read = ReadRecord(&reader, i, /*end_inside_file=*/false, &record);
-    if (!read.ok()) return read;
-    if (layout != nullptr) {
-      const size_t len = record.symbols.size();
-      layout->min_length =
-          i == 0 ? len : std::min(layout->min_length, len);
-      layout->max_length = std::max(layout->max_length, len);
-      SymbolId max_symbol = layout->max_symbol;
-      for (SymbolId s : record.symbols) max_symbol = std::max(max_symbol, s);
-      layout->max_symbol = max_symbol;
-      layout->total_symbols += len;
-      ++layout->num_sequences;
-    }
-    if (visitor != nullptr) {
-      if (delivered_records != nullptr) *delivered_records = true;
-      db_telemetry::RecordSequenceVisited();
-      (*visitor)(record);
-    }
-  }
-  if (!reader.AtEof()) {
-    return Status::DataLoss("trailing garbage after last record");
-  }
-  if (layout != nullptr) layout->file_bytes = reader.Tell();
+  Status streamed = StreamRecords(
+      &reader, count,
+      [layout](uint64_t i, uint64_t offset, const SequenceRecord& record) {
+        if (i % kIndexStride == 0) layout->record_offsets.push_back(offset);
+        const size_t len = record.symbols.size();
+        layout->min_length = i == 0 ? len : std::min(layout->min_length, len);
+        layout->max_length = std::max(layout->max_length, len);
+        SymbolId max_symbol = layout->max_symbol;
+        for (SymbolId s : record.symbols) max_symbol = std::max(max_symbol, s);
+        layout->max_symbol = max_symbol;
+        layout->total_symbols += len;
+        ++layout->num_sequences;
+      });
+  if (!streamed.ok()) return streamed;
+  layout->file_bytes = reader.Tell();
   return Status::Ok();
+}
+
+Status DiskSequenceDatabase::StreamFile(const Visitor& visitor,
+                                        bool* delivered_records) const {
+  *delivered_records = false;
+  int raw_fd = -1;
+  uint64_t file_bytes = 0;
+  Status opened = OpenFile(path_, &raw_fd, &file_bytes);
+  if (!opened.ok()) return opened;
+  ScopedFd fd(raw_fd);
+  if (file_bytes != layout_->file_bytes) return ChangedSinceOpen(path_);
+  BufferedVarintReader reader(fd.get(), file_bytes);
+  uint64_t count = 0;
+  Status header = ReadHeader(&reader, &count);
+  if (!header.ok()) return header;
+  if (count != layout_->num_sequences) return ChangedSinceOpen(path_);
+  return StreamRecords(
+      &reader, count,
+      [&](uint64_t, uint64_t, const SequenceRecord& record) {
+        *delivered_records = true;
+        db_telemetry::RecordSequenceVisited();
+        visitor(record);
+      });
 }
 
 DiskRangeReader::DiskRangeReader(std::string path, uint64_t num_sequences,
@@ -388,19 +466,8 @@ std::unique_ptr<DiskRangeReader> DiskRangeReader::Open(
     const DiskReadOptions& options, Status* error) {
   uint64_t count = 0;
   uint64_t size = 0;
-  Status r = RunScanWithRetry(
-      options.retry, options.sleeper, /*can_replay=*/true, "disk open header",
-      [&](int) {
-        ScanAttempt attempt;
-        int raw_fd = -1;
-        attempt.status = OpenFile(path, &raw_fd, &size);
-        if (!attempt.status.ok()) return attempt;
-        ScopedFd fd(raw_fd);
-        BufferedVarintReader reader(fd.get(), size);
-        reader.SetLimit(kMaxHeaderBytes);
-        attempt.status = ReadHeader(&reader, &count);
-        return attempt;
-      });
+  Status r = ReadHeaderOnly(path, options, &count, &size,
+                            /*identity=*/nullptr);
   if (r.ok() && (count != num_sequences || size != file_bytes)) {
     r = Status::FailedPrecondition(
         path + " holds " + std::to_string(count) + " sequences in " +
@@ -453,19 +520,13 @@ Status DiskRangeReader::StreamSpan(const RecordSpan& span,
   Status opened = OpenFile(path_, &raw_fd, &file_bytes);
   if (!opened.ok()) return opened;
   ScopedFd fd(raw_fd);
-  // The offsets describe the image Open validated; seeking through them
-  // into any other image would misdecode, so a changed file is a transient
-  // failure like truncation by a concurrent rewrite.
-  auto changed = [&] {
-    return Status::Unavailable("database file changed since open: " + path_);
-  };
-  if (file_bytes != file_bytes_) return changed();
+  if (file_bytes != file_bytes_) return ChangedSinceOpen(path_);
   BufferedVarintReader reader(fd.get(), file_bytes);
   reader.SetLimit(kMaxHeaderBytes);
   uint64_t count = 0;
   Status header = ReadHeader(&reader, &count);
   if (!header.ok()) return header;
-  if (count != num_sequences_) return changed();
+  if (count != num_sequences_) return ChangedSinceOpen(path_);
   reader.Seek(span.begin_offset);
   reader.SetLimit(span.end_offset);
   const bool end_inside_file = span.end_offset < file_bytes_;
@@ -487,6 +548,89 @@ Status DiskRangeReader::StreamSpan(const RecordSpan& span,
         std::to_string(span.end_offset));
   }
   return Status::Ok();
+}
+
+DiskLayoutCache::DiskLayoutCache()
+    : hits_(obs::MetricsRegistry::Global().GetCounter("db.layout_cache.hits")),
+      misses_(obs::MetricsRegistry::Global().GetCounter(
+          "db.layout_cache.misses")) {}
+
+std::unique_ptr<DiskSequenceDatabase> DiskLayoutCache::Open(
+    const std::string& path, const DiskReadOptions& options, Status* error) {
+  const Entry cached = Find(path);
+  if (cached.layout != nullptr) {
+    uint64_t count = 0;
+    uint64_t size = 0;
+    DiskFileIdentity seen;
+    Status header = ReadHeaderOnly(path, options, &count, &size, &seen);
+    if (!header.ok()) {
+      misses_.Increment();
+      Forget(path);
+      if (error != nullptr) *error = header;
+      return nullptr;
+    }
+    if (seen.SameImage(cached.identity) &&
+        count == cached.layout->num_sequences &&
+        size == cached.layout->file_bytes) {
+      hits_.Increment();
+      if (error != nullptr) *error = Status::Ok();
+      return std::unique_ptr<DiskSequenceDatabase>(
+          new DiskSequenceDatabase(path, options, cached.layout));
+    }
+  }
+  misses_.Increment();
+  Entry fresh;
+  fresh.path = path;
+  std::unique_ptr<DiskSequenceDatabase> db =
+      DiskSequenceDatabase::OpenValidated(path, options, &fresh.identity,
+                                          error);
+  const int64_t last_change =
+      std::max(fresh.identity.mtime_ns, fresh.identity.ctime_ns);
+  if (db != nullptr && last_change + kSettleNs <= fresh.identity.seen_ns) {
+    fresh.layout = db->layout_;
+    Store(std::move(fresh));
+  } else {
+    Forget(path);
+  }
+  return db;
+}
+
+DiskLayoutCache::Entry DiskLayoutCache::Find(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (Entry& entry : entries_) {
+    if (entry.path == path) {
+      entry.last_use = ++uses_;
+      return entry;
+    }
+  }
+  return Entry();
+}
+
+void DiskLayoutCache::Store(Entry entry) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  entry.last_use = ++uses_;
+  auto oldest = entries_.begin();
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->path == entry.path) {
+      *it = std::move(entry);
+      return;
+    }
+    if (it->last_use < oldest->last_use) oldest = it;
+  }
+  if (entries_.size() < kCapacity) {
+    entries_.push_back(std::move(entry));
+  } else {
+    *oldest = std::move(entry);
+  }
+}
+
+void DiskLayoutCache::Forget(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
+                                [&](const Entry& entry) {
+                                  return entry.path == path;
+                                }),
+                 entries_.end());
 }
 
 }  // namespace nmine

@@ -263,7 +263,8 @@ const SequenceDatabase& JobInputs::mining_db() const {
   return *db;
 }
 
-std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error) {
+std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error,
+                                         DiskLayoutCache* layouts) {
   // The one open path of `nmine_cli mine`, the server and the
   // coordinator, so the chaos drills can diff their outputs byte for byte.
   auto inputs = std::make_unique<JobInputs>();
@@ -278,7 +279,12 @@ std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error) {
   DiskSequenceDatabase::Options db_options;
   db_options.retry = retry;
   db_options.retry_budget = inputs->retry_budget.get();
-  inputs->db = DiskSequenceDatabase::Open(spec.db_path, db_options, error);
+  // With a fault plan, the RetryingDatabase below retries full scans.
+  db_options.retry_full_scans = spec.fault_plan.empty();
+  inputs->db =
+      layouts != nullptr
+          ? layouts->Open(spec.db_path, db_options, error)
+          : DiskSequenceDatabase::Open(spec.db_path, db_options, error);
   if (inputs->db == nullptr) return nullptr;
 
   if (!spec.fault_plan.empty()) {
@@ -309,9 +315,10 @@ std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error) {
 }
 
 JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
-                 const runtime::RunControl* run, const RunJobHooks& hooks) {
+                 const runtime::RunControl* run, const RunJobHooks& hooks,
+                 DiskLayoutCache* layouts) {
   Status error;
-  std::unique_ptr<JobInputs> inputs = OpenJobInputs(spec, &error);
+  std::unique_ptr<JobInputs> inputs = OpenJobInputs(spec, &error, layouts);
   if (inputs == nullptr) return TypedError(error);
   return MineJob(spec, *inputs, checkpoint_path, run, hooks);
 }

@@ -19,6 +19,7 @@
 
 namespace nmine {
 
+class DiskLayoutCache;
 class DiskSequenceDatabase;
 class FaultInjectingDatabase;
 class RetryBudget;
@@ -179,7 +180,12 @@ struct JobInputs {
 
 /// Opens `spec`'s database (one validating pass, which also learns the
 /// alphabet) and resolves its matrix. Null with `*error` set on failure.
-std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error);
+/// With `layouts`, a file whose identity and header match the layout
+/// cached there is opened on that layout, reading only its header. Under
+/// a fault plan the reader makes one attempt per full scan and the
+/// RetryingDatabase above it does the retrying.
+std::unique_ptr<JobInputs> OpenJobInputs(const JobSpec& spec, Status* error,
+                                         DiskLayoutCache* layouts = nullptr);
 
 /// Mines opened `inputs` as one governed run with the requested algorithm
 /// under `run`, checkpointing to `checkpoint_path` (border-collapsing runs
@@ -192,11 +198,12 @@ JobResult MineJob(const JobSpec& spec, const JobInputs& inputs,
                   const std::string& checkpoint_path,
                   const runtime::RunControl* run, const RunJobHooks& hooks);
 
-/// OpenJobInputs then MineJob: the file is read once to open it plus once
-/// per charged scan.
+/// OpenJobInputs then MineJob: the file is read once per charged scan,
+/// plus once to open it unless `layouts` holds its layout.
 JobResult RunJob(const JobSpec& spec, const std::string& checkpoint_path,
                  const runtime::RunControl* run,
-                 const RunJobHooks& hooks = RunJobHooks());
+                 const RunJobHooks& hooks = RunJobHooks(),
+                 DiskLayoutCache* layouts = nullptr);
 
 }  // namespace serve
 }  // namespace nmine

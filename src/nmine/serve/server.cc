@@ -430,7 +430,7 @@ void MiningServer::RunOne(uint64_t id) {
     NMINE_LOG(kDebug, "serve")
         .Msg("job running")
         .Num("id", static_cast<int64_t>(id));
-    result = RunJob(spec, checkpoint_path, run);
+    result = RunJob(spec, checkpoint_path, run, RunJobHooks(), &layouts_);
   }
   const int64_t finish_tus = obs::SinceEpochUs();
 

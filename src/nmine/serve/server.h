@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "nmine/db/disk_database.h"
 #include "nmine/net/transport.h"
 #include "nmine/serve/job.h"
 #include "nmine/serve/job_journal.h"
@@ -49,7 +50,9 @@ namespace serve {
 ///
 /// Metrics: serve.jobs.{admitted,shed,completed,failed,recovered,
 /// interrupted} counters, the serve.queue.depth gauge, and the
-/// serve.job.queue_wait_ms / serve.job.run_ms lifecycle histograms. The
+/// serve.job.queue_wait_ms / serve.job.run_ms lifecycle histograms. Jobs
+/// open their database through the server's DiskLayoutCache, which
+/// counts db.layout_cache.{hits,misses}. The
 /// job board is exported process-wide as /jobsz (and, with tracing on,
 /// per-job traces as /tracez) via StatusServer::RegisterEndpoint while the
 /// server runs; after Stop or Drain those paths answer 404.
@@ -183,6 +186,10 @@ class MiningServer {
   std::map<std::pair<std::string, std::string>, uint64_t> dedup_;
   std::deque<uint64_t> finished_ids_;  // board's finished jobs, oldest first
   uint64_t next_id_ = 1;
+
+  /// The layouts of the files this server's jobs opened, so a job on a
+  /// file an earlier job validated reads only its header to open it.
+  DiskLayoutCache layouts_;
 
   std::vector<std::thread> executors_;
   /// This server's /jobsz, /tracez and /healthz registrations.

@@ -122,6 +122,35 @@ TEST(DiskDatabaseTest, EmptyDatabaseRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(DiskDatabaseTest, ScanRefusesAFileChangedSinceOpen) {
+  const std::string path = TempPath("changed.nmsq");
+  std::vector<SequenceRecord> records(10);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].id = static_cast<SequenceId>(i);
+    records[i].symbols = {1, 2, static_cast<SymbolId>(i)};
+  }
+  ASSERT_TRUE(dbformat::WriteDatabaseFile(path, records).ok);
+  DiskSequenceDatabase::Options options;
+  options.retry = RetryPolicy::NoRetry();
+  Status error;
+  std::unique_ptr<DiskSequenceDatabase> disk =
+      DiskSequenceDatabase::Open(path, options, &error);
+  ASSERT_NE(disk, nullptr) << error.ToString();
+
+  // Thirty records where Open indexed ten: a scan that trusted the file
+  // would deliver three times the records NumSequences() averages over.
+  records.resize(30, records.back());
+  ASSERT_TRUE(dbformat::WriteDatabaseFile(path, records).ok);
+  size_t delivered = 0;
+  Status scan = disk->Scan([&](const SequenceRecord&) { ++delivered; });
+  EXPECT_EQ(scan.code(), StatusCode::kUnavailable);
+  EXPECT_NE(scan.message().find("changed since open"), std::string::npos)
+      << scan.ToString();
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(disk->NumSequences(), 10u);
+  std::remove(path.c_str());
+}
+
 // Records of varying length with multi-byte varint ids and symbols, so
 // record offsets are irregular and an index entry off by one record (or
 // one byte) decodes a different record or garbage.

@@ -4,6 +4,8 @@
 // the failure with a typed message instead of retrying forever).
 #include <atomic>
 #include <climits>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include "nmine/core/status.h"
+#include "nmine/db/format.h"
 #include "nmine/db/retry.h"
+#include "nmine/db/sequence_database.h"
 #include "nmine/obs/metrics.h"
+#include "nmine/serve/job.h"
 
 namespace nmine {
 namespace {
@@ -126,6 +131,39 @@ TEST(RetryBudgetTest, BudgetIsSharedAcrossScansOfOneRun) {
       &budget);
   EXPECT_EQ(attempts, 1);
   EXPECT_FALSE(status.ok());
+}
+
+TEST(RetryBudgetTest, AJobRetriesAFaultInOneLayerWithOrWithoutAFaultPlan) {
+  // A file cut after the job opened it fails every scan attempt. Under a
+  // fault plan that never fires, the RetryingDatabase above the injector
+  // retries it; the reader below must not retry each of those attempts
+  // again.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/retry_layers.nmsq";
+  std::vector<SequenceRecord> records(40);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].id = static_cast<SequenceId>(i);
+    records[i].symbols = {0, 1, static_cast<SymbolId>(i % 5)};
+  }
+  for (const char* plan : {"", "fail-scan:99"}) {
+    ASSERT_TRUE(dbformat::WriteDatabaseFile(path, records).ok);
+    serve::JobSpec spec;
+    spec.db_path = path;
+    spec.fault_plan = plan;
+    spec.scan_retries = 2;
+    spec.retry_backoff_ms = 0.0;
+    spec.retry_budget = 100;
+    Status error;
+    std::unique_ptr<serve::JobInputs> inputs =
+        serve::OpenJobInputs(spec, &error);
+    ASSERT_NE(inputs, nullptr) << error.ToString();
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+    Status scan = inputs->mining_db().Scan([](const SequenceRecord&) {});
+    EXPECT_EQ(scan.code(), StatusCode::kUnavailable) << "plan '" << plan << "'";
+    EXPECT_EQ(inputs->retry_budget->used(), spec.scan_retries)
+        << "plan '" << plan << "'";
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -23,10 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include "nmine/db/disk_database.h"
 #include "nmine/db/format.h"
 #include "nmine/exec/thread_pool.h"
 #include "nmine/gen/workload.h"
 #include "nmine/net/status_server.h"
+#include "nmine/obs/export/openmetrics.h"
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/metrics.h"
 #include "nmine/obs/trace.h"
@@ -198,6 +200,46 @@ TEST_F(MiningServerTest, SubmitWaitMatchesASoloRunBitForBit) {
   ASSERT_TRUE(solo.ok);
   EXPECT_EQ(via_server.rows, solo.rows);  // preformatted: bit-identity
   EXPECT_EQ(via_server.scans, solo.scans);
+  server.Drain();
+}
+
+TEST_F(MiningServerTest, JobsOnOneFileOpenItOnce) {
+  // Old enough for the server's layout cache to keep (kSettleNs).
+  std::this_thread::sleep_for(
+      std::chrono::nanoseconds(DiskLayoutCache::kSettleNs) +
+      std::chrono::milliseconds(20));
+  MiningServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(ServerOptions(), &error)) << error;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const int64_t hits0 = reg.CounterValue("db.layout_cache.hits");
+  const int64_t misses0 = reg.CounterValue("db.layout_cache.misses");
+
+  constexpr int kJobs = 4;
+  for (int i = 0; i < kJobs; ++i) {
+    JobSpec spec = QuickSpec();
+    spec.seed = 42 + static_cast<uint64_t>(i);
+    std::optional<obs::JsonValue> ack = Ask(
+        server.port(), SubmitLine("alice", "job-" + std::to_string(i), spec));
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_TRUE(ack->Get("ok")->bool_value);
+    std::optional<obs::JsonValue> done = Wait(
+        server.port(), static_cast<uint64_t>(ack->GetNumber("id", 0.0)));
+    ASSERT_TRUE(done.has_value());
+    const JobResult served = ResultOf(*done);
+    ASSERT_TRUE(served.ok) << served.message;
+    const JobResult solo = RunJob(spec, "", nullptr);
+    ASSERT_TRUE(solo.ok);
+    EXPECT_EQ(served.rows, solo.rows) << "job " << i;
+    EXPECT_EQ(served.scans, solo.scans) << "job " << i;
+  }
+  EXPECT_EQ(reg.CounterValue("db.layout_cache.misses") - misses0, 1);
+  EXPECT_EQ(reg.CounterValue("db.layout_cache.hits") - hits0, kJobs - 1);
+  const std::string metricsz = obs::RenderOpenMetrics(reg.Snapshot());
+  EXPECT_NE(metricsz.find("nmine_db_layout_cache_hits_total "),
+            std::string::npos);
+  EXPECT_NE(metricsz.find("nmine_db_layout_cache_misses_total "),
+            std::string::npos);
   server.Drain();
 }
 
