@@ -108,6 +108,53 @@ void RunTrieBatchCount(const bench::BenchContext&) {
   }
 }
 
+/// micro.trie_batch_count's batch through the per-record API
+/// (BatchCountKernel::MakeRecordFn): one MakeRecordFn per pass and one
+/// call per record, so each record's pieces fill the lanes on their own.
+void RunTrieRecordFn(const bench::BenchContext&) {
+  static const CompatibilityMatrix c = Matrix20();
+  static const InMemorySequenceDatabase db = MakeDb(50, 100);
+  static const std::vector<Pattern> patterns = MakePatterns(256, 4);
+  static const BatchCountKernel kernel(patterns, &c);
+  for (int i = 0; i < 20; ++i) {
+    exec::RecordFn fn = kernel.MakeRecordFn();
+    std::vector<double> partial(patterns.size(), 0.0);
+    for (const SequenceRecord& r : db.records()) fn(r, &partial);
+    KeepAlive(partial);
+  }
+}
+
+/// A large sparse alphabet, where lanes skip a subtree only when every
+/// lane is dead: m = 500, each symbol compatible with ~10% of the others,
+/// 300 patterns of 4 symbols over 300 records of length 100-140.
+void RunTrieBatchCountSparse(const bench::BenchContext&) {
+  constexpr size_t kM = 500;
+  static const CompatibilityMatrix c = [] {
+    Rng rng(6);
+    return SparseRandomMatrix(kM, 0.1, 0.85, &rng);
+  }();
+  static const InMemorySequenceDatabase db = [] {
+    Rng rng(7);
+    GeneratorConfig config;
+    config.num_sequences = 300;
+    config.min_length = 100;
+    config.max_length = 140;
+    config.alphabet_size = kM;
+    return GenerateDatabase(config, &rng);
+  }();
+  static const std::vector<Pattern> patterns = [] {
+    Rng rng(8);
+    std::vector<Pattern> out;
+    for (int i = 0; i < 300; ++i) out.push_back(RandomPattern(4, 0, kM, &rng));
+    return out;
+  }();
+  for (int i = 0; i < 5; ++i) {
+    std::vector<double> out = CountMatchesInRecords(db.records(), c,
+                                                    patterns);
+    KeepAlive(out);
+  }
+}
+
 void RunNaiveBatchCount(const bench::BenchContext&) {
   static const CompatibilityMatrix c = Matrix20();
   static const InMemorySequenceDatabase db = MakeDb(50, 100);
@@ -289,6 +336,9 @@ int main(int argc, char** argv) {
                    {.smoke = true});
   RegisterScenario("micro.trie_batch_count_simd",
                    nmine::RunTrieBatchCountSimd, {.smoke = true});
+  RegisterScenario("micro.trie_record_fn", nmine::RunTrieRecordFn);
+  RegisterScenario("micro.trie_batch_count_sparse",
+                   nmine::RunTrieBatchCountSparse);
   RegisterScenario("micro.naive_batch_count", nmine::RunNaiveBatchCount);
   RegisterScenario("micro.trie_shared_prefixes",
                    nmine::RunTrieSharedPrefixes);

@@ -46,22 +46,28 @@ CpuFeatures DetectCpuFeatures() {
 namespace {
 
 struct ScalarSteps {
+  static constexpr size_t kLanes = 1;
+
   __attribute__((always_inline)) static void GatherRow(const double* row,
-                                                       const SymbolId* seq,
-                                                       size_t n, double* out) {
-    for (size_t j = 0; j < n; ++j) out[j] = row[seq[j]];
+                                                       const int32_t* symbols,
+                                                       size_t positions,
+                                                       double* out) {
+    for (size_t k = 0; k < positions; ++k) {
+      out[k] = symbols[k] < 0 ? 0.0 : row[symbols[k]];
+    }
   }
 
   // Two independent max chains, pairable by the compiler; a max of the
   // same values is the same in any order.
-  __attribute__((always_inline)) static double ProductMax(const double* a,
-                                                          const double* b,
-                                                          size_t n,
-                                                          double* out) {
+  __attribute__((always_inline)) static bool ProductMax(const double* a,
+                                                        const double* b,
+                                                        size_t steps,
+                                                        double* out,
+                                                        double* peak) {
     double best0 = 0.0;
     double best1 = 0.0;
     size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
+    for (; i + 2 <= steps; i += 2) {
       const double v0 = a[i] * b[i];
       const double v1 = a[i + 1] * b[i + 1];
       out[i] = v0;
@@ -70,56 +76,59 @@ struct ScalarSteps {
       best1 = v1 > best1 ? v1 : best1;
     }
     double best = best1 > best0 ? best1 : best0;
-    if (i < n) {
+    if (i < steps) {
       out[i] = a[i] * b[i];
       if (out[i] > best) best = out[i];
     }
-    return best;
+    peak[0] = best;
+    return best > 0.0;
   }
 };
 
 NMINE_WALK_ALIGNED void WalkTrieScalar(const WindowTrie& trie,
-                                       const SymbolId* seq, size_t n,
+                                       const WindowLanes& group,
                                        const WindowTrieBuffers& buffers,
                                        double* best) {
-  detail::WalkTrie<ScalarSteps>(trie, seq, n, buffers, best);
+  detail::WalkTrie<ScalarSteps>(trie, group, buffers, best);
 }
 
-void GatherRowScalar(const double* row, const SymbolId* seq, size_t n,
-                     double* out) {
-  ScalarSteps::GatherRow(row, seq, n, out);
+void GatherRowScalar(const double* row, const int32_t* symbols,
+                     size_t positions, double* out) {
+  ScalarSteps::GatherRow(row, symbols, positions, out);
 }
 
-double ProductMaxScalar(const double* a, const double* b, size_t n,
-                        double* out) {
-  return ScalarSteps::ProductMax(a, b, n, out);
+bool ProductMaxScalar(const double* a, const double* b, size_t steps,
+                      double* out, double* peak) {
+  return ScalarSteps::ProductMax(a, b, steps, out, peak);
 }
 
-/// A kernel is its level and the three functions of its translation unit.
-template <SimdLevel kLevel,
-          void (*kWalkTrie)(const WindowTrie&, const SymbolId*, size_t,
+/// A kernel is its level, its lane count and the three functions of its
+/// translation unit.
+template <SimdLevel kLevel, size_t kLanes,
+          void (*kWalkTrie)(const WindowTrie&, const WindowLanes&,
                             const WindowTrieBuffers&, double*),
-          void (*kGatherRow)(const double*, const SymbolId*, size_t, double*),
-          double (*kProductMax)(const double*, const double*, size_t,
-                                double*)>
+          void (*kGatherRow)(const double*, const int32_t*, size_t, double*),
+          bool (*kProductMax)(const double*, const double*, size_t, double*,
+                              double*)>
 class IsaKernel final : public MatchKernel {
  public:
   SimdLevel level() const override { return kLevel; }
+  size_t lanes() const override { return kLanes; }
 
-  void WalkTrie(const WindowTrie& trie, const SymbolId* seq, size_t n,
+  void WalkTrie(const WindowTrie& trie, const WindowLanes& group,
                 const WindowTrieBuffers& buffers,
                 double* best) const override {
-    kWalkTrie(trie, seq, n, buffers, best);
+    kWalkTrie(trie, group, buffers, best);
   }
 
-  void GatherRow(const double* row, const SymbolId* seq, size_t n,
+  void GatherRow(const double* row, const int32_t* symbols, size_t positions,
                  double* out) const override {
-    kGatherRow(row, seq, n, out);
+    kGatherRow(row, symbols, positions, out);
   }
 
-  double ProductMax(const double* a, const double* b, size_t n,
-                    double* out) const override {
-    return kProductMax(a, b, n, out);
+  bool ProductMax(const double* a, const double* b, size_t steps,
+                  double* out, double* peak) const override {
+    return kProductMax(a, b, steps, out, peak);
   }
 };
 
@@ -131,16 +140,17 @@ std::atomic<const MatchKernel*>& ActiveKernelSlot() {
 }  // namespace
 
 const MatchKernel* GetMatchKernel(SimdLevel level) {
-  static const IsaKernel<SimdLevel::kScalar, WalkTrieScalar, GatherRowScalar,
-                         ProductMaxScalar>
+  static const IsaKernel<SimdLevel::kScalar, ScalarSteps::kLanes,
+                         WalkTrieScalar, GatherRowScalar, ProductMaxScalar>
       scalar;
   switch (level) {
     case SimdLevel::kScalar:
       return &scalar;
     case SimdLevel::kAvx2: {
 #if defined(NMINE_HAVE_AVX2)
-      static const IsaKernel<SimdLevel::kAvx2, detail::WalkTrieAvx2,
-                             detail::GatherRowAvx2, detail::ProductMaxAvx2>
+      static const IsaKernel<SimdLevel::kAvx2, detail::kAvx2Lanes,
+                             detail::WalkTrieAvx2, detail::GatherRowAvx2,
+                             detail::ProductMaxAvx2>
           avx2;
       return &avx2;
 #else
@@ -149,8 +159,8 @@ const MatchKernel* GetMatchKernel(SimdLevel level) {
     }
     case SimdLevel::kAvx512: {
 #if defined(NMINE_HAVE_AVX512)
-      static const IsaKernel<SimdLevel::kAvx512, detail::WalkTrieAvx512,
-                             detail::GatherRowAvx512,
+      static const IsaKernel<SimdLevel::kAvx512, detail::kAvx512Lanes,
+                             detail::WalkTrieAvx512, detail::GatherRowAvx512,
                              detail::ProductMaxAvx512>
           avx512;
       return &avx512;
@@ -160,8 +170,9 @@ const MatchKernel* GetMatchKernel(SimdLevel level) {
     }
     case SimdLevel::kNeon: {
 #if defined(NMINE_HAVE_NEON)
-      static const IsaKernel<SimdLevel::kNeon, detail::WalkTrieNeon,
-                             detail::GatherRowNeon, detail::ProductMaxNeon>
+      static const IsaKernel<SimdLevel::kNeon, detail::kNeonLanes,
+                             detail::WalkTrieNeon, detail::GatherRowNeon,
+                             detail::ProductMaxNeon>
           neon;
       return &neon;
 #else

@@ -50,15 +50,26 @@ bool ResolveSimdLevel(const std::string& flag, const CpuFeatures& features,
                       SimdLevel* out, std::string* error);
 
 /// The window trie (lattice/pattern_counter.h) as a kernel walks it: flat
-/// arrays owned by PatternTrie, nodes in DFS preorder. Per sequence the
-/// windows are processed in tiles of kTileWindows; per tile every factor
-/// row holds C(s, seq[j]) for its batch symbol s (0/1 for supports), and
-/// each node's row is its parent's row times the factor row of its edge
-/// symbol, shifted by depth - 1 (SegmentMatch's factor order).
+/// arrays owned by PatternTrie, nodes in DFS preorder. A walk covers one
+/// lane group (WindowLanes): every vector lane holds a piece of a
+/// different record, and the node loop runs along window offsets. Per
+/// group every factor row holds C(s, seq[j]) (0/1 for supports) for its
+/// batch symbol s at each position j of each lane, and each node's row is
+/// its parent's row times the factor row of its edge symbol, shifted by
+/// depth - 1 positions (SegmentMatch's factor order).
+///
+/// Buffers are lane-interleaved: position (or window offset) p of lane l
+/// is entry p * lanes + l, so one window step of every lane is one
+/// aligned vector.
 struct WindowTrie {
-  /// Windows per tile: node rows and factor rows stay cache-resident
-  /// however long the sequence is.
-  static constexpr size_t kTileWindows = 128;
+  /// Window starts a lane owns within a record piece, and so the window
+  /// steps of a node: a piece is at most kTileWindows windows plus the
+  /// max_depth - 1 symbols its deepest windows reach, so a group's node
+  /// and factor rows stay cache-resident however long its records are.
+  static constexpr size_t kTileWindows = 32;
+  /// The widest kernel's lane count (AVX-512); buffers are sized for it,
+  /// so one PatternTrie::Scratch serves every kernel.
+  static constexpr size_t kMaxLanes = 8;
 
   /// One node; its subtree is [self, end).
   struct Node {
@@ -69,6 +80,12 @@ struct WindowTrie {
     uint32_t num_patterns = 0;   // patterns ending at this node
   };
 
+  /// Entries per node or factor row: every position a lane can hold,
+  /// for kMaxLanes lanes.
+  static size_t RowStride(size_t max_depth) {
+    return (kTileWindows + max_depth - 1) * kMaxLanes;
+  }
+
   const Node* nodes = nullptr;
   size_t num_nodes = 0;
   const uint32_t* pattern_ids = nullptr;  // grouped by ending node
@@ -78,25 +95,42 @@ struct WindowTrie {
   /// nullptr for a support trie (factor 1 where seq[j] == row_syms[r]).
   const double* const* matrix_rows = nullptr;
   size_t num_rows = 0;
-  const double* ones = nullptr;  // the root row: kTileWindows ones
+  const double* ones = nullptr;  // the root row: RowStride ones
   size_t max_depth = 0;
 };
 
+/// One lane group of a walk. Lane l holds lens[l] symbols from seqs[l]
+/// (at most kTileWindows + max_depth - 1, so a lane always fits its row
+/// of RowStride entries) and must yield every window that starts at one
+/// of its first owned[l] positions and fits in it; lanes past `count` are
+/// empty. Windows beyond a lane's end read factor +0.0, so they are 0 and
+/// never raise a max.
+struct WindowLanes {
+  const SymbolId* seqs[WindowTrie::kMaxLanes] = {};
+  uint32_t lens[WindowTrie::kMaxLanes] = {};
+  uint32_t owned[WindowTrie::kMaxLanes] = {};
+  size_t count = 0;
+};
+
 /// One worker's buffers for a walk (PatternTrie::Scratch), sized from the
-/// trie: the walk allocates nothing.
+/// trie and 64-byte aligned: the walk allocates nothing, and every vector
+/// load and store of a lane step is aligned.
 struct WindowTrieBuffers {
-  double* factors = nullptr;  // num_rows x (kTileWindows + max_depth)
-  double* rows = nullptr;     // max_depth x kTileWindows
+  int32_t* symbols = nullptr;  // RowStride lane-interleaved symbols; -1 = pad
+  double* factors = nullptr;   // num_rows x RowStride
+  double* rows = nullptr;      // max_depth x RowStride
   const double** path_rows = nullptr;  // the row of each depth of the path
+  uint32_t* steps = nullptr;   // window steps of each depth, max_depth + 1
 };
 
 /// One instruction set's window-trie walk, selected once per process
-/// (runtime ISA dispatch) and called once per sequence. Each kernel runs
-/// the same walk (match_kernel_detail.h) with its own two steps inlined,
-/// and both steps copy or multiply single IEEE doubles, so mined pattern
-/// sets and match values are bit-identical across kernels at any thread
-/// count. SegmentMatch/SequenceMatch (core/match.h) are the scalar
-/// reference the trie is tested against; they do not dispatch.
+/// (runtime ISA dispatch) and called once per lane group. Each kernel
+/// runs the same walk (match_kernel_detail.h) with its own two steps
+/// inlined, and both steps copy or multiply single IEEE doubles lane by
+/// lane, so mined pattern sets and match values are bit-identical across
+/// kernels at any thread count. SegmentMatch/SequenceMatch (core/match.h)
+/// are the scalar reference the trie is tested against; they do not
+/// dispatch.
 class MatchKernel {
  public:
   virtual ~MatchKernel() = default;
@@ -104,22 +138,29 @@ class MatchKernel {
   virtual SimdLevel level() const = 0;
   const char* name() const { return SimdLevelName(level()); }
 
-  /// Sets best[i] (trie.num_patterns entries, all overwritten) to the max
-  /// over the windows of seq[0, n) of every pattern ending in the trie.
-  virtual void WalkTrie(const WindowTrie& trie, const SymbolId* seq, size_t n,
+  /// Records per vector step: 8 on AVX-512, 4 on AVX2, 2 on NEON, 1 on
+  /// scalar.
+  virtual size_t lanes() const = 0;
+
+  /// Sets best[i * lanes() + l] (trie.num_patterns x lanes() entries, all
+  /// overwritten) to the max over lane l's windows of pattern i.
+  virtual void WalkTrie(const WindowTrie& trie, const WindowLanes& group,
                         const WindowTrieBuffers& buffers,
                         double* best) const = 0;
 
   /// The walk's two steps, exposed so that every kernel can be checked
-  /// against the scalar one. GatherRow fills a factor row:
-  /// out[j] = row[seq[j]] for j < n, a copy of each entry.
-  virtual void GatherRow(const double* row, const SymbolId* seq, size_t n,
-                         double* out) const = 0;
+  /// against the scalar one. Both take lane-interleaved buffers
+  /// (positions x lanes() entries) aligned to 64 bytes. GatherRow fills a
+  /// factor row, a copy of each entry: out[k] = row[symbols[k]], or +0.0
+  /// where symbols[k] < 0 (a lane past its end).
+  virtual void GatherRow(const double* row, const int32_t* symbols,
+                         size_t positions, double* out) const = 0;
 
-  /// The node step: out[i] = a[i] * b[i] for i < n, returning the max of 0
-  /// and every out[i]. One IEEE multiply per element.
-  virtual double ProductMax(const double* a, const double* b, size_t n,
-                            double* out) const = 0;
+  /// The node step over `steps` window steps: out[k] = a[k] * b[k], one
+  /// IEEE multiply per entry, and peak[l] = the max of 0 and lane l's
+  /// products. Returns whether any lane's peak is above 0.
+  virtual bool ProductMax(const double* a, const double* b, size_t steps,
+                          double* out, double* peak) const = 0;
 };
 
 /// The kernel for `level`, or nullptr when this build lacks it.

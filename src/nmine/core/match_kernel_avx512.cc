@@ -14,107 +14,84 @@ namespace nmine {
 namespace detail {
 namespace {
 
-/// The first `n` (< 8) lanes of a vector of 8.
-inline __mmask8 TailMask(size_t n) {
-  return static_cast<__mmask8>((1u << n) - 1u);
-}
-
-// GCC's unmasked gather, max and reduce intrinsics pass an uninitialized
-// source register and warn (-Wmaybe-uninitialized); the all-lanes masked
-// forms with a defined source are the same instructions.
+// GCC's unmasked gather and max intrinsics pass an uninitialized source
+// register and warn (-Wmaybe-uninitialized); the all-lanes masked forms
+// with a defined source are the same instructions.
 inline __m512d Max(__m512d a, __m512d b) {
   return _mm512_mask_max_pd(a, 0xFF, a, b);
 }
 
-inline double ReduceMax(__m512d v) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d v4 =
-      _mm256_max_pd(_mm512_mask_extractf64x4_pd(zero, 0xF, v, 0),
-                    _mm512_mask_extractf64x4_pd(zero, 0xF, v, 1));
-  const __m128d v2 = _mm_max_pd(_mm256_castpd256_pd128(v4),
-                                _mm256_extractf128_pd(v4, 1));
-  return _mm_cvtsd_f64(_mm_max_sd(v2, _mm_unpackhi_pd(v2, v2)));
-}
-
 struct Avx512Steps {
-  // Eight windows per gather, and the tail as one masked gather: a masked
-  // lane is neither loaded nor stored. A gather copies each entry, so the
-  // row is bit-identical to the scalar loop.
+  static constexpr size_t kLanes = kAvx512Lanes;
+
+  // One masked gather per position: a lane whose symbol is -1 (past its
+  // piece's end) is neither loaded nor nonzero. A gather copies each
+  // entry, so the row is bit-identical to the scalar loop.
   __attribute__((always_inline)) static void GatherRow(const double* row,
-                                                       const SymbolId* seq,
-                                                       size_t n, double* out) {
+                                                       const int32_t* symbols,
+                                                       size_t positions,
+                                                       double* out) {
     const __m512d zero = _mm512_setzero_pd();
-    size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      const __m256i idx =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(seq + j));
-      _mm512_storeu_pd(out + j,
-                       _mm512_mask_i32gather_pd(zero, 0xFF, idx, row, 8));
-    }
-    if (j < n) {
-      const __mmask8 live = TailMask(n - j);
-      const __m256i idx = _mm256_maskz_loadu_epi32(live, seq + j);
-      _mm512_mask_storeu_pd(out + j, live,
-                            _mm512_mask_i32gather_pd(zero, live, idx, row, 8));
+    const __m256i none = _mm256_set1_epi32(-1);
+    for (size_t p = 0; p < positions; ++p) {
+      const __m256i idx = _mm256_load_si256(
+          reinterpret_cast<const __m256i*>(symbols + p * kLanes));
+      const __mmask8 live = _mm256_cmpgt_epi32_mask(idx, none);
+      _mm512_store_pd(out + p * kLanes,
+                      _mm512_mask_i32gather_pd(zero, live, idx, row, 8));
     }
   }
 
-  // Two independent max chains of 8 (16 windows per iteration), one more
-  // step of 8, and a masked step for the rest: its dead lanes load +0.0,
-  // so their product is +0.0 and cannot raise a max that starts at 0. The
-  // reduction order of a max never changes its value.
-  __attribute__((always_inline)) static double ProductMax(const double* a,
-                                                          const double* b,
-                                                          size_t n,
-                                                          double* out) {
+  // One vector per window step of eight lanes, in two independent max
+  // chains; a max of the same values is the same in any order.
+  __attribute__((always_inline)) static bool ProductMax(const double* a,
+                                                        const double* b,
+                                                        size_t steps,
+                                                        double* out,
+                                                        double* peak) {
     __m512d best0 = _mm512_setzero_pd();
     __m512d best1 = _mm512_setzero_pd();
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-      const __m512d v0 =
-          _mm512_mul_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
-      const __m512d v1 = _mm512_mul_pd(_mm512_loadu_pd(a + i + 8),
-                                       _mm512_loadu_pd(b + i + 8));
-      _mm512_storeu_pd(out + i, v0);
-      _mm512_storeu_pd(out + i + 8, v1);
+    size_t s = 0;
+    for (; s + 2 <= steps; s += 2) {
+      const double* a0 = a + s * kLanes;
+      const double* b0 = b + s * kLanes;
+      const __m512d v0 = _mm512_mul_pd(_mm512_load_pd(a0), _mm512_load_pd(b0));
+      const __m512d v1 = _mm512_mul_pd(_mm512_load_pd(a0 + kLanes),
+                                       _mm512_load_pd(b0 + kLanes));
+      _mm512_store_pd(out + s * kLanes, v0);
+      _mm512_store_pd(out + s * kLanes + kLanes, v1);
       best0 = Max(best0, v0);
       best1 = Max(best1, v1);
     }
-    if (i + 8 <= n) {
-      const __m512d v =
-          _mm512_mul_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
-      _mm512_storeu_pd(out + i, v);
+    if (s < steps) {
+      const __m512d v = _mm512_mul_pd(_mm512_load_pd(a + s * kLanes),
+                                      _mm512_load_pd(b + s * kLanes));
+      _mm512_store_pd(out + s * kLanes, v);
       best0 = Max(best0, v);
-      i += 8;
     }
-    if (i < n) {
-      const __mmask8 live = TailMask(n - i);
-      const __m512d v = _mm512_mul_pd(_mm512_maskz_loadu_pd(live, a + i),
-                                      _mm512_maskz_loadu_pd(live, b + i));
-      _mm512_mask_storeu_pd(out + i, live, v);
-      best1 = Max(best1, v);
-    }
-    return ReduceMax(Max(best0, best1));
+    const __m512d best = Max(best0, best1);
+    _mm512_store_pd(peak, best);
+    return _mm512_cmp_pd_mask(best, _mm512_setzero_pd(), _CMP_GT_OQ) != 0;
   }
 };
 
 }  // namespace
 
 NMINE_WALK_ALIGNED void WalkTrieAvx512(const WindowTrie& trie,
-                                       const SymbolId* seq, size_t n,
+                                       const WindowLanes& group,
                                        const WindowTrieBuffers& buffers,
                                        double* best) {
-  WalkTrie<Avx512Steps>(trie, seq, n, buffers, best);
+  WalkTrie<Avx512Steps>(trie, group, buffers, best);
 }
 
-void GatherRowAvx512(const double* row, const SymbolId* seq, size_t n,
-                     double* out) {
-  Avx512Steps::GatherRow(row, seq, n, out);
+void GatherRowAvx512(const double* row, const int32_t* symbols,
+                     size_t positions, double* out) {
+  Avx512Steps::GatherRow(row, symbols, positions, out);
 }
 
-double ProductMaxAvx512(const double* a, const double* b, size_t n,
-                        double* out) {
-  return Avx512Steps::ProductMax(a, b, n, out);
+bool ProductMaxAvx512(const double* a, const double* b, size_t steps,
+                      double* out, double* peak) {
+  return Avx512Steps::ProductMax(a, b, steps, out, peak);
 }
 
 }  // namespace detail

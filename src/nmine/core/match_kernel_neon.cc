@@ -14,51 +14,53 @@ namespace detail {
 namespace {
 
 struct NeonSteps {
+  static constexpr size_t kLanes = kNeonLanes;
+
   // AdvSIMD has no gather: a plain loop of copies.
   __attribute__((always_inline)) static void GatherRow(const double* row,
-                                                       const SymbolId* seq,
-                                                       size_t n, double* out) {
-    for (size_t j = 0; j < n; ++j) out[j] = row[seq[j]];
+                                                       const int32_t* symbols,
+                                                       size_t positions,
+                                                       double* out) {
+    for (size_t k = 0; k < positions * kLanes; ++k) {
+      out[k] = symbols[k] < 0 ? 0.0 : row[symbols[k]];
+    }
   }
 
-  __attribute__((always_inline)) static double ProductMax(const double* a,
-                                                          const double* b,
-                                                          size_t n,
-                                                          double* out) {
-    float64x2_t best2 = vdupq_n_f64(0.0);
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-      const float64x2_t v = vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
-      vst1q_f64(out + i, v);
-      best2 = vmaxq_f64(best2, v);
+  // One vector per window step of two lanes.
+  __attribute__((always_inline)) static bool ProductMax(const double* a,
+                                                        const double* b,
+                                                        size_t steps,
+                                                        double* out,
+                                                        double* peak) {
+    float64x2_t best = vdupq_n_f64(0.0);
+    for (size_t s = 0; s < steps; ++s) {
+      const float64x2_t v =
+          vmulq_f64(vld1q_f64(a + s * kLanes), vld1q_f64(b + s * kLanes));
+      vst1q_f64(out + s * kLanes, v);
+      best = vmaxq_f64(best, v);
     }
-    double best = vmaxvq_f64(best2);
-    for (; i < n; ++i) {
-      const double v = a[i] * b[i];
-      out[i] = v;
-      if (v > best) best = v;
-    }
-    return best;
+    vst1q_f64(peak, best);
+    return vmaxvq_f64(best) > 0.0;
   }
 };
 
 }  // namespace
 
 NMINE_WALK_ALIGNED void WalkTrieNeon(const WindowTrie& trie,
-                                     const SymbolId* seq, size_t n,
+                                     const WindowLanes& group,
                                      const WindowTrieBuffers& buffers,
                                      double* best) {
-  WalkTrie<NeonSteps>(trie, seq, n, buffers, best);
+  WalkTrie<NeonSteps>(trie, group, buffers, best);
 }
 
-void GatherRowNeon(const double* row, const SymbolId* seq, size_t n,
-                   double* out) {
-  NeonSteps::GatherRow(row, seq, n, out);
+void GatherRowNeon(const double* row, const int32_t* symbols,
+                   size_t positions, double* out) {
+  NeonSteps::GatherRow(row, symbols, positions, out);
 }
 
-double ProductMaxNeon(const double* a, const double* b, size_t n,
-                      double* out) {
-  return NeonSteps::ProductMax(a, b, n, out);
+bool ProductMaxNeon(const double* a, const double* b, size_t steps,
+                    double* out, double* peak) {
+  return NeonSteps::ProductMax(a, b, steps, out, peak);
 }
 
 }  // namespace detail

@@ -9,6 +9,7 @@
 
 #include "nmine/db/disk_database.h"
 #include "nmine/exec/policy.h"
+#include "nmine/exec/sharded_reduce.h"
 #include "nmine/lattice/pattern_counter.h"
 #include "nmine/net/status_server.h"
 #include "nmine/obs/clock.h"
@@ -607,6 +608,7 @@ Status Coordinator::CountShardLocallyLocked(
     const CompatibilityMatrix* c =
         metric == Metric::kMatch ? &*env->matrix : nullptr;
     BatchCountKernel kernel(patterns, c);
+    exec::RecordBuffer records;
     for (uint64_t k = progress.done;; ++k) {
       const uint64_t lo = begin + k * exec_shard_size_;
       if (lo >= end) break;
@@ -616,16 +618,15 @@ Status Coordinator::CountShardLocallyLocked(
         status = run_status;
         break;
       }
-      std::vector<double> partial(patterns.size(), 0.0);
-      exec::RecordFn fn = kernel.MakeRecordFn();
+      // Buffered and counted in one call, as a worker does.
+      records.Clear();
       status = env->db->ScanRange(
           static_cast<size_t>(lo), static_cast<size_t>(hi),
-          [&](const SequenceRecord& r) { fn(r, &partial); },
-          /*restart=*/[&] {
-            partial.assign(patterns.size(), 0.0);
-            fn = kernel.MakeRecordFn();
-          });
+          [&](const SequenceRecord& r) { records.Add(r); },
+          /*restart=*/[&] { records.Clear(); });
       if (!status.ok()) break;
+      std::vector<double> partial(patterns.size(), 0.0);
+      kernel.CountShard(records.data(), records.size(), &partial);
       progress.partials.push_back(std::move(partial));
       progress.done = k + 1;
       progress.complete = hi >= end;

@@ -17,6 +17,7 @@
 #include "nmine/db/disk_database.h"
 #include "nmine/dist/wire.h"
 #include "nmine/gen/matrix_generator.h"
+#include "nmine/exec/sharded_reduce.h"
 #include "nmine/lattice/pattern_counter.h"
 #include "nmine/net/transport.h"
 #include "nmine/obs/json_parse.h"
@@ -158,6 +159,7 @@ Status ProcessTask(WorkerSession& session, const TaskAssignment& task,
   }
 
   std::vector<std::vector<double>> partials = task.resume_partials;
+  exec::RecordBuffer records;
   for (uint64_t k = task.resume_done; k < num_exec; ++k) {
     RecordSpan span;
     span.begin_record = task.begin_record + k * ess;
@@ -167,15 +169,15 @@ Status ProcessTask(WorkerSession& session, const TaskAssignment& task,
     Status rs = runtime::CheckRun(options.run);
     if (!rs.ok()) return rs;
 
-    std::vector<double> partial(task.patterns.size(), 0.0);
-    exec::RecordFn fn = kernel.MakeRecordFn();
+    // The exec shard is buffered and counted in one call, so the kernel
+    // fills all its lanes; a retried read starts the buffer over.
+    records.Clear();
     Status scan_status = session.reader->Scan(
-        span, [&](const SequenceRecord& r) { fn(r, &partial); },
-        /*restart=*/[&] {
-          partial.assign(task.patterns.size(), 0.0);
-          fn = kernel.MakeRecordFn();
-        });
+        span, [&](const SequenceRecord& r) { records.Add(r); },
+        /*restart=*/[&] { records.Clear(); });
     if (!scan_status.ok()) return scan_status;
+    std::vector<double> partial(task.patterns.size(), 0.0);
+    kernel.CountShard(records.data(), records.size(), &partial);
     partials.push_back(std::move(partial));
 
     // Cumulative frame: the coordinator journals it before acking, so this

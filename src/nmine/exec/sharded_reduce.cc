@@ -20,29 +20,17 @@ void MergeInto(std::vector<double>* totals, const std::vector<double>& partial) 
 }  // namespace
 
 ShardedScanReducer::ShardedScanReducer(size_t accum_size,
-                                       const ExecPolicy& policy,
-                                       RecordFnFactory factory)
+                                       const ExecPolicy& policy, ShardFn fn)
     : accum_size_(accum_size),
       shard_size_(std::max<size_t>(1, policy.shard_size)),
       threads_(policy.ResolvedThreads()),
       run_(policy.run),
-      factory_(std::move(factory)) {
+      fn_(std::move(fn)) {
   totals_.assign(accum_size_, 0.0);
-  if (threads_ <= 1) {
-    BeginSerialShard();
-  } else {
-    // Two shards per thread bounds buffered records (and partial vectors)
-    // per wave while leaving enough shards to keep every worker busy.
-    wave_.assign(2 * threads_, std::vector<SequenceRecord>(shard_size_));
-    fill_.assign(wave_.size(), 0);
-    partials_.resize(wave_.size());
-  }
-}
-
-void ShardedScanReducer::BeginSerialShard() {
-  serial_fn_ = factory_();
-  serial_partial_.assign(accum_size_, 0.0);
-  serial_count_ = 0;
+  // Two shards per thread bounds buffered records (and partial vectors)
+  // per wave while leaving enough shards to keep every worker busy.
+  wave_.resize(threads_ <= 1 ? 1 : 2 * threads_);
+  partials_.resize(wave_.size());
 }
 
 void ShardedScanReducer::Consume(const SequenceRecord& record) {
@@ -50,19 +38,9 @@ void ShardedScanReducer::Consume(const SequenceRecord& record) {
   // database retry accounting stays simple) but no more kernel work runs,
   // and the now-meaningless totals are discarded by the caller.
   if (stopped_) return;
-  if (threads_ <= 1) {
-    serial_fn_(record, &serial_partial_);
-    if (++serial_count_ == shard_size_) {
-      MergeInto(&totals_, serial_partial_);
-      BeginSerialShard();
-      stopped_ = runtime::StopRequested(run_);
-    }
-    return;
-  }
-  // Copy-assigning into a live slot reuses its symbol buffer, so a
-  // steady-state wave allocates nothing.
-  wave_[current_shard_][fill_[current_shard_]] = record;
-  if (++fill_[current_shard_] == shard_size_) {
+  RecordBuffer& shard = wave_[current_shard_];
+  shard.Add(record);
+  if (shard.size() == shard_size_) {
     ++current_shard_;
     if (current_shard_ == wave_.size()) FlushWave();
   }
@@ -70,7 +48,7 @@ void ShardedScanReducer::Consume(const SequenceRecord& record) {
 
 void ShardedScanReducer::FlushWave() {
   size_t n_shards = current_shard_;
-  if (n_shards < wave_.size() && fill_[n_shards] > 0) ++n_shards;
+  if (n_shards < wave_.size() && wave_[n_shards].size() > 0) ++n_shards;
   if (n_shards == 0) return;
   if (runtime::StopRequested(run_)) stopped_ = true;
   if (!stopped_) {
@@ -78,52 +56,40 @@ void ShardedScanReducer::FlushWave() {
         threads_, n_shards,
         [this](size_t i) {
           partials_[i].assign(accum_size_, 0.0);
-          RecordFn fn = factory_();
-          for (size_t r = 0; r < fill_[i]; ++r) {
-            fn(wave_[i][r], &partials_[i]);
-          }
+          fn_(wave_[i].data(), wave_[i].size(), &partials_[i]);
         },
         run_);
     if (runtime::StopRequested(run_)) stopped_ = true;
   }
   if (!stopped_) {
     // ParallelFor is a barrier, so merging in ascending shard order here
-    // reproduces the serial grouping exactly. A stopped ParallelFor may
-    // have skipped shards (stale partials), so merging is gated above.
+    // reproduces the one-thread grouping exactly. A stopped ParallelFor
+    // may have skipped shards (stale partials), so merging is gated above.
     for (size_t i = 0; i < n_shards; ++i) {
       MergeInto(&totals_, partials_[i]);
     }
   }
-  std::fill(fill_.begin(), fill_.begin() + n_shards, 0);
+  for (size_t i = 0; i < n_shards; ++i) wave_[i].Clear();
   current_shard_ = 0;
 }
 
 void ShardedScanReducer::Restart() {
   totals_.assign(accum_size_, 0.0);
   stopped_ = runtime::StopRequested(run_);
-  if (threads_ <= 1) {
-    BeginSerialShard();
-    return;
-  }
   // No tasks are in flight between Consume calls (waves are synchronous),
-  // so emptying the slots cannot race with workers.
-  std::fill(fill_.begin(), fill_.end(), 0);
+  // so emptying the buffers cannot race with workers.
+  for (RecordBuffer& shard : wave_) shard.Clear();
   current_shard_ = 0;
 }
 
 std::vector<double> ShardedScanReducer::Finish() {
-  if (threads_ <= 1) {
-    if (serial_count_ > 0 && !stopped_) MergeInto(&totals_, serial_partial_);
-    BeginSerialShard();
-  } else {
-    FlushWave();
-  }
+  FlushWave();
   return std::move(totals_);
 }
 
 std::vector<double> ReduceRecords(const std::vector<SequenceRecord>& records,
                                   size_t accum_size, const ExecPolicy& policy,
-                                  const RecordFnFactory& factory) {
+                                  const ShardFn& fn) {
   const size_t shard_size = std::max<size_t>(1, policy.shard_size);
   const size_t threads = policy.ResolvedThreads();
   const size_t n_shards = (records.size() + shard_size - 1) / shard_size;
@@ -143,12 +109,9 @@ std::vector<double> ReduceRecords(const std::vector<SequenceRecord>& records,
         threads, count,
         [&](size_t i) {
           partials[i].assign(accum_size, 0.0);
-          RecordFn fn = factory();
           const size_t begin = (base + i) * shard_size;
           const size_t end = std::min(begin + shard_size, records.size());
-          for (size_t r = begin; r < end; ++r) {
-            fn(records[r], &partials[i]);
-          }
+          fn(records.data() + begin, end - begin, &partials[i]);
         },
         policy.run);
     if (runtime::StopRequested(policy.run)) break;

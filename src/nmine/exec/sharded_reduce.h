@@ -11,17 +11,40 @@
 namespace nmine {
 namespace exec {
 
-/// Per-shard record kernel: folds one record into a partial accumulator
-/// (already sized to accum_size, zero-initialized at shard start). The
-/// kernel may carry mutable per-shard scratch in its closure — each shard
-/// gets a FRESH kernel from the factory, so scratch is never shared
-/// across threads.
+/// Per-record kernel: folds one record into a partial accumulator. The
+/// per-record API of BatchCountKernel, which out-of-process workers and
+/// benchmarks call one record at a time; the reducers below take ShardFns.
 using RecordFn = std::function<void(const SequenceRecord&, std::vector<double>*)>;
 
-/// Builds a fresh kernel (with fresh scratch) for one shard. Called once
-/// per shard, possibly concurrently from worker threads; everything it
-/// captures by reference must be immutable during the reduction.
-using RecordFnFactory = std::function<RecordFn()>;
+/// Shard kernel: folds records[0, count), in order, into `partial`
+/// (accum_size entries, zeroed at shard start). Called once per shard,
+/// possibly concurrently from worker threads on different shards, so any
+/// mutable scratch lives in the call; everything it captures by reference
+/// must be immutable during the reduction.
+using ShardFn = std::function<void(const SequenceRecord* records,
+                                   size_t count, std::vector<double>* partial)>;
+
+/// One shard's records, copied in delivery order into slots that keep
+/// their symbol buffers: refilling it at steady state allocates nothing.
+class RecordBuffer {
+ public:
+  void Add(const SequenceRecord& record) {
+    if (size_ == slots_.size()) {
+      slots_.push_back(record);
+    } else {
+      slots_[size_] = record;
+    }
+    ++size_;
+  }
+  void Clear() { size_ = 0; }
+
+  const SequenceRecord* data() const { return slots_.data(); }
+  size_t size() const { return size_; }
+
+ private:
+  std::vector<SequenceRecord> slots_;
+  size_t size_ = 0;
+};
 
 /// Deterministic sharded sum over a stream of records (a database scan).
 ///
@@ -30,28 +53,28 @@ using RecordFnFactory = std::function<RecordFn()>;
 /// order — into a zeroed partial vector, and partials are added into the
 /// running totals in ascending shard order. Because shard boundaries and
 /// the merge order depend only on shard_size (never on the thread
-/// count), the floating-point additions are grouped identically whether
-/// the shards are evaluated inline (num_threads == 1) or on a pool:
-/// results are bit-identical for every thread count.
+/// count), the floating-point additions are grouped identically whatever
+/// the thread count: results are bit-identical for every num_threads.
 ///
-/// Parallel mode copies records into waves of 2 x threads shards, reusing
-/// each record slot (and its symbol buffer) from wave to wave; when a
-/// wave fills, a blocking ParallelFor evaluates its shards and the
-/// partials are merged in order before more records are consumed. The
-/// producer (the database Scan visitor) therefore never runs concurrently
-/// with an unfinished wave, which makes Restart() race-free: when the
-/// database retries a failed attempt there are no outstanding tasks, so
-/// emptying the slots and zeroing the totals cannot race with workers.
+/// Records are copied into waves of shards (RecordBuffers reused from
+/// wave to wave): 2 x threads shards, or one shard evaluated inline on
+/// the scanning thread when num_threads == 1. When a wave fills, a
+/// blocking ParallelFor hands each shard's records to the ShardFn in one
+/// call and the partials are merged in order before more records are
+/// consumed. The producer (the database Scan visitor) therefore never
+/// runs concurrently with an unfinished wave, which makes Restart()
+/// race-free: when the database retries a failed attempt there are no
+/// outstanding tasks, so emptying the buffers and zeroing the totals
+/// cannot race with workers.
 ///
 /// Usage:
-///   ShardedScanReducer reducer(k, policy, factory);
+///   ShardedScanReducer reducer(k, policy, fn);
 ///   Status s = db.Scan([&](const SequenceRecord& r) { reducer.Consume(r); },
 ///                      [&] { reducer.Restart(); });
 ///   if (s.ok()) std::vector<double> totals = reducer.Finish();
 class ShardedScanReducer {
  public:
-  ShardedScanReducer(size_t accum_size, const ExecPolicy& policy,
-                     RecordFnFactory factory);
+  ShardedScanReducer(size_t accum_size, const ExecPolicy& policy, ShardFn fn);
 
   /// Feeds the next record of the scan. Call from the Scan visitor (one
   /// producer thread).
@@ -72,7 +95,6 @@ class ShardedScanReducer {
   std::vector<double> Finish();
 
  private:
-  void BeginSerialShard();
   void FlushWave();
 
   const size_t accum_size_;
@@ -80,21 +102,14 @@ class ShardedScanReducer {
   const size_t threads_;
   const runtime::RunControl* run_;
   bool stopped_ = false;
-  RecordFnFactory factory_;
+  ShardFn fn_;
 
   std::vector<double> totals_;
 
-  // Serial streaming state (threads_ == 1): one live shard at a time.
-  RecordFn serial_fn_;
-  std::vector<double> serial_partial_;
-  size_t serial_count_ = 0;
-
-  // Parallel streaming state: shard_size record slots per shard of the
-  // wave, reused by every wave; the first fill_[i] of wave_[i] are live.
-  // Shard `current_shard_` is being filled; a wave flushes when all shards
-  // are full (or at Finish/Restart).
-  std::vector<std::vector<SequenceRecord>> wave_;
-  std::vector<size_t> fill_;
+  // One buffer per shard of the wave, reused by every wave. Shard
+  // `current_shard_` is being filled; a wave flushes when all shards are
+  // full (or at Finish).
+  std::vector<RecordBuffer> wave_;
   std::vector<std::vector<double>> partials_;
   size_t current_shard_ = 0;
 };
@@ -106,7 +121,7 @@ class ShardedScanReducer {
 /// (2 x threads shards), not by the total shard count.
 std::vector<double> ReduceRecords(const std::vector<SequenceRecord>& records,
                                   size_t accum_size, const ExecPolicy& policy,
-                                  const RecordFnFactory& factory);
+                                  const ShardFn& fn);
 
 }  // namespace exec
 }  // namespace nmine

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <numeric>
 
 #include "nmine/core/check.h"
@@ -71,19 +72,34 @@ PatternTrie::PatternTrie(const std::vector<Pattern>& patterns,
   if (c != nullptr) {
     for (SymbolId sym : row_syms_) matrix_rows_.push_back(c->Row(sym));
   }
-  ones_.assign(kTileWindows, 1.0);
+  ones_ = AlignedBuffer<double>(WindowTrie::RowStride(max_depth_));
+  std::fill(ones_.data(), ones_.data() + ones_.size(), 1.0);
+}
+
+WindowTrieBuffers PatternTrie::Scratch::buffers() {
+  return {symbols.data(), factors.data(), rows.data(), path_rows.data(),
+          steps.data()};
 }
 
 PatternTrie::Scratch PatternTrie::MakeScratch() const {
+  const size_t stride = WindowTrie::RowStride(max_depth_);
   Scratch scratch;
-  scratch.factors.resize(row_syms_.size() * (kTileWindows + max_depth_));
-  scratch.rows.resize(max_depth_ * kTileWindows);
+  scratch.symbols = AlignedBuffer<int32_t>(stride);
+  scratch.factors = AlignedBuffer<double>(row_syms_.size() * stride);
+  scratch.rows = AlignedBuffer<double>(max_depth_ * stride);
+  scratch.lane_best =
+      AlignedBuffer<double>(num_patterns_ * WindowTrie::kMaxLanes);
   scratch.path_rows.resize(max_depth_ + 1);
+  scratch.steps.resize(max_depth_ + 1);
+  scratch.open.assign(num_patterns_, 0.0);
   return scratch;
 }
 
-void PatternTrie::Best(const Sequence& seq, Scratch* scratch,
-                       double* best) const {
+template <class SequenceAt>
+void PatternTrie::SumSequences(size_t count, SequenceAt sequence_at,
+                               Scratch* scratch, double* sums) const {
+  const MatchKernel& kernel = ActiveMatchKernel();
+  const size_t lanes = kernel.lanes();
   WindowTrie trie;
   trie.nodes = nodes_.data();
   trie.num_nodes = nodes_.size();
@@ -94,11 +110,76 @@ void PatternTrie::Best(const Sequence& seq, Scratch* scratch,
   trie.num_rows = row_syms_.size();
   trie.ones = ones_.data();
   trie.max_depth = max_depth_;
-  ActiveMatchKernel().WalkTrie(
-      trie, seq.data(), seq.size(),
-      {scratch->factors.data(), scratch->rows.data(),
-       scratch->path_rows.data()},
-      best);
+  const WindowTrieBuffers buffers = scratch->buffers();
+  double* lane_best = scratch->lane_best.data();
+  double* open = scratch->open.data();
+
+  // Walks the filled lanes, then folds each lane into its record's
+  // running max, in lane (= record) order; a lane holding its record's
+  // last piece adds the max into sums and reopens it at +0.0.
+  WindowLanes group;
+  bool closes[WindowTrie::kMaxLanes] = {};
+  auto walk = [&] {
+    kernel.WalkTrie(trie, group, buffers, lane_best);
+    for (size_t i = 0; i < num_patterns_; ++i) {
+      const double* lane = lane_best + i * lanes;
+      double best = open[i];
+      for (size_t l = 0; l < group.count; ++l) {
+        if (lane[l] > best) best = lane[l];
+        if (closes[l]) {
+          sums[i] += best;
+          best = 0.0;
+        }
+      }
+      open[i] = best;
+    }
+    group.count = 0;
+  };
+
+  // A record's windows are cut into the fewest pieces of at most
+  // kTileWindows window starts, of equal size but for the last. A piece
+  // carries the max_depth - 1 symbols its deepest windows reach; the last
+  // piece runs to the record's end and so also holds the shallower windows
+  // past the deepest one's last start. A lone record is cut into at least
+  // lanes pieces (one per window if it has fewer), so that it fills a
+  // group by itself.
+  const size_t reach = max_depth_ - 1;
+  const size_t least = count == 1 ? lanes : 1;
+  for (size_t r = 0; r < count; ++r) {
+    const Sequence& seq = sequence_at(r);
+    const size_t n = seq.size();
+    if (n == 0) continue;  // every value is +0.0, which adds nothing
+    const size_t windows = n > reach ? n - reach : 1;
+    const size_t pieces = std::max((windows + kTileWindows - 1) / kTileWindows,
+                                   std::min(least, windows));
+    const size_t piece = (windows + pieces - 1) / pieces;
+    for (size_t start = 0;; start += piece) {
+      const bool last = start + piece >= windows;
+      const size_t len = last ? n - start : piece + reach;
+      group.seqs[group.count] = seq.data() + start;
+      group.lens[group.count] = static_cast<uint32_t>(len);
+      group.owned[group.count] = static_cast<uint32_t>(last ? len : piece);
+      closes[group.count] = last;
+      if (++group.count == lanes) walk();
+      if (last) break;
+    }
+  }
+  if (group.count > 0) walk();
+}
+
+void PatternTrie::Sum(const SequenceRecord* records, size_t count,
+                      Scratch* scratch, double* sums) const {
+  SumSequences(
+      count,
+      [records](size_t r) -> const Sequence& { return records[r].symbols; },
+      scratch, sums);
+}
+
+void PatternTrie::Best(const Sequence& seq, Scratch* scratch,
+                       double* best) const {
+  std::fill(best, best + num_patterns_, 0.0);
+  SumSequences(
+      1, [&seq](size_t) -> const Sequence& { return seq; }, scratch, best);
 }
 
 std::vector<double> PatternTrie::Best(const Sequence& seq) const {
@@ -110,31 +191,55 @@ std::vector<double> PatternTrie::Best(const Sequence& seq) const {
 
 namespace {
 
-/// Per-shard kernel over a shared trie: the trie is immutable and shared
-/// across scan workers, all mutable state lives in the shard's scratch.
-/// The window-sliding section is recorded from whichever thread runs the
-/// shard (Section recording is atomic), so profiler totals stay truthful
-/// under concurrency.
-exec::RecordFnFactory MakeCountKernelFactory(
-    const PatternTrie& trie, obs::Profiler::Section* window_section) {
-  return [&trie, window_section]() -> exec::RecordFn {
-    struct ShardScratch {
-      PatternTrie::Scratch trie;
-      std::vector<double> best;
+/// Counts shards over a shared trie. The trie is immutable and shared
+/// across scan workers; each call borrows a scratch from a pool and gives
+/// it back, so a count allocates one scratch per concurrent worker, not
+/// one per shard. The window-sliding section is recorded from whichever
+/// thread runs the shard (Section recording is atomic), so profiler
+/// totals stay truthful under concurrency.
+class ShardCounter {
+ public:
+  explicit ShardCounter(const PatternTrie& trie)
+      : trie_(trie),
+        window_section_(obs::ResolveSection("count.window_slide")) {}
+
+  void Count(const SequenceRecord* records, size_t count,
+             std::vector<double>* partial) {
+    obs::SectionTimer timer(window_section_);
+    PatternTrie::Scratch scratch = Borrow();
+    trie_.Sum(records, count, &scratch, partial->data());
+    std::lock_guard<std::mutex> lock(mutex_);
+    pool_.push_back(std::move(scratch));
+  }
+
+  /// A ShardFn over this counter, which must outlive the reduction.
+  exec::ShardFn Fn() {
+    return [this](const SequenceRecord* records, size_t count,
+                  std::vector<double>* partial) {
+      Count(records, count, partial);
     };
-    auto scratch = std::make_shared<ShardScratch>(
-        ShardScratch{trie.MakeScratch(),
-                     std::vector<double>(trie.num_patterns())});
-    return [&trie, window_section, scratch](const SequenceRecord& r,
-                                            std::vector<double>* partial) {
-      obs::SectionTimer timer(window_section);
-      trie.Best(r.symbols, &scratch->trie, scratch->best.data());
-      for (size_t i = 0; i < scratch->best.size(); ++i) {
-        (*partial)[i] += scratch->best[i];
+  }
+
+  obs::Profiler::Section* window_section() const { return window_section_; }
+
+ private:
+  PatternTrie::Scratch Borrow() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!pool_.empty()) {
+        PatternTrie::Scratch scratch = std::move(pool_.back());
+        pool_.pop_back();
+        return scratch;
       }
-    };
-  };
-}
+    }
+    return trie_.MakeScratch();
+  }
+
+  const PatternTrie& trie_;
+  obs::Profiler::Section* const window_section_;
+  std::mutex mutex_;
+  std::vector<PatternTrie::Scratch> pool_;
+};
 
 Status AverageOverDb(const SequenceDatabase& db,
                      const std::vector<Pattern>& patterns,
@@ -144,14 +249,9 @@ Status AverageOverDb(const SequenceDatabase& db,
   // Refuse to start (and charge) a scan for an already-stopped run.
   Status rs = runtime::CheckRun(exec.run);
   if (!rs.ok()) return rs;
-  // Flat pre-resolved section so the per-sequence M(P,s) window-sliding
-  // cost is attributed without any per-record path lookup (and without any
-  // cost at all while the profiler is disabled).
-  obs::Profiler::Section* window_section =
-      obs::ResolveSection("count.window_slide");
-  PatternTrie trie(patterns, c);
-  exec::ShardedScanReducer reducer(
-      patterns.size(), exec, MakeCountKernelFactory(trie, window_section));
+  const PatternTrie trie(patterns, c);
+  ShardCounter counter(trie);
+  exec::ShardedScanReducer reducer(patterns.size(), exec, counter.Fn());
   Status s = db.Scan(
       [&reducer](const SequenceRecord& r) { reducer.Consume(r); },
       /*restart=*/[&reducer] { reducer.Restart(); });
@@ -174,12 +274,10 @@ std::vector<double> AverageOverRecords(
     const std::vector<Pattern>& patterns, const CompatibilityMatrix* c,
     const exec::ExecPolicy& exec) {
   NMINE_PROFILE_SCOPE("count.records_batch");
-  obs::Profiler::Section* window_section =
-      obs::ResolveSection("count.window_slide");
-  PatternTrie trie(patterns, c);
-  std::vector<double> totals = exec::ReduceRecords(
-      records, patterns.size(), exec,
-      MakeCountKernelFactory(trie, window_section));
+  const PatternTrie trie(patterns, c);
+  ShardCounter counter(trie);
+  std::vector<double> totals =
+      exec::ReduceRecords(records, patterns.size(), exec, counter.Fn());
   const double n = static_cast<double>(records.size());
   if (n > 0) {
     for (double& t : totals) t /= n;
@@ -191,11 +289,10 @@ std::vector<double> AverageOverRecords(
 
 struct BatchCountKernel::Impl {
   Impl(const std::vector<Pattern>& patterns, const CompatibilityMatrix* c)
-      : trie(patterns, c),
-        window_section(obs::ResolveSection("count.window_slide")) {}
+      : trie(patterns, c), counter(trie) {}
 
-  PatternTrie trie;
-  obs::Profiler::Section* window_section;
+  const PatternTrie trie;
+  ShardCounter counter;
 };
 
 BatchCountKernel::BatchCountKernel(const std::vector<Pattern>& patterns,
@@ -205,8 +302,20 @@ BatchCountKernel::BatchCountKernel(const std::vector<Pattern>& patterns,
 
 BatchCountKernel::~BatchCountKernel() = default;
 
+void BatchCountKernel::CountShard(const SequenceRecord* records, size_t count,
+                                  std::vector<double>* partial) const {
+  impl_->counter.Count(records, count, partial);
+}
+
 exec::RecordFn BatchCountKernel::MakeRecordFn() const {
-  return MakeCountKernelFactory(impl_->trie, impl_->window_section)();
+  const PatternTrie& trie = impl_->trie;
+  obs::Profiler::Section* window_section = impl_->counter.window_section();
+  auto scratch = std::make_shared<PatternTrie::Scratch>(trie.MakeScratch());
+  return [&trie, window_section, scratch](const SequenceRecord& r,
+                                          std::vector<double>* partial) {
+    obs::SectionTimer timer(window_section);
+    trie.Sum(&r, 1, scratch.get(), partial->data());
+  };
 }
 
 Status TryCountMatches(const SequenceDatabase& db,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "nmine/db/reservoir_sampler.h"
@@ -16,9 +15,9 @@
 namespace nmine {
 namespace {
 
-/// Per-shard scratch of both folds: `stamp[d] == epoch` marks the symbols
-/// of the current record (a fresh epoch per record avoids clearing), and
-/// `acc` holds the match fold's column maxima.
+/// One shard call's scratch of both folds: `stamp[d] == epoch` marks the
+/// symbols of the current record (a fresh epoch per record avoids
+/// clearing), and `acc` holds the match fold's column maxima.
 struct StampScratch {
   explicit StampScratch(size_t m) : stamp(m, 0), acc(m, 0.0) {}
   std::vector<uint64_t> stamp;
@@ -32,7 +31,7 @@ struct StampScratch {
 SymbolScanResult RunPhase1Scan(const char* name, const SequenceDatabase& db,
                                size_t m, size_t sample_size, Rng* rng,
                                const exec::ExecPolicy& exec,
-                               exec::RecordFnFactory fold) {
+                               exec::ShardFn fold) {
   obs::TraceSpan span("phase1.symbol_scan", "phase1");
   NMINE_PROFILE_SCOPE("phase1.symbol_scan");
   obs::Profiler::Section* offer_section =
@@ -105,27 +104,28 @@ SymbolScanResult ScanSymbolsAndSample(const SequenceDatabase& db,
     dense[d] = c.ColumnNonZeros(static_cast<SymbolId>(d)).size() == m;
   }
   // A fold that sweeps fewer than kMinShardedFoldAlphabet symbols costs
-  // less than copying its record into a wave slot and handing it to a
-  // worker, so it runs serially beside the decode. The serial reducer
-  // keeps the same shards and ascending merge, so the sums are
+  // less than handing a wave of shards to workers, so each shard is
+  // folded on the scanning thread, between decodes. The one-thread
+  // reducer keeps the same shards and ascending merge, so the sums are
   // bit-identical either way.
   exec::ExecPolicy fold_exec = exec;
   if (m < kMinShardedFoldAlphabet) fold_exec.num_threads = 1;
   return RunPhase1Scan(
       "symbol match scan", db, m, sample_size, rng, fold_exec,
-      [&c, &dense, m, n]() -> exec::RecordFn {
-        auto st = std::make_shared<StampScratch>(m);
-        return [&c, &dense, m, n, st](const SequenceRecord& record,
-                                      std::vector<double>* partial) {
+      [&c, &dense, m, n](const SequenceRecord* records, size_t count,
+                         std::vector<double>* partial) {
+        StampScratch st(m);
+        double* acc = st.acc.data();
+        double* out = partial->data();
+        for (size_t r = 0; r < count; ++r) {
           // Stamp every position (no branch), then sweep the alphabet once:
           // each stamped symbol folds its column into acc with a branchless
           // max. The max is exact, so the sweep order cannot change it.
-          const uint64_t epoch = ++st->epoch;
-          uint64_t* stamp = st->stamp.data();
-          for (SymbolId s : record.symbols) {
+          const uint64_t epoch = ++st.epoch;
+          uint64_t* stamp = st.stamp.data();
+          for (SymbolId s : records[r].symbols) {
             stamp[static_cast<size_t>(s)] = epoch;
           }
-          double* acc = st->acc.data();
           std::fill(acc, acc + m, 0.0);
           for (size_t o = 0; o < m; ++o) {
             if (stamp[o] != epoch) continue;
@@ -144,9 +144,8 @@ SymbolScanResult ScanSymbolsAndSample(const SequenceDatabase& db,
           }
           // Symbols no observed column reaches add 0.0 / n = +0.0, which
           // leaves a non-negative partial bit-for-bit unchanged.
-          double* out = partial->data();
           for (size_t d = 0; d < m; ++d) out[d] += acc[d] / n;
-        };
+        }
       });
 }
 
@@ -154,24 +153,25 @@ SymbolScanResult ScanSymbolSupports(const SequenceDatabase& db, size_t m,
                                     size_t sample_size, Rng* rng,
                                     const exec::ExecPolicy& exec) {
   const double n = static_cast<double>(db.NumSequences());
-  // An O(l) fold never outweighs the copy into a wave slot: always serial.
+  // An O(l) fold never outweighs handing shards to workers: always one
+  // thread.
   exec::ExecPolicy fold_exec = exec;
   fold_exec.num_threads = 1;
   return RunPhase1Scan(
       "symbol support scan", db, m, sample_size, rng, fold_exec,
-      [m, n]() -> exec::RecordFn {
-        auto st = std::make_shared<StampScratch>(m);
-        return [n, st](const SequenceRecord& record,
-                       std::vector<double>* partial) {
-          // O(l) per record: 1/n at each symbol's first stamp.
-          const uint64_t epoch = ++st->epoch;
-          for (SymbolId s : record.symbols) {
-            uint64_t& mark = st->stamp[static_cast<size_t>(s)];
+      [m, n](const SequenceRecord* records, size_t count,
+             std::vector<double>* partial) {
+        // O(l) per record: 1/n at each symbol's first stamp.
+        StampScratch st(m);
+        for (size_t r = 0; r < count; ++r) {
+          const uint64_t epoch = ++st.epoch;
+          for (SymbolId s : records[r].symbols) {
+            uint64_t& mark = st.stamp[static_cast<size_t>(s)];
             if (mark == epoch) continue;
             mark = epoch;
             (*partial)[static_cast<size_t>(s)] += 1.0 / n;
           }
-        };
+        }
       });
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "nmine/core/aligned_buffer.h"
 #include "nmine/core/match.h"
 #include "nmine/gen/matrix_generator.h"
 #include "nmine/lattice/pattern_counter.h"
@@ -71,11 +72,50 @@ Pattern RandomPattern(Rng& rng, size_t length, size_t m,
   return Pattern(body);
 }
 
+/// ProductMax's products and peaks of kMaxLanes lanes, each lane's
+/// `steps` values contiguous, whatever the kernel's lane count.
+struct LaneProducts {
+  std::vector<double> out;   // lane-major: lane l, step j at l * steps + j
+  std::vector<double> peak;  // per lane
+  bool any = false;          // some lane's peak is above 0
+};
+
+/// Runs `kernel`'s ProductMax over lane-major inputs (kMaxLanes lanes of
+/// `steps` values), kernel.lanes() lanes per call, through 64-byte
+/// aligned lane-interleaved buffers.
+LaneProducts RunProductMax(const MatchKernel& kernel,
+                           const std::vector<double>& a,
+                           const std::vector<double>& b, size_t steps) {
+  const size_t lanes = kernel.lanes();
+  LaneProducts result;
+  result.out.assign(WindowTrie::kMaxLanes * steps, 0.0);
+  result.peak.assign(WindowTrie::kMaxLanes, 0.0);
+  AlignedBuffer<double> lhs(steps * lanes + 1), rhs(steps * lanes + 1),
+      out(steps * lanes + 1), peak(lanes);
+  for (size_t first = 0; first < WindowTrie::kMaxLanes; first += lanes) {
+    for (size_t j = 0; j < steps; ++j) {
+      for (size_t l = 0; l < lanes; ++l) {
+        lhs[j * lanes + l] = a[(first + l) * steps + j];
+        rhs[j * lanes + l] = b[(first + l) * steps + j];
+      }
+    }
+    result.any |= kernel.ProductMax(lhs.data(), rhs.data(), steps,
+                                    out.data(), peak.data());
+    for (size_t l = 0; l < lanes; ++l) {
+      result.peak[first + l] = peak[l];
+      for (size_t j = 0; j < steps; ++j) {
+        result.out[(first + l) * steps + j] = out[j * lanes + l];
+      }
+    }
+  }
+  return result;
+}
+
 /// Runs each round's random (patterns, sequence) drawn for `c` through
 /// the window trie under every compiled-and-supported kernel and checks
 /// every value bitwise against SegmentMatch's window max (and
 /// SequenceMatch, which must be that max). The window-trie step
-/// (ProductMax) is checked directly on the same rounds.
+/// (ProductMax) is checked directly on the same rounds, in every lane.
 void CheckCorpus(const CompatibilityMatrix& c, double wildcard_prob,
                  uint64_t seed) {
   KernelGuard guard;
@@ -119,29 +159,31 @@ void CheckCorpus(const CompatibilityMatrix& c, double wildcard_prob,
       }
     }
 
-    // ProductMax over matrix entries: every kernel writes the same row
-    // and returns the same max, also for lengths off the vector width.
-    std::vector<double> a(seq_len), b(seq_len);
-    for (size_t j = 0; j < seq_len; ++j) {
-      a[j] = c.Column(seq[j])[rng.UniformInt(m)];
-      b[j] = c.Column(seq[seq_len - 1 - j])[rng.UniformInt(m)];
+    // ProductMax over matrix entries: every kernel writes the same rows
+    // and returns the same maxima, lane by lane, also for step counts off
+    // the unroll width. Lane l of step j holds column l of the draw.
+    const size_t steps = seq_len;
+    const size_t span = WindowTrie::kMaxLanes * steps;
+    std::vector<double> a(span), b(span);
+    for (size_t j = 0; j < span; ++j) {
+      a[j] = c.Column(seq[j % seq_len])[rng.UniformInt(m)];
+      b[j] = c.Column(seq[seq_len - 1 - j % seq_len])[rng.UniformInt(m)];
     }
-    std::vector<double> scalar_out(seq_len);
-    const double scalar_peak =
-        kernels[0]->ProductMax(a.data(), b.data(), seq_len, scalar_out.data());
-    double expected_peak = 0.0;
-    for (size_t j = 0; j < seq_len; ++j) {
-      EXPECT_EQ(scalar_out[j], a[j] * b[j]);
-      expected_peak = std::max(expected_peak, a[j] * b[j]);
+    const LaneProducts scalar = RunProductMax(*kernels[0], a, b, steps);
+    for (size_t l = 0; l < WindowTrie::kMaxLanes; ++l) {
+      double expected_peak = 0.0;
+      for (size_t j = 0; j < steps; ++j) {
+        const size_t k = l * steps + j;
+        EXPECT_EQ(scalar.out[k], a[k] * b[k]);
+        expected_peak = std::max(expected_peak, a[k] * b[k]);
+      }
+      EXPECT_EQ(scalar.peak[l], expected_peak);
     }
-    EXPECT_EQ(scalar_peak, expected_peak);
     for (size_t ki = 1; ki < kernels.size(); ++ki) {
-      std::vector<double> out(seq_len);
-      EXPECT_EQ(kernels[ki]->ProductMax(a.data(), b.data(), seq_len,
-                                        out.data()),
-                scalar_peak)
-          << kernels[ki]->name();
-      EXPECT_EQ(out, scalar_out) << kernels[ki]->name();
+      const LaneProducts got = RunProductMax(*kernels[ki], a, b, steps);
+      EXPECT_EQ(got.peak, scalar.peak) << kernels[ki]->name();
+      EXPECT_EQ(got.out, scalar.out) << kernels[ki]->name();
+      EXPECT_EQ(got.any, scalar.any) << kernels[ki]->name();
     }
   }
 }
@@ -197,27 +239,38 @@ CompatibilityMatrix RandomEntries(size_t m, Rng& rng) {
 
 TEST(MatchKernelTest, GatherRowCopiesMatrixEntriesAtEveryTileLength) {
   // m = 300, so gather indices run far apart and above one byte. Every
-  // fill length a tile can ask for, 0 to kTileWindows + max_depth - 1
-  // (max_depth 14, the longest PatternCounterProperty pattern), must copy
-  // C(s, seq[j]) bit for bit and write nothing past the row.
+  // fill length a lane group can ask for, 0 to kTileWindows + max_depth - 1
+  // positions (max_depth 14, the longest PatternCounterProperty pattern),
+  // must copy C(s, symbol) bit for bit in every lane, read +0.0 in a lane
+  // past its end (symbol -1), and write nothing past the row. Lane l ends
+  // l positions early, so each lane runs out in turn.
   const size_t m = 300;
   const size_t max_len = PatternTrie::kTileWindows + 14 - 1;
   Rng rng(505);
   const CompatibilityMatrix c = RandomEntries(m, rng);
-  const Sequence seq = RandomSequence(rng, max_len, m);
+  const Sequence seq = RandomSequence(rng, max_len + WindowTrie::kMaxLanes, m);
   const double kCanary = -1.0;
   for (const MatchKernel* k : CompiledKernels()) {
+    const size_t lanes = k->lanes();
     for (SymbolId s : {0, 7, 255, 256, 299}) {
       for (size_t len = 0; len <= max_len; ++len) {
-        std::vector<double> out(len + 4, kCanary);
-        k->GatherRow(c.Row(s), seq.data(), len, out.data());
-        for (size_t j = 0; j < len; ++j) {
-          ASSERT_EQ(std::bit_cast<uint64_t>(out[j]),
-                    std::bit_cast<uint64_t>(c(s, seq[j])))
-              << k->name() << " row " << s << " length " << len
-              << " position " << j;
+        AlignedBuffer<int32_t> symbols(len * lanes + 1);
+        for (size_t p = 0; p < len; ++p) {
+          for (size_t l = 0; l < lanes; ++l) {
+            symbols[p * lanes + l] = p + l < len ? seq[p + l] : -1;
+          }
         }
-        for (size_t j = len; j < out.size(); ++j) {
+        AlignedBuffer<double> out(len * lanes + 4);
+        std::fill(out.data(), out.data() + out.size(), kCanary);
+        k->GatherRow(c.Row(s), symbols.data(), len, out.data());
+        for (size_t j = 0; j < len * lanes; ++j) {
+          const double want = symbols[j] < 0 ? 0.0 : c(s, symbols[j]);
+          ASSERT_EQ(std::bit_cast<uint64_t>(out[j]),
+                    std::bit_cast<uint64_t>(want))
+              << k->name() << " row " << s << " length " << len
+              << " position " << j / lanes << " lane " << j % lanes;
+        }
+        for (size_t j = len * lanes; j < out.size(); ++j) {
           ASSERT_EQ(out[j], kCanary)
               << k->name() << " wrote past a length-" << len << " row";
         }
@@ -227,60 +280,84 @@ TEST(MatchKernelTest, GatherRowCopiesMatrixEntriesAtEveryTileLength) {
 }
 
 TEST(MatchKernelTest, ProductMaxMatchesScalarAtEveryLengthUpToForty) {
-  // Every length 0-40 covers each kernel's full blocks (16 and 8 windows
-  // on AVX-512, 8 and 4 on AVX2), the steps after them and every tail
-  // width, at each start offset within a cache line. The peak is placed in
-  // each lane in turn, so a tail lane that loses its value shows, and the
-  // all-zero row checks that dead lanes cannot raise the max above 0.
-  // (GatherRowCopiesMatrixEntriesAtEveryTileLength covers the other step.)
+  // Every step count 0-40 covers each kernel's unrolled pairs of steps,
+  // the step after them, and an odd count, at each start offset of up to
+  // eight steps into an aligned buffer. The peak is placed in each lane of
+  // each step in turn, so a lane or step that loses its value shows, and
+  // the all-zero row checks that a dead lane cannot raise the max above
+  // 0. (GatherRowCopiesMatrixEntriesAtEveryTileLength covers the other
+  // step.)
   const size_t max_len = 40;
   const size_t max_offset = 8;
-  const size_t span = max_offset + max_len;
   const double kCanary = -1.0;
   Rng rng(707);
-  std::vector<double> a(span), b(span), zeros(span, 0.0);
-  for (size_t j = 0; j < span; ++j) {
-    a[j] = rng.UniformDouble();
-    b[j] = rng.Bernoulli(0.2) ? 0.0 : rng.UniformDouble();
-  }
   const MatchKernel* scalar = GetMatchKernel(SimdLevel::kScalar);
   for (const MatchKernel* k : CompiledKernels()) {
+    const size_t lanes = k->lanes();
+    const size_t span = (max_offset + max_len) * lanes;
+    AlignedBuffer<double> a(span), b(span), zeros(span);
+    for (size_t j = 0; j < span; ++j) {
+      a[j] = rng.UniformDouble();
+      b[j] = rng.Bernoulli(0.2) ? 0.0 : rng.UniformDouble();
+      zeros[j] = 0.0;
+    }
+    AlignedBuffer<double> lhs(span), rhs(span), got(span + 4), want(span + 4),
+        got_peak(lanes), want_peak(1);
     for (size_t offset = 0; offset < max_offset; ++offset) {
+      const size_t base = offset * lanes;
       for (size_t len = 0; len <= max_len; ++len) {
-        for (size_t peak_at = 0; peak_at <= len; ++peak_at) {
-          // 2 x 2 beats every other product (< 1); peak_at == len leaves
-          // the rows as drawn.
-          std::vector<double> lhs = a, rhs = b;
-          if (peak_at < len) {
-            lhs[offset + peak_at] = 2.0;
-            rhs[offset + peak_at] = 2.0;
+        for (size_t peak_at = 0; peak_at <= len * lanes; ++peak_at) {
+          // 2 x 2 beats every other product (< 1); peak_at == len * lanes
+          // leaves the rows as drawn.
+          std::copy(a.data(), a.data() + span, lhs.data());
+          std::copy(b.data(), b.data() + span, rhs.data());
+          if (peak_at < len * lanes) {
+            lhs[base + peak_at] = 2.0;
+            rhs[base + peak_at] = 2.0;
           }
-          std::vector<double> want(len + 4, kCanary);
-          std::vector<double> got(len + 4, kCanary);
-          const double want_peak = scalar->ProductMax(
-              lhs.data() + offset, rhs.data() + offset, len, want.data());
-          const double got_peak = k->ProductMax(
-              lhs.data() + offset, rhs.data() + offset, len, got.data());
-          if (peak_at < len) {
-            ASSERT_EQ(want_peak, 4.0);
+          std::fill(got.data(), got.data() + got.size(), kCanary);
+          k->ProductMax(lhs.data() + base, rhs.data() + base, len,
+                        got.data(), got_peak.data());
+          for (size_t l = 0; l < lanes; ++l) {
+            // The scalar kernel on lane l's column is the reference.
+            std::vector<double> col_a(len + 1), col_b(len + 1);
+            for (size_t j = 0; j < len; ++j) {
+              col_a[j] = lhs[base + j * lanes + l];
+              col_b[j] = rhs[base + j * lanes + l];
+            }
+            std::fill(want.data(), want.data() + want.size(), kCanary);
+            scalar->ProductMax(col_a.data(), col_b.data(), len, want.data(),
+                               want_peak.data());
+            if (peak_at < len * lanes && peak_at % lanes == l) {
+              ASSERT_EQ(want_peak[0], 4.0);
+            }
+            ASSERT_EQ(std::bit_cast<uint64_t>(got_peak[l]),
+                      std::bit_cast<uint64_t>(want_peak[0]))
+                << k->name() << " ProductMax length " << len << " offset "
+                << offset << " peak at " << peak_at << " lane " << l;
+            for (size_t j = 0; j < len; ++j) {
+              ASSERT_EQ(std::bit_cast<uint64_t>(got[j * lanes + l]),
+                        std::bit_cast<uint64_t>(want[j]))
+                  << k->name() << " ProductMax length " << len
+                  << " position " << j << " lane " << l;
+            }
           }
-          ASSERT_EQ(std::bit_cast<uint64_t>(got_peak),
-                    std::bit_cast<uint64_t>(want_peak))
-              << k->name() << " ProductMax length " << len << " offset "
-              << offset << " peak at " << peak_at;
-          for (size_t j = 0; j < got.size(); ++j) {
-            ASSERT_EQ(std::bit_cast<uint64_t>(got[j]),
-                      std::bit_cast<uint64_t>(want[j]))
-                << k->name() << " ProductMax length " << len
-                << " position " << j;
+          for (size_t j = len * lanes; j < got.size(); ++j) {
+            ASSERT_EQ(got[j], kCanary)
+                << k->name() << " ProductMax wrote past length " << len;
           }
         }
-        std::vector<double> out_zero(len + 4, kCanary);
-        EXPECT_EQ(k->ProductMax(zeros.data(), b.data() + offset, len,
-                                out_zero.data()),
-                  0.0)
+        AlignedBuffer<double> out_zero(len * lanes + 4);
+        std::fill(out_zero.data(), out_zero.data() + out_zero.size(),
+                  kCanary);
+        EXPECT_FALSE(k->ProductMax(zeros.data(), b.data() + base, len,
+                                   out_zero.data(), got_peak.data()))
             << k->name() << " length " << len;
-        EXPECT_EQ(out_zero[len], kCanary) << k->name() << " length " << len;
+        for (size_t l = 0; l < lanes; ++l) {
+          EXPECT_EQ(got_peak[l], 0.0) << k->name() << " length " << len;
+        }
+        EXPECT_EQ(out_zero[len * lanes], kCanary)
+            << k->name() << " length " << len;
       }
     }
   }
@@ -289,11 +366,11 @@ TEST(MatchKernelTest, ProductMaxMatchesScalarAtEveryLengthUpToForty) {
 TEST(MatchKernelTest, TrieBuiltUnderOneKernelWalksUnderAnother) {
   KernelGuard guard;
   // Batch symbols from a sparse set of ids above 255 in a 300-symbol
-  // matrix, and sequences of every length up to two tiles plus the
-  // deepest pattern's reach: every fill length of a first and a second
-  // tile, zero factors that skip subtrees, matches and supports. The
-  // kernel is read per walk, so a trie built under one kernel must give
-  // the reference values under every other.
+  // matrix, and sequences of every length up to two full groups of the
+  // widest kernel's pieces plus the deepest pattern's reach: every piece
+  // count and piece length a lone record cut over the lanes can take,
+  // zero factors that skip subtrees, matches and supports. The kernel is read per walk, so a trie built under one
+  // kernel must give the reference values under every other.
   const size_t m = 300;
   const size_t max_depth = 9;
   Rng rng(606);
@@ -310,7 +387,8 @@ TEST(MatchKernelTest, TrieBuiltUnderOneKernelWalksUnderAnother) {
     }
     patterns.push_back(Pattern(body));
   }
-  const size_t max_len = 2 * PatternTrie::kTileWindows + max_depth;
+  const size_t max_len =
+      2 * PatternTrie::kTileWindows * WindowTrie::kMaxLanes + max_depth;
   Sequence full(max_len);
   for (SymbolId& s : full) {
     s = rng.Bernoulli(0.8) ? draw() : static_cast<SymbolId>(rng.UniformInt(m));

@@ -84,12 +84,13 @@ std::vector<SequenceRecord> MakeRecords(size_t n) {
 
 // A kernel that counts records and sums their ids; stateless, so any
 // grouping yields the same totals (these are exact integer sums).
-RecordFnFactory CountingFactory() {
-  return []() -> RecordFn {
-    return [](const SequenceRecord& r, std::vector<double>* partial) {
+ShardFn Counting() {
+  return [](const SequenceRecord* records, size_t count,
+            std::vector<double>* partial) {
+    for (size_t r = 0; r < count; ++r) {
       (*partial)[0] += 1.0;
-      (*partial)[1] += static_cast<double>(r.id);
-    };
+      (*partial)[1] += static_cast<double>(records[r].id);
+    }
   };
 }
 
@@ -102,7 +103,7 @@ TEST(ShardedScanReducerTest, SumsAreCorrectForAnyPolicy) {
       ExecPolicy policy;
       policy.num_threads = threads;
       policy.shard_size = shard;
-      ShardedScanReducer reducer(2, policy, CountingFactory());
+      ShardedScanReducer reducer(2, policy, Counting());
       for (const SequenceRecord& r : records) reducer.Consume(r);
       std::vector<double> totals = reducer.Finish();
       EXPECT_EQ(totals[0], static_cast<double>(n))
@@ -117,7 +118,7 @@ TEST(ShardedScanReducerTest, RestartDropsAllAccumulation) {
   ExecPolicy policy;
   policy.num_threads = 4;
   policy.shard_size = 32;
-  ShardedScanReducer reducer(2, policy, CountingFactory());
+  ShardedScanReducer reducer(2, policy, Counting());
   // Simulate a failed attempt: feed some records, then restart mid-way,
   // as a retrying database would before redelivering from the top.
   for (size_t i = 0; i < 123; ++i) reducer.Consume(records[i]);
@@ -142,25 +143,27 @@ TEST(ShardedScanReducerTest, ReusedSlotsFollowGrowingAndShrinkingRecords) {
       records[i].symbols.push_back(static_cast<SymbolId>((7 * i + j) % 23));
     }
   }
-  RecordFnFactory factory = []() -> RecordFn {
-    return [](const SequenceRecord& r, std::vector<double>* partial) {
-      (*partial)[0] += static_cast<double>(r.symbols.size());
-      for (size_t j = 0; j < r.symbols.size(); ++j) {
-        (*partial)[1] += 1.0 / (1.0 + static_cast<double>(r.symbols[j]) +
+  ShardFn fold = [](const SequenceRecord* records, size_t count,
+                       std::vector<double>* partial) {
+    for (size_t r = 0; r < count; ++r) {
+      const Sequence& symbols = records[r].symbols;
+      (*partial)[0] += static_cast<double>(symbols.size());
+      for (size_t j = 0; j < symbols.size(); ++j) {
+        (*partial)[1] += 1.0 / (1.0 + static_cast<double>(symbols[j]) +
                                 0.37 * static_cast<double>(j));
       }
-    };
+    }
   };
   for (size_t shard : {size_t{8}, size_t{50}}) {
     ExecPolicy serial;
     serial.shard_size = shard;
-    ShardedScanReducer reference(2, serial, factory);
+    ShardedScanReducer reference(2, serial, fold);
     for (const SequenceRecord& r : records) reference.Consume(r);
     const std::vector<double> want = reference.Finish();
     for (size_t threads : {size_t{2}, size_t{4}}) {
       ExecPolicy policy = serial;
       policy.num_threads = threads;
-      ShardedScanReducer reducer(2, policy, factory);
+      ShardedScanReducer reducer(2, policy, fold);
       // A failed first attempt that stops mid-wave, after the slots have
       // held the longest records.
       const size_t cut = 2 * threads * shard * 3 + shard / 2 + 1;
@@ -180,17 +183,18 @@ TEST(ReduceRecordsTest, MatchesSerialBitForBit) {
   // floating point: equality across thread counts demonstrates that the
   // grouping really is fixed by shard_size alone.
   std::vector<SequenceRecord> records = MakeRecords(511);
-  RecordFnFactory factory = []() -> RecordFn {
-    return [](const SequenceRecord& r, std::vector<double>* partial) {
-      (*partial)[0] += 1.0 / (1.0 + static_cast<double>(r.id) * 0.7);
-    };
+  ShardFn fold = [](const SequenceRecord* records, size_t count,
+                       std::vector<double>* partial) {
+    for (size_t r = 0; r < count; ++r) {
+      (*partial)[0] += 1.0 / (1.0 + static_cast<double>(records[r].id) * 0.7);
+    }
   };
   ExecPolicy serial;  // num_threads = 1, default shard size
-  std::vector<double> reference = ReduceRecords(records, 1, serial, factory);
+  std::vector<double> reference = ReduceRecords(records, 1, serial, fold);
   for (size_t threads : {size_t{2}, size_t{4}, size_t{7}}) {
     ExecPolicy policy;
     policy.num_threads = threads;
-    std::vector<double> got = ReduceRecords(records, 1, policy, factory);
+    std::vector<double> got = ReduceRecords(records, 1, policy, fold);
     EXPECT_EQ(got[0], reference[0]) << "threads=" << threads;
   }
 }

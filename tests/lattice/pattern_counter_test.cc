@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <optional>
 #include <string>
 #include <tuple>
 
 #include "nmine/bio/blosum.h"
+#include "nmine/core/match.h"
 #include "nmine/core/match_kernel.h"
 #include "nmine/gen/matrix_generator.h"
 #include "nmine/gen/sequence_generator.h"
@@ -66,6 +68,108 @@ TEST(PatternTrieTest, SupportsAreBinary) {
   EXPECT_DOUBLE_EQ(best[0], 0.0);
   EXPECT_DOUBLE_EQ(best[1], 0.0);
   EXPECT_DOUBLE_EQ(best[2], 1.0);
+}
+
+/// Restores the auto-resolved kernel when a forced-kernel test ends.
+struct ActiveKernelGuard {
+  ~ActiveKernelGuard() {
+    SimdLevel level = SimdLevel::kScalar;
+    ResolveSimdLevel("auto", DetectCpuFeatures(), &level, nullptr);
+    SetActiveMatchKernel(level, nullptr);
+  }
+};
+
+/// Definition 3.6 from the scalar reference: the max of SegmentMatch over
+/// every window, 0 when the sequence is shorter than the pattern.
+double WindowMax(const CompatibilityMatrix& c, const Pattern& p,
+                 const Sequence& seq) {
+  double best = 0.0;
+  for (size_t offset = 0; offset + p.length() <= seq.size(); ++offset) {
+    best = std::max(best, SegmentMatch(c, p, seq, offset));
+  }
+  return best;
+}
+
+TEST(PatternTrieTest, SingleRecordCallsMatchSegmentMatchUpToThreePieces) {
+  // A one-record call cuts its record into at least lanes() pieces:
+  // Best(seq) and the per-record fold of MakeRecordFn must give
+  // SegmentMatch's window max at every length from 0 to three full
+  // groups of the widest kernel's pieces, on every kernel. The fold's
+  // partial is the running sum of those maxima, in record order. A
+  // depth-7 batch and a depth-2 batch (one symbol of overlap, as in every
+  // level-2 Apriori count) each cross every group boundary.
+  ActiveKernelGuard guard;
+  const CompatibilityMatrix c = UniformNoiseMatrix(7, 0.3);
+  Rng rng(8128);
+  std::vector<Pattern> deep = {P({0}), P({1, 2}), P({3, -1, 4}),
+                               P({0, 1, 2, 3, 4, 5, 6}), P({1, 2})};
+  for (int i = 0; i < 12; ++i) {
+    deep.push_back(RandomPattern(1 + rng.UniformInt(7), 2, 7, &rng));
+  }
+  std::vector<Pattern> shallow = {P({0, 1}), P({2}), P({3, 3}),
+                                  P({4, 5}), P({6})};
+  const size_t max_len =
+      3 * PatternTrie::kTileWindows * WindowTrie::kMaxLanes + 7;
+  const Sequence full = RandomSequence(max_len, 7, &rng);
+  for (const std::vector<Pattern>* batch : {&deep, &shallow}) {
+    const std::vector<Pattern>& patterns = *batch;
+    const PatternTrie trie(patterns, &c);
+    const BatchCountKernel kernel(patterns, &c);
+    for (SimdLevel level : RunnableKernels()) {
+      ASSERT_TRUE(SetActiveMatchKernel(level, nullptr));
+      exec::RecordFn fold = kernel.MakeRecordFn();
+      std::vector<double> partial(patterns.size(), 0.0);
+      std::vector<double> running(patterns.size(), 0.0);
+      for (size_t len = 0; len <= max_len; ++len) {
+        const SequenceRecord record{
+            static_cast<SequenceId>(len),
+            Sequence(full.begin(), full.begin() + len)};
+        const std::vector<double> best = trie.Best(record.symbols);
+        fold(record, &partial);
+        for (size_t i = 0; i < patterns.size(); ++i) {
+          const double want = WindowMax(c, patterns[i], record.symbols);
+          running[i] += want;
+          ASSERT_EQ(best[i], want) << SimdLevelName(level) << " "
+                                   << patterns[i].ToString() << " length "
+                                   << len;
+          ASSERT_EQ(partial[i], running[i])
+              << SimdLevelName(level) << " MakeRecordFn "
+              << patterns[i].ToString() << " length " << len;
+        }
+      }
+    }
+  }
+}
+
+TEST(PatternTrieTest, WalkBuffersAre64ByteAligned) {
+  // Every lane step loads and stores whole aligned vectors, so each buffer
+  // the walk receives must start on a cache line, whatever the trie's
+  // depth, row count or pattern count.
+  const CompatibilityMatrix c = UniformNoiseMatrix(9, 0.2);
+  const std::vector<std::vector<Pattern>> batches = {
+      {P({0})},
+      {P({0, 1, 2}), P({3, -1, 4})},
+      {P({0, 1, 2, 3, 4, 5, 6, 7, 8}), P({8, 7}), P({5}), P({5})},
+  };
+  auto aligned = [](const void* p) {
+    return reinterpret_cast<uintptr_t>(p) % 64 == 0;
+  };
+  for (const std::vector<Pattern>& batch : batches) {
+    for (const CompatibilityMatrix* matrix :
+         {&c, static_cast<const CompatibilityMatrix*>(nullptr)}) {
+      size_t depth = 0;
+      for (const Pattern& p : batch) depth = std::max(depth, p.length());
+      const PatternTrie trie(batch, matrix);
+      PatternTrie::Scratch scratch = trie.MakeScratch();
+      const WindowTrieBuffers buffers = scratch.buffers();
+      EXPECT_TRUE(aligned(buffers.symbols));
+      EXPECT_TRUE(aligned(buffers.factors));
+      EXPECT_TRUE(aligned(buffers.rows));
+      // The second factor and node rows start a whole number of lines in.
+      EXPECT_TRUE(aligned(buffers.factors + WindowTrie::RowStride(depth)));
+      EXPECT_TRUE(aligned(buffers.rows + WindowTrie::RowStride(depth)));
+    }
+  }
 }
 
 TEST(CountersTest, OneScanPerBatch) {
@@ -146,7 +250,20 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, TrieVsNaiveProperty,
 // ---- PatternCounterProperty: the window trie against the naive oracle,
 // bit for bit (EXPECT_EQ on doubles, no tolerance) ----
 
-enum class Regime { kDense, kSparse, kBlosum, kSupport, kLargeAlphabet };
+// The first five regimes vary the matrix over short records; the last
+// four vary the records' shapes against the lane layout, each for a
+// match trie and a support trie.
+enum class Regime {
+  kDense,
+  kSparse,
+  kBlosum,
+  kSupport,
+  kLargeAlphabet,
+  kMixedLengths,    // lengths 0-400: many pieces per record
+  kPartialGroups,   // one piece per record, shards not a lane multiple
+  kLongAmongShort,  // one record longer than a piece among short ones
+  kShortRecords,    // records shorter than most patterns
+};
 
 const char* RegimeName(Regime regime) {
   switch (regime) {
@@ -160,18 +277,17 @@ const char* RegimeName(Regime regime) {
       return "support";
     case Regime::kLargeAlphabet:
       return "large_alphabet";
+    case Regime::kMixedLengths:
+      return "mixed_lengths";
+    case Regime::kPartialGroups:
+      return "partial_groups";
+    case Regime::kLongAmongShort:
+      return "long_among_short";
+    case Regime::kShortRecords:
+      return "short_records";
   }
   return "?";
 }
-
-/// Restores the auto-resolved kernel when a forced-kernel test ends.
-struct ActiveKernelGuard {
-  ~ActiveKernelGuard() {
-    SimdLevel level = SimdLevel::kScalar;
-    ResolveSimdLevel("auto", DetectCpuFeatures(), &level, nullptr);
-    SetActiveMatchKernel(level, nullptr);
-  }
-};
 
 /// A batch with lengths 1-14, interior wildcards, shared prefixes (a
 /// pattern extended from an earlier one) and exact duplicates, over the
@@ -203,15 +319,10 @@ std::vector<Pattern> PropertyBatch(Rng& rng,
   return patterns;
 }
 
-/// Records over the symbols in `alphabet` whose lengths cover the empty
-/// sequence, sequences shorter than most patterns, and every tile boundary
-/// the trie crosses.
-std::vector<SequenceRecord> PropertyRecords(
-    Rng& rng, const std::vector<SymbolId>& alphabet) {
-  const size_t t = PatternTrie::kTileWindows;
-  std::vector<size_t> lengths = {0,     1,     t - 1, t,         t + 1,
-                                 t + 13, t + 14, 2 * t, 2 * t + 7};
-  for (int i = 0; i < 12; ++i) lengths.push_back(rng.UniformInt(20));
+/// Records over the symbols in `alphabet` with the given lengths.
+std::vector<SequenceRecord> RecordsOfLengths(
+    Rng& rng, const std::vector<SymbolId>& alphabet,
+    const std::vector<size_t>& lengths) {
   std::vector<SequenceRecord> records;
   for (size_t len : lengths) {
     SequenceRecord r;
@@ -221,6 +332,49 @@ std::vector<SequenceRecord> PropertyRecords(
     records.push_back(std::move(r));
   }
   return records;
+}
+
+/// Records whose lengths cover the empty sequence, sequences shorter than
+/// most patterns, and every piece boundary the lanes cross.
+std::vector<SequenceRecord> PropertyRecords(
+    Rng& rng, const std::vector<SymbolId>& alphabet) {
+  const size_t t = PatternTrie::kTileWindows;
+  std::vector<size_t> lengths = {0,     1,     t - 1, t,         t + 1,
+                                 t + 13, t + 14, 2 * t, 2 * t + 7};
+  for (int i = 0; i < 12; ++i) lengths.push_back(rng.UniformInt(20));
+  return RecordsOfLengths(rng, alphabet, lengths);
+}
+
+/// The record lengths of a shape regime, and its shard size. Partial
+/// groups: every record fits one piece and the shard size is 17-23, so
+/// the last lane group of a shard holds 1-7 records on an 8-lane kernel
+/// (and a partial group on a 4-lane one), as does the last, short shard.
+std::vector<size_t> ShapeLengths(Regime regime, Rng& rng,
+                                 size_t* shard_size) {
+  const size_t t = PatternTrie::kTileWindows;
+  std::vector<size_t> lengths;
+  switch (regime) {
+    case Regime::kMixedLengths:
+      for (int i = 0; i < 24; ++i) lengths.push_back(rng.UniformInt(401));
+      *shard_size = 4;
+      break;
+    case Regime::kPartialGroups:
+      *shard_size = 17 + rng.UniformInt(7);
+      for (size_t i = 0; i < 3 * *shard_size + 1 + rng.UniformInt(7); ++i) {
+        lengths.push_back(1 + rng.UniformInt(t));
+      }
+      break;
+    case Regime::kLongAmongShort:
+      for (int i = 0; i < 20; ++i) lengths.push_back(1 + rng.UniformInt(12));
+      lengths[rng.UniformInt(lengths.size())] = 3 * t + 1 + rng.UniformInt(t);
+      *shard_size = 8;
+      break;
+    default:  // kShortRecords
+      for (int i = 0; i < 30; ++i) lengths.push_back(rng.UniformInt(6));
+      *shard_size = 5;
+      break;
+  }
+  return lengths;
 }
 
 /// Per-record oracle values summed in the reducer's shard grouping
@@ -239,6 +393,50 @@ std::vector<double> ShardedOracle(
   }
   for (double& v : totals) v /= static_cast<double>(per_record.size());
   return totals;
+}
+
+/// Checks one trie (`c` == nullptr: supports) on `records` under every
+/// runnable kernel: Best per record, and the sharded counters at 1 and 4
+/// threads, bit for bit against the naive oracle.
+void CheckAgainstOracle(Regime regime, const CompatibilityMatrix* c,
+                        const std::vector<Pattern>& patterns,
+                        const std::vector<SequenceRecord>& records,
+                        size_t shard_size) {
+  std::vector<std::vector<double>> oracle;
+  for (const SequenceRecord& r : records) {
+    oracle.push_back(c != nullptr ? NaiveMatches({r}, *c, patterns)
+                                  : NaiveSupports({r}, patterns));
+  }
+  const std::vector<double> expected =
+      ShardedOracle(oracle, patterns.size(), shard_size);
+
+  const PatternTrie trie(patterns, c);
+  PatternTrie::Scratch scratch = trie.MakeScratch();
+  std::vector<double> best(patterns.size());
+  const char* metric = c != nullptr ? "match" : "support";
+  for (SimdLevel level : RunnableKernels()) {
+    ASSERT_TRUE(SetActiveMatchKernel(level, nullptr));
+    for (size_t r = 0; r < records.size(); ++r) {
+      trie.Best(records[r].symbols, &scratch, best.data());
+      for (size_t i = 0; i < patterns.size(); ++i) {
+        EXPECT_EQ(best[i], oracle[r][i])
+            << RegimeName(regime) << " " << metric << " "
+            << SimdLevelName(level) << " " << patterns[i].ToString()
+            << " on a length-" << records[r].symbols.size() << " sequence";
+      }
+    }
+    for (size_t threads : {1u, 4u}) {
+      exec::ExecPolicy exec;
+      exec.num_threads = threads;
+      exec.shard_size = shard_size;
+      const std::vector<double> counted =
+          c != nullptr ? CountMatchesInRecords(records, *c, patterns, exec)
+                       : CountSupportsInRecords(records, patterns, exec);
+      EXPECT_EQ(counted, expected)
+          << RegimeName(regime) << " " << metric << " "
+          << SimdLevelName(level) << " " << threads << " threads";
+    }
+  }
 }
 
 class PatternCounterProperty
@@ -263,6 +461,9 @@ TEST_P(PatternCounterProperty, WindowTrieIsBitIdenticalToNaiveOracle) {
       break;
     case Regime::kLargeAlphabet:
       matrix = SparseRandomMatrix(320, 0.15, 0.7, &rng);
+      break;
+    default:  // shape regimes: a dense matrix, then supports
+      matrix = UniformNoiseMatrix(6, 0.3);
       break;
   }
   const CompatibilityMatrix* c = matrix.has_value() ? &*matrix : nullptr;
@@ -290,51 +491,29 @@ TEST_P(PatternCounterProperty, WindowTrieIsBitIdenticalToNaiveOracle) {
     }
   }
   const std::vector<Pattern> patterns = PropertyBatch(rng, batch_symbols);
+  if (regime <= Regime::kLargeAlphabet) {
+    CheckAgainstOracle(regime, c, patterns,
+                       PropertyRecords(rng, record_symbols),
+                       /*shard_size=*/4);
+    return;
+  }
+  size_t shard_size = 0;
+  const std::vector<size_t> lengths = ShapeLengths(regime, rng, &shard_size);
   const std::vector<SequenceRecord> records =
-      PropertyRecords(rng, record_symbols);
-
-  std::vector<std::vector<double>> oracle;
-  for (const SequenceRecord& r : records) {
-    oracle.push_back(c != nullptr ? NaiveMatches({r}, *c, patterns)
-                                  : NaiveSupports({r}, patterns));
-  }
-  const size_t shard_size = 4;
-  const std::vector<double> expected =
-      ShardedOracle(oracle, patterns.size(), shard_size);
-
-  const PatternTrie trie(patterns, c);
-  PatternTrie::Scratch scratch = trie.MakeScratch();
-  std::vector<double> best(patterns.size());
-  for (SimdLevel level : RunnableKernels()) {
-    ASSERT_TRUE(SetActiveMatchKernel(level, nullptr));
-    for (size_t r = 0; r < records.size(); ++r) {
-      trie.Best(records[r].symbols, &scratch, best.data());
-      for (size_t i = 0; i < patterns.size(); ++i) {
-        EXPECT_EQ(best[i], oracle[r][i])
-            << RegimeName(regime) << " " << SimdLevelName(level) << " "
-            << patterns[i].ToString() << " on a length-"
-            << records[r].symbols.size() << " sequence";
-      }
-    }
-    for (size_t threads : {1u, 4u}) {
-      exec::ExecPolicy exec;
-      exec.num_threads = threads;
-      exec.shard_size = shard_size;
-      const std::vector<double> counted =
-          c != nullptr ? CountMatchesInRecords(records, *c, patterns, exec)
-                       : CountSupportsInRecords(records, patterns, exec);
-      EXPECT_EQ(counted, expected)
-          << RegimeName(regime) << " " << SimdLevelName(level) << " "
-          << threads << " threads";
-    }
-  }
+      RecordsOfLengths(rng, record_symbols, lengths);
+  CheckAgainstOracle(regime, c, patterns, records, shard_size);
+  CheckAgainstOracle(regime, nullptr, patterns, records, shard_size);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Regimes, PatternCounterProperty,
     ::testing::Combine(::testing::Values(Regime::kDense, Regime::kSparse,
                                          Regime::kBlosum, Regime::kSupport,
-                                         Regime::kLargeAlphabet),
+                                         Regime::kLargeAlphabet,
+                                         Regime::kMixedLengths,
+                                         Regime::kPartialGroups,
+                                         Regime::kLongAmongShort,
+                                         Regime::kShortRecords),
                        ::testing::Range<uint64_t>(0, 8)),
     [](const ::testing::TestParamInfo<std::tuple<Regime, uint64_t>>& info) {
       return std::string(RegimeName(std::get<0>(info.param))) + "_" +
