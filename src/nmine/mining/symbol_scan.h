@@ -29,11 +29,20 @@ struct SymbolScanResult {
 
 /// Smallest alphabet whose Phase-1 match fold is worth a worker pool. A
 /// record's fold sweeps at least m accumulators; below this size that
-/// costs less than copying the record into a wave slot and handing it to
+/// costs less than copying the record into a ring slot and handing it to
 /// a worker (measured on a 4-core x86 VM: at m = 20 four threads cost
 /// 15-60% more CPU and saved no wall time; at m = 5000 they cut wall
 /// time ~4x for no more CPU).
 inline constexpr size_t kMinShardedFoldAlphabet = 256;
+
+/// Largest alphabet whose Phase-1 match fold is memoized by symbol set: a
+/// record's set fits one 64-bit mask.
+inline constexpr size_t kMaxMemoAlphabet = 64;
+
+/// Most symbol sets the Phase-1 memo holds (at m = 64, 2 MiB of
+/// quotients). Records whose set is new once the memo is full are folded
+/// directly, to the same bits.
+inline constexpr size_t kSymbolSetMemoEntries = 4096;
 
 /// Phase 1 of the probabilistic algorithm: in ONE scan of `db`, computes
 /// the match of every individual symbol and draws `sample_size` sequences
@@ -41,6 +50,9 @@ inline constexpr size_t kMinShardedFoldAlphabet = 256;
 /// optimization of Section 4.1 by stamp-and-sweep: a record stamps its
 /// symbols, then one sweep of the alphabet folds each distinct observed
 /// symbol's column into max_match, for O(N * min(l*m, l + m^2)) work.
+/// Up to kMaxMemoAlphabet symbols, a record's max_match[d] / N is
+/// memoized by its symbol set (at most kSymbolSetMemoEntries sets), so a
+/// repeated set costs O(l + m).
 ///
 /// When `sample_size == 0` no sample is kept (useful for computing symbol
 /// matches alone).

@@ -129,11 +129,11 @@ TEST(ShardedScanReducerTest, RestartDropsAllAccumulation) {
 }
 
 TEST(ShardedScanReducerTest, ReusedSlotsFollowGrowingAndShrinkingRecords) {
-  // Wave slots keep their symbol buffers across waves, so a record that
-  // is shorter than the slot's last tenant must not see stale symbols.
-  // Lengths rise to 96 and fall back to 0 across several waves, and a
-  // restart lands mid-wave; the order-sensitive sums must equal the serial
-  // reducer's bit for bit.
+  // Ring slots keep their symbol buffers from shard to shard, so a record
+  // that is shorter than the slot's last tenant must not see stale
+  // symbols. Lengths rise to 96 and fall back to 0 across several turns
+  // of the ring, and a restart lands mid-ring; the order-sensitive sums
+  // must equal the serial reducer's bit for bit.
   std::vector<SequenceRecord> records(900);
   for (size_t i = 0; i < records.size(); ++i) {
     records[i].id = static_cast<SequenceId>(i);
@@ -164,7 +164,7 @@ TEST(ShardedScanReducerTest, ReusedSlotsFollowGrowingAndShrinkingRecords) {
       ExecPolicy policy = serial;
       policy.num_threads = threads;
       ShardedScanReducer reducer(2, policy, fold);
-      // A failed first attempt that stops mid-wave, after the slots have
+      // A failed first attempt that stops mid-ring, after the slots have
       // held the longest records.
       const size_t cut = 2 * threads * shard * 3 + shard / 2 + 1;
       for (size_t i = 0; i < std::min(cut, records.size()); ++i) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "nmine/db/disk_database.h"
 #include "nmine/db/fault_injecting_database.h"
 #include "nmine/db/format.h"
+#include "nmine/db/in_memory_database.h"
 #include "nmine/db/reservoir_sampler.h"
 #include "nmine/db/retrying_database.h"
 #include "nmine/exec/policy.h"
@@ -234,8 +236,8 @@ TEST_P(SymbolScanProperty, SupportEqualsNaiveAlgorithm41) {
 // short-read:1:300 delivers 300 records and fails once; the retried scan
 // restarts the reducer and rewinds the generator, so it must equal the
 // fault-free oracle. At 4 threads the match fold of the m = 300 cases is
-// sharded, so the fault lands mid-wave and the restart drops buffered
-// waves. Every other case folds on the scanning thread, where 4 threads
+// sharded, so the fault lands mid-ring and the restart drops buffered
+// shards. Every other case folds on the scanning thread, where 4 threads
 // checks that num_threads does not change Phase 1's result
 // (tests/exec/thread_pool_test.cc covers the parallel restart directly).
 TEST_P(SymbolScanProperty, RestartMidScanGivesTheFaultFreeResult) {
@@ -283,6 +285,97 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{Kind::kIdentity, 20}, Case{Kind::kIdentity, 65},
                       Case{Kind::kIdentity, 300}, Case{Kind::kBlosum, 20}),
     CaseName);
+
+/// n records of 1..1.5m uniform symbols over [0, m), every 29th empty:
+/// their symbol sets are mostly distinct random subsets of the alphabet.
+std::vector<SequenceRecord> SubsetRecords(size_t n, size_t m, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<SequenceRecord> records(n);
+  for (size_t i = 0; i < n; ++i) {
+    records[i].id = static_cast<SequenceId>(i);
+    const size_t len = i % 29 == 0 ? 0 : 1 + rng.UniformInt(3 * m / 2);
+    for (size_t j = 0; j < len; ++j) {
+      records[i].symbols.push_back(static_cast<SymbolId>(rng.UniformInt(m)));
+    }
+  }
+  return records;
+}
+
+size_t DistinctSets(const std::vector<SequenceRecord>& records) {
+  std::set<uint64_t> sets;
+  for (const SequenceRecord& r : records) {
+    uint64_t mask = 0;
+    for (SymbolId s : r.symbols) mask |= uint64_t{1} << s;
+    sets.insert(mask);
+  }
+  return sets.size();
+}
+
+// At m = 64 the match fold is memoized by symbol set; at m = 65 it folds
+// directly. A 65-symbol matrix whose top-left block is the 64-symbol
+// matrix, over records that never hold symbol 64, gives every symbol
+// d < 64 the same column maxima, so the two folds must agree bit for bit.
+TEST(SymbolScanMemo, M64MemoizedEqualsM65Direct) {
+  static_assert(kMaxMemoAlphabet == 64);
+  Rng matrix_rng(64);
+  const CompatibilityMatrix big = SparseRandomMatrix(65, 0.3, 0.8, &matrix_rng);
+  std::vector<std::vector<double>> rows(64, std::vector<double>(64));
+  for (size_t i = 0; i < 64; ++i) {
+    for (size_t j = 0; j < 64; ++j) {
+      rows[i][j] = big(static_cast<SymbolId>(i), static_cast<SymbolId>(j));
+    }
+  }
+  const CompatibilityMatrix small(rows);
+  const std::vector<SequenceRecord> records = SubsetRecords(900, 64, 7);
+  const InMemorySequenceDatabase db =
+      InMemorySequenceDatabase::FromRecords(records);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    Rng rng_small(kSampleSeed);
+    Rng rng_big(kSampleSeed);
+    const SymbolScanResult memoized = ScanSymbolsAndSample(
+        db, small, 10, &rng_small, Policy(threads, exec::kDefaultShardSize));
+    const SymbolScanResult direct = ScanSymbolsAndSample(
+        db, big, 10, &rng_big, Policy(threads, exec::kDefaultShardSize));
+    ASSERT_TRUE(memoized.status.ok());
+    ASSERT_TRUE(direct.status.ok());
+    ASSERT_EQ(memoized.symbol_match.size(), 64u);
+    const std::vector<double> head(direct.symbol_match.begin(),
+                                   direct.symbol_match.begin() + 64);
+    EXPECT_EQ(memoized.symbol_match, head) << "threads=" << threads;
+    EXPECT_EQ(memoized.symbol_match,
+              NaiveSymbolMatch(records, small, exec::kDefaultShardSize));
+  }
+}
+
+// More distinct symbol sets than the memo holds: the sets past the cap
+// are folded directly, to the same bits as the oracle, for the match and
+// the support scans.
+TEST(SymbolScanMemo, MoreDistinctSetsThanTheCap) {
+  const size_t m = 20;
+  const std::vector<SequenceRecord> records = SubsetRecords(9000, m, 3);
+  ASSERT_GT(DistinctSets(records), kSymbolSetMemoEntries);
+  const InMemorySequenceDatabase db =
+      InMemorySequenceDatabase::FromRecords(records);
+  const CompatibilityMatrix c = UniformNoiseMatrix(m, 0.1);
+  for (size_t shard : kShardSizes) {
+    const std::vector<double> want_match = NaiveSymbolMatch(records, c, shard);
+    const std::vector<double> want_support =
+        NaiveSymbolSupport(records, m, shard);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " shard=" + std::to_string(shard);
+      Rng rng(kSampleSeed);
+      const SymbolScanResult match =
+          ScanSymbolsAndSample(db, c, 0, &rng, Policy(threads, shard));
+      ASSERT_TRUE(match.status.ok()) << where;
+      EXPECT_EQ(match.symbol_match, want_match) << where;
+      const SymbolScanResult support =
+          ScanSymbolSupports(db, m, 0, &rng, Policy(threads, shard));
+      ASSERT_TRUE(support.status.ok()) << where;
+      EXPECT_EQ(support.symbol_match, want_support) << where;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace nmine
